@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,19 +32,6 @@ class TreeParams:
             raise ValueError("max_leaves must lie in [2, 2**max_depth]")
         if self.min_leaf_weight <= 0:
             raise ValueError("min_leaf_weight must be positive")
-
-
-@dataclass
-class Node:
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "Node | None" = None
-    right: "Node | None" = None
-    value: float = 1.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
 
 def _leaf_value(labels, weights) -> float:
@@ -101,76 +88,90 @@ def best_split(x, y, w, idx, features, min_leaf_weight: float):
     return best
 
 
-@dataclass
+_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+# eq=False keeps identity equality: == on arrays has no single truth value
+@dataclass(frozen=True, eq=False)
 class Tree:
-    root: Node
+    """A fitted tree as five parallel node arrays, read-only; node 0 is the root.
+
+    Node i is a leaf when feature[i] is -1; it votes value[i] (+-1) and its
+    left[i] and right[i] are -1.  Otherwise rows with x[feature[i]] <=
+    threshold[i] go to node left[i] and the rest to right[i], both of which
+    come after node i.
+    """
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
     n_features: int
-    params: TreeParams = field(default_factory=TreeParams)
+
+    def __post_init__(self):
+        for name, dtype in zip(_ARRAYS, (np.intp, float, np.intp, np.intp, float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def predict(self, features) -> np.ndarray:
         x = np.asarray(features, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise ValueError(f"expected shape (n, {self.n_features})")
         out = np.empty(x.shape[0])
-        stack = [(self.root, np.arange(x.shape[0]))]
+        stack = [(0, np.arange(x.shape[0]))]
         while stack:
             node, idx = stack.pop()
             if idx.size == 0:
                 continue
-            if node.is_leaf:
-                out[idx] = node.value
+            feat = self.feature[node]
+            if feat < 0:
+                out[idx] = self.value[node]
                 continue
-            go_left = x[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[go_left]))
-            stack.append((node.right, idx[~go_left]))
+            go_left = x[idx, feat] <= self.threshold[node]
+            stack.append((self.left[node], idx[go_left]))
+            stack.append((self.right[node], idx[~go_left]))
         return out
 
     def n_leaves(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                count += 1
-            else:
-                stack.extend((node.left, node.right))
-        return count
-
-    @property
-    def depth(self) -> int:
-        def down(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(down(node.left), down(node.right))
-        return down(self.root)
+        return int(np.sum(self.feature < 0))
 
     def to_dict(self) -> dict:
-        def pack(node):
-            if node.is_leaf:
-                return {"value": node.value}
-            return {"feature": node.feature, "threshold": node.threshold,
-                    "left": pack(node.left), "right": pack(node.right)}
-        return {"n_features": self.n_features, "root": pack(self.root),
-                "params": {"max_depth": self.params.max_depth,
-                           "max_leaves": self.params.max_leaves,
-                           "min_leaf_weight": self.params.min_leaf_weight}}
+        return {"n_features": self.n_features,
+                **{name: getattr(self, name).tolist() for name in _ARRAYS}}
 
     @classmethod
     def from_dict(cls, blob: dict) -> "Tree":
-        def unpack(d):
-            if "value" in d:
-                return Node(value=float(d["value"]))
-            return Node(feature=int(d["feature"]), threshold=float(d["threshold"]),
-                        left=unpack(d["left"]), right=unpack(d["right"]))
-        return cls(unpack(blob["root"]), int(blob["n_features"]),
-                   TreeParams(**blob["params"]))
+        """Read a tree written by to_dict, raising ValueError unless it is one.
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Tree":
-        return cls.from_dict(json.loads(text))
+        The checks run in plain Python: the lists are short, and a numpy
+        call per check would cost more than the parse.
+        """
+        n_features = blob["n_features"]
+        feature, threshold, left, right, value = (blob[name] for name in _ARRAYS)
+        size = len(feature)
+        if size == 0 or any(len(arr) != size for arr in (threshold, left, right, value)):
+            raise ValueError("tree arrays must be non-empty and of equal length")
+        if not isinstance(n_features, int) or n_features < 1:
+            raise ValueError("n_features must be a positive integer")
+        children = []
+        for i in range(size):
+            if value[i] not in (-1, 1):
+                raise ValueError(f"node {i}: value must be -1 or +1")
+            if feature[i] == -1:
+                if left[i] != -1 or right[i] != -1:
+                    raise ValueError(f"node {i}: a leaf has no children")
+                continue
+            if not isinstance(feature[i], int) or not 0 <= feature[i] < n_features:
+                raise ValueError(f"node {i}: feature must lie in [0, {n_features})")
+            if not math.isfinite(threshold[i]):
+                raise ValueError(f"node {i}: threshold must be finite")
+            if not (i < left[i] < size and i < right[i] < size):
+                raise ValueError(f"node {i}: children must come after their parent")
+            children += (left[i], right[i])
+        if sorted(children) != list(range(1, size)):
+            raise ValueError("every node but the root must be the child of one node")
+        return cls(feature, threshold, left, right, value, n_features)
 
 
 def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
@@ -198,8 +199,7 @@ def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
         if active.size == 0 or active[0] < 0 or active[-1] >= p:
             raise ValueError("feature_subset must name valid feature columns")
 
-    all_idx = np.arange(n)
-    root = Node(value=_leaf_value(y, w))
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [_leaf_value(y, w)]
     counter = itertools.count()
     heap = []
 
@@ -211,17 +211,19 @@ def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
             dec, feat, thr = found
             heapq.heappush(heap, (-dec, feat, thr, next(counter), node, idx, depth))
 
-    enqueue(root, all_idx, 0)
+    enqueue(0, np.arange(n), 0)
     leaves = 1
     while heap and leaves < params.max_leaves:
         _, feat, thr, _, node, idx, depth = heapq.heappop(heap)
         go_left = x[idx, feat] <= thr
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        node.feature = feat
-        node.threshold = thr
-        node.left = Node(value=_leaf_value(y[left_idx], w[left_idx]))
-        node.right = Node(value=_leaf_value(y[right_idx], w[right_idx]))
+        feature[node], threshold[node] = feat, thr
+        left[node], right[node] = len(value), len(value) + 1
         leaves += 1
-        enqueue(node.left, left_idx, depth + 1)
-        enqueue(node.right, right_idx, depth + 1)
-    return Tree(root, p, params)
+        for child_idx in (idx[go_left], idx[~go_left]):
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(_leaf_value(y[child_idx], w[child_idx]))
+            enqueue(len(value) - 1, child_idx, depth + 1)
+    return Tree(feature, threshold, left, right, value, p)

@@ -310,16 +310,3 @@ def residuals(problem: LpProblem, x: np.ndarray) -> dict[str, float]:
     if problem.upper is not None:
         out["upper"] = float(np.max(np.clip(x - problem.upper, 0.0, None)))
     return out
-
-
-def problem_to_text(problem: LpProblem) -> str:
-    """Plain tabular dump for cross-checking against external solvers."""
-    lines = ["max\t" + "\t".join(f"{v:.12g}" for v in problem.objective)]
-    for coeffs, rhs in zip(problem.a_ge, problem.b_ge):
-        lines.append("\t".join(f"{v:.12g}" for v in coeffs) + f"\t>=\t{rhs:.12g}")
-    for coeffs, rhs in zip(problem.a_eq, problem.b_eq):
-        lines.append("\t".join(f"{v:.12g}" for v in coeffs) + f"\t=\t{rhs:.12g}")
-    lines.append("lower\t" + "\t".join(f"{v:.12g}" for v in problem.lower))
-    if problem.upper is not None:
-        lines.append("upper\t" + "\t".join(f"{v:.12g}" for v in problem.upper))
-    return "\n".join(lines) + "\n"

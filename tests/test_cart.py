@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from margin_forge.cart import Node, Tree, TreeParams, best_split, fit_tree
+from margin_forge.cart import Tree, TreeParams, best_split, fit_tree
 from stump_oracle import all_candidates, best_stump
 
 
@@ -13,8 +15,8 @@ def test_one_dimensional_midpoint():
     x = np.array([[1.0], [2.0]])
     y = np.array([-1.0, 1.0])
     tree = fit_tree(x, y, params=stump_params())
-    assert tree.root.feature == 0
-    assert tree.root.threshold == 1.5
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == 1.5
     assert tree.predict(np.array([[1.4], [1.6]])).tolist() == [-1.0, 1.0]
 
 
@@ -34,8 +36,8 @@ def test_tie_break_prefers_lowest_feature():
     x = np.hstack([x0, x0, x0])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
     tree = fit_tree(x, y, params=stump_params())
-    assert tree.root.feature == 0
-    assert tree.root.threshold == 1.5
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == 1.5
 
 
 def test_tie_break_prefers_lowest_threshold():
@@ -50,14 +52,14 @@ def test_pure_node_grows_nothing():
     x = np.arange(6, dtype=float).reshape(6, 1)
     y = np.full(6, 1.0)
     tree = fit_tree(x, y)
-    assert tree.root.is_leaf and tree.root.value == 1.0
+    assert tree.feature[0] < 0 and tree.value[0] == 1.0
 
 
 def test_zero_weighted_label_sum_leaf_is_positive():
     x = np.array([[0.0], [0.0]])
     y = np.array([-1.0, 1.0])
     tree = fit_tree(x, y)  # single distinct value, no split possible
-    assert tree.root.is_leaf and tree.root.value == 1.0
+    assert tree.feature[0] < 0 and tree.value[0] == 1.0
 
 
 def test_max_leaves_caps_growth():
@@ -72,14 +74,12 @@ def test_depth_limit_respected():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((100, 3))
     y = np.where(x[:, 0] * x[:, 1] > 0, 1.0, -1.0)
-
-    def depth(node):
-        if node.is_leaf:
-            return 0
-        return 1 + max(depth(node.left), depth(node.right))
-
     tree = fit_tree(x, y)
-    assert depth(tree.root) <= 2
+    # children follow their parent, so one forward pass sets every depth
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for node in np.flatnonzero(tree.feature >= 0):
+        depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    assert depth.max() <= 2
 
 
 def test_feature_subset_restricts_splits():
@@ -87,13 +87,7 @@ def test_feature_subset_restricts_splits():
     x = rng.standard_normal((80, 5))
     y = np.where(x[:, 0] > 0, 1.0, -1.0)  # feature 0 is the informative one
     tree = fit_tree(x, y, feature_subset=[3, 4])
-
-    def used(node):
-        if node.is_leaf:
-            return set()
-        return {node.feature} | used(node.left) | used(node.right)
-
-    assert used(tree.root) <= {3, 4}
+    assert set(tree.feature[tree.feature >= 0].tolist()) <= {3, 4}
 
 
 def test_params_validated():
@@ -157,7 +151,7 @@ def test_json_roundtrip():
     x = rng.standard_normal((60, 4))
     y = np.where(x[:, 1] + 0.3 * x[:, 2] > 0, 1.0, -1.0)
     tree = fit_tree(x, y)
-    clone = Tree.from_json(tree.to_json())
+    clone = Tree.from_dict(json.loads(json.dumps(tree.to_dict())))
     assert clone.to_dict() == tree.to_dict()
     assert np.array_equal(clone.predict(x), tree.predict(x))
 
@@ -194,7 +188,8 @@ def test_predictions_are_signs():
 
 
 def test_route_left_on_equal_value():
-    tree = Tree(Node(feature=0, threshold=1.0,
-                     left=Node(value=-1.0), right=Node(value=1.0)), 1)
+    tree = Tree.from_dict({"n_features": 1, "feature": [0, -1, -1],
+                           "threshold": [1.0, 0.0, 0.0], "left": [1, -1, -1],
+                           "right": [2, -1, -1], "value": [1.0, -1.0, 1.0]})
     assert tree.predict(np.array([[1.0]]))[0] == -1.0  # boundary goes left
     assert tree.predict(np.array([[1.0 + 1e-12]]))[0] == 1.0

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from margin_forge.cli import main
@@ -116,6 +119,34 @@ def test_bounds_bad_theta(model_and_data, capsys):
     model_path, data_path, _ = model_and_data
     assert main(["bounds", "--model", model_path, "--data", data_path,
                  "--theta", "-0.1", "--vc", "3"]) == 1
+
+
+def _edit(name, index, value):
+    def corrupt(tree):
+        tree[name][index] = value
+        return tree
+    return corrupt
+
+
+def _nested(tree):
+    # the nested node layout that snapshots used before trees were flat arrays
+    return {"n_features": tree["n_features"],
+            "root": {"feature": 0, "threshold": 0.0,
+                     "left": {"value": -1.0}, "right": {"value": 1.0}},
+            "params": {"max_depth": 2, "max_leaves": 4, "min_leaf_weight": 1e-12}}
+
+
+@pytest.mark.parametrize("corrupt", [
+    _edit("feature", 0, 99), _edit("feature", 0, -1), _edit("threshold", 0, float("nan")),
+    _edit("value", -1, 0.5), _nested,
+], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested"])
+def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt):
+    model_path, data_path, _ = model_and_data
+    blob = json.loads(Path(model_path).read_text())
+    blob["trees"][0] = corrupt(blob["trees"][0])
+    Path(model_path).write_text(json.dumps(blob))
+    assert main(["bounds", "--model", model_path, "--data", data_path]) == 1
+    assert "bad model snapshot" in capsys.readouterr().err
 
 
 def write_config(tmp_path, text):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from margin_forge.cart import Node, Tree, TreeParams, fit_tree
+from margin_forge.cart import Tree, TreeParams, fit_tree
 from margin_forge.dataset_io import Dataset, generate_synthetic
 from margin_forge.ensemble import (
     EnsembleError, EnsembleModel, PredictionMatrix, adaboost, bagging,
@@ -15,6 +15,18 @@ from margin_forge.ensemble import test_error as error_rate  # avoid test collect
 
 def spiral_like(n=40, seed=3, noise=1.6):
     return generate_synthetic("two-gaussians", n, noise, seed)
+
+
+def stump(threshold):
+    """One-feature stump voting -1 for x <= threshold and +1 above it."""
+    return Tree.from_dict({"n_features": 1, "feature": [0, -1, -1],
+                           "threshold": [threshold, 0.0, 0.0], "left": [1, -1, -1],
+                           "right": [2, -1, -1], "value": [1.0, -1.0, 1.0]})
+
+
+def always_plus():
+    return Tree.from_dict({"n_features": 1, "feature": [-1], "threshold": [0.0],
+                           "left": [-1], "right": [-1], "value": [1.0]})
 
 
 def test_alpha_closed_form():
@@ -94,14 +106,9 @@ def test_forest_mtry_defaults_to_ceil_sqrt_p():
     y = np.where(rng.random(60) < 0.5, -1.0, 1.0)
     data = Dataset("wide", x, y)
     model = random_forest(data, T=5, seed=0)
-
-    def used(node):
-        if node.is_leaf:
-            return set()
-        return {node.feature} | used(node.left) | used(node.right)
-
     for tree in model.trees:
-        assert len(used(tree.root)) <= math.ceil(math.sqrt(10))  # 4
+        used = set(tree.feature[tree.feature >= 0].tolist())
+        assert len(used) <= math.ceil(math.sqrt(10))  # 4
 
 
 def test_forest_without_bootstrap_and_full_mtry_equals_plain_fit():
@@ -122,10 +129,7 @@ def test_bagging_equals_full_mtry_forest():
 
 
 def test_prediction_matrix_hand_built():
-    stump_a = Tree(Node(feature=0, threshold=0.5,
-                        left=Node(value=-1.0), right=Node(value=1.0)), 1)
-    stump_b = Tree(Node(value=1.0), 1)
-    model = EnsembleModel("bagging", (stump_a, stump_b),
+    model = EnsembleModel("bagging", (stump(0.5), always_plus()),
                           np.array([0.5, 0.5]), np.array([0.5, 0.5]), TreeParams())
     data = Dataset("two", np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]))
     matrix = prediction_matrix(model, data)
@@ -134,10 +138,7 @@ def test_prediction_matrix_hand_built():
 
 
 def test_tie_vote_resolves_positive():
-    stump = Tree(Node(feature=0, threshold=0.5,
-                      left=Node(value=-1.0), right=Node(value=1.0)), 1)
-    always_plus = Tree(Node(value=1.0), 1)
-    model = EnsembleModel("bagging", (stump, always_plus),
+    model = EnsembleModel("bagging", (stump(0.5), always_plus()),
                           np.array([0.5, 0.5]), np.array([0.5, 0.5]), TreeParams())
     # row 0 scores 0.5*(-1) + 0.5*(+1) = 0, the tie goes to +1
     assert predict(model, np.array([[0.0]]))[0] == 1.0
@@ -153,7 +154,7 @@ def test_error_matches_matrix_route():
 
 
 def test_model_validation():
-    tree = Tree(Node(value=1.0), 1)
+    tree = always_plus()
     with pytest.raises(ValueError, match="method"):
         EnsembleModel("mystery", (tree,), np.array([1.0]), np.array([1.0]), TreeParams())
     with pytest.raises(ValueError, match="sum to 1"):

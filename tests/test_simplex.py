@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from margin_forge.simplex import LpProblem, SimplexError, problem_to_text, residuals, solve
+from margin_forge.simplex import LpProblem, SimplexError, residuals, solve
 
 from lp_oracle import oracle_solve, random_lp
 
@@ -109,11 +109,3 @@ def test_rejects_nonfinite():
 def test_rejects_bad_row_length():
     with pytest.raises(ValueError):
         LpProblem([1.0, 2.0], ge_rows=[(np.array([1.0]), 0.0)])
-
-
-def test_problem_dump_roundtrips_fields():
-    problem = LpProblem([1.0, -2.0], ge_rows=[(np.array([1.0, 1.0]), 0.5)],
-                        eq_rows=[(np.array([1.0, 0.0]), 0.25)], upper=[1.0, 1.0])
-    text = problem_to_text(problem)
-    assert ">=" in text and "=" in text and "upper" in text
-    assert "0.25" in text and "0.5" in text
