@@ -8,6 +8,12 @@ next, up to max_leaves.  An impure leaf splits even at zero decrease
 only stopping conditions are purity, the depth cap, the leaf cap, and
 running out of candidate thresholds.  All tie-breaks are deterministic:
 lowest feature index, then lowest threshold, then insertion order.
+
+The split search scores every feature of a node at once.  Each column is
+sorted once per training set (a stable argsort, see column_order); a node
+keeps its own rows of those orders, takes cumulative class weights along
+all of them in one pass and picks the best cut with one feature-major
+argmax, so nothing is sorted inside a node.
 """
 from __future__ import annotations
 
@@ -46,8 +52,20 @@ def _weighted_gini(w_pos: float, w_neg: float) -> float:
     return total - (w_pos * w_pos + w_neg * w_neg) / total
 
 
-def best_split(x, y, w, idx, features, min_leaf_weight: float):
+def column_order(x) -> np.ndarray:
+    """Stable argsort of each column of the (n, p) matrix x, as a (p, n) array."""
+    return np.argsort(np.asarray(x, dtype=float).T, axis=1, kind="stable")
+
+
+def best_split(x, y, w, idx, order, features, min_leaf_weight: float):
     """Best (decrease, feature, threshold) for the rows in idx, or None.
+
+    order[k] is the stable argsort of column features[k] over all rows and
+    idx is ascending, so keeping the node's rows of each order lists them
+    by (value, row), as a stable sort of the node's own values would.  All
+    features are scored in one (F, m) block; a flat argmax over it is
+    feature-major, so ties go to the earlier feature, then the lower
+    threshold.
 
     decrease = parent weighted Gini minus the two children's, unnormalized.
     Returns None when the node is already pure (by weight) or no midpoint
@@ -59,33 +77,26 @@ def best_split(x, y, w, idx, features, min_leaf_weight: float):
     if min(pos, total - pos) <= 0.0:
         return None  # weighted-pure node: nothing to separate
     parent = _weighted_gini(pos, total - pos)
-    best = None
-    for f in features:
-        vals = x[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sw = sub_w[order]
-        sp = np.where(y[idx][order] > 0, sw, 0.0)
-        cut = np.nonzero(sv[:-1] < sv[1:])[0]
-        if cut.size == 0:
-            continue
-        wl = np.cumsum(sw)[cut]
-        pl = np.cumsum(sp)[cut]
-        nl = wl - pl
-        wr = total - wl
-        pr = pos - pl
-        nr = wr - pr
-        ok = (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
-        if not np.any(ok):
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            child = (wl - (pl * pl + nl * nl) / wl) + (wr - (pr * pr + nr * nr) / wr)
-        dec = np.where(ok, parent - child, -np.inf)
-        j = int(np.argmax(dec))  # argmax keeps the first (lowest threshold) on ties
-        if best is None or dec[j] > best[0]:
-            thr = float((sv[cut[j]] + sv[cut[j] + 1]) / 2.0)
-            best = (float(dec[j]), int(f), thr)
-    return best
+    inside = np.zeros(x.shape[0], dtype=bool)
+    inside[idx] = True
+    rows = order[inside[order]].reshape(len(features), idx.size)
+    sv = x[rows, np.asarray(features)[:, None]]
+    # position j cuts between sorted rows j and j+1
+    wl = np.cumsum(w[rows], axis=1)[:, :-1]
+    pl = np.cumsum(np.where(y > 0, w, 0.0)[rows], axis=1)[:, :-1]
+    nl = wl - pl
+    wr = total - wl
+    pr = pos - pl
+    nr = wr - pr
+    ok = (sv[:, :-1] < sv[:, 1:]) & (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        child = (wl - (pl * pl + nl * nl) / wl) + (wr - (pr * pr + nr * nr) / wr)
+    dec = np.where(ok, parent - child, -np.inf)
+    k, j = np.unravel_index(np.argmax(dec), dec.shape)
+    if dec[k, j] == -np.inf:
+        return None
+    thr = float((sv[k, j] + sv[k, j + 1]) / 2.0)
+    return (float(dec[k, j]), int(features[k]), thr)
 
 
 _ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -175,7 +186,12 @@ class Tree:
 
 
 def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
-             feature_subset=None) -> Tree:
+             feature_subset=None, order=None) -> Tree:
+    """Fit one tree on weighted rows.
+
+    order is column_order(features); a caller fitting many trees on one
+    training set computes it once and passes it to each fit.
+    """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -198,6 +214,11 @@ def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
         active = np.unique(np.asarray(feature_subset, dtype=int))
         if active.size == 0 or active[0] < 0 or active[-1] >= p:
             raise ValueError("feature_subset must name valid feature columns")
+    if order is None:
+        order = column_order(x)
+    elif np.shape(order) != (p, n):
+        raise ValueError(f"order must have shape ({p}, {n})")
+    order = order[active]
 
     feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [_leaf_value(y, w)]
     counter = itertools.count()
@@ -206,7 +227,7 @@ def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
     def enqueue(node, idx, depth):
         if depth >= params.max_depth:
             return
-        found = best_split(x, y, w, idx, active, params.min_leaf_weight)
+        found = best_split(x, y, w, idx, order, active, params.min_leaf_weight)
         if found is not None:
             dec, feat, thr = found
             heapq.heappush(heap, (-dec, feat, thr, next(counter), node, idx, depth))

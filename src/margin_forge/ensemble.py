@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import Tree, TreeParams, fit_tree
+from .cart import Tree, TreeParams, column_order, fit_tree
 from .dataset_io import Dataset
 
 # floor keeps the round coefficient finite when a tree fits its
@@ -41,6 +41,8 @@ class EnsembleModel:
             raise ValueError(f"method must be one of {METHODS}")
         if len(self.trees) < 1:
             raise ValueError("need at least one learner")
+        if len({tree.n_features for tree in self.trees}) != 1:
+            raise ValueError("all learners must take the same number of features")
         w = np.asarray(self.vote_weights, dtype=float)
         a = np.asarray(self.raw_alphas, dtype=float)
         if w.shape != (len(self.trees),) or a.shape != w.shape:
@@ -114,11 +116,12 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     x, y = train.features, train.labels
     n = train.n_rows
     dist = np.full(n, 1.0 / n)
+    order = column_order(x)
     trees: list[Tree] = []
     alphas: list[float] = []
     break_reason = None
     for _ in range(T):
-        tree = fit_tree(x, y, weights=dist, params=params)
+        tree = fit_tree(x, y, weights=dist, params=params, order=order)
         wrong = tree.predict(x) != y
         eps = float(dist[wrong].sum())
         if eps >= 0.5:
@@ -171,6 +174,7 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
     if not 1 <= m_try <= p:
         raise ValueError(f"m_try must lie in [1, {p}]")
     x, y = train.features, train.labels
+    order = column_order(x)
     trees = []
     for t in range(T):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
@@ -181,7 +185,7 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
             weights = np.full(n, 1.0 / n)
         subset = np.sort(rng.choice(p, size=m_try, replace=False))
         trees.append(fit_tree(x, y, weights=weights, params=params,
-                              feature_subset=subset))
+                              feature_subset=subset, order=order))
     uniform = np.full(T, 1.0 / T)
     return EnsembleModel("random-forest", tuple(trees), uniform, uniform.copy(),
                          params, seed=seed)

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from margin_forge.cart import Tree, TreeParams, best_split, fit_tree
+import split_oracle
+from margin_forge.cart import Tree, TreeParams, best_split, column_order, fit_tree
 from stump_oracle import all_candidates, best_stump
 
 
@@ -44,7 +46,7 @@ def test_tie_break_prefers_lowest_threshold():
     # symmetric pattern - + + -: splitting at 0.5 or 2.5 gives equal decrease
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([-1.0, 1.0, 1.0, -1.0])
-    found = best_split(x, y, np.full(4, 0.25), np.arange(4), [0], 1e-12)
+    found = best_split(x, y, np.full(4, 0.25), np.arange(4), column_order(x), [0], 1e-12)
     assert found is not None and found[2] == 0.5
 
 
@@ -116,7 +118,7 @@ def test_stump_matches_brute_force_oracle():
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         w = rng.random(n) + 0.01
         w /= w.sum()
-        got = best_split(x, y, w, np.arange(n), np.arange(p), 1e-12)
+        got = best_split(x, y, w, np.arange(n), column_order(x), np.arange(p), 1e-12)
         want = best_stump(x, y, w)
         if want is None:
             assert got is None
@@ -129,6 +131,30 @@ def test_stump_matches_brute_force_oracle():
         gap_free = not others or want[0] - max(others) > 1e-9
         if gap_free:
             assert (got[1], got[2]) == (want[1], want[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), p=st.integers(1, 5),
+       levels=st.integers(1, 8), twin=st.booleans(),
+       min_leaf_weight=st.sampled_from([1e-12, 0.05, 0.2, 0.45]))
+def test_split_matches_per_feature_reference(seed, n, p, levels, twin, min_leaf_weight):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, p)) * 0.5  # few levels: repeated values
+    if twin and p > 1:
+        x[:, -1] = x[:, 0]  # equal decreases on two features: the tie rule decides
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    counts = rng.integers(0, 3, size=n)  # bootstrap-like counts give zero weights
+    w = counts / max(counts.sum(), 1)
+    idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    features = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+    got = best_split(x, y, w, idx, column_order(x)[features], features, min_leaf_weight)
+    assert got == split_oracle.best_split(x, y, w, idx, features, min_leaf_weight)
+
+
+def test_order_shape_checked():
+    x = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="order"):
+        fit_tree(x, np.array([-1.0, 1.0, 1.0]), order=column_order(x[:, :1]))
 
 
 def test_stump_never_worse_than_majority():

@@ -10,7 +10,8 @@ from margin_forge.ensemble import adaboost, save_model
 
 @pytest.fixture()
 def model_and_data(tmp_path):
-    data = generate_synthetic("two-gaussians", 60, 0.8, 3)
+    # overlapping classes, so boosting runs all six rounds
+    data = generate_synthetic("two-gaussians", 60, 1.0, 3)
     model = adaboost(data, 6)
     model_path = tmp_path / "model.json"
     data_path = tmp_path / "rows.csv"
@@ -128,6 +129,11 @@ def _edit(name, index, value):
     return corrupt
 
 
+def _five_features(tree):
+    # the other trees of the snapshot keep n_features 2
+    return {**tree, "n_features": 5}
+
+
 def _nested(tree):
     # the nested node layout that snapshots used before trees were flat arrays
     return {"n_features": tree["n_features"],
@@ -138,11 +144,13 @@ def _nested(tree):
 
 @pytest.mark.parametrize("corrupt", [
     _edit("feature", 0, 99), _edit("feature", 0, -1), _edit("threshold", 0, float("nan")),
-    _edit("value", -1, 0.5), _nested,
-], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested"])
+    _edit("value", -1, 0.5), _nested, _five_features,
+], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested",
+        "mixed-n-features"])
 def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt):
     model_path, data_path, _ = model_and_data
     blob = json.loads(Path(model_path).read_text())
+    assert len(blob["trees"]) >= 2
     blob["trees"][0] = corrupt(blob["trees"][0])
     Path(model_path).write_text(json.dumps(blob))
     assert main(["bounds", "--model", model_path, "--data", data_path]) == 1
