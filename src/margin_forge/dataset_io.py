@@ -125,23 +125,22 @@ def _parse_delimited(lines: list[str], path: Path, label_column: int,
         if not rows:
             raise DatasetError(f"{path}: header only, no data rows")
 
-    raw_labels = []
+    raw_labels = [row.pop(col).strip() for row in rows]
+    try:
+        # one conversion of every row: numpy applies float() to each str
+        return np.array(rows, dtype=float), raw_labels, header
+    except ValueError:
+        pass  # the token loop below names the first bad token
     features = np.empty((len(rows), width - 1))
     for i, row in enumerate(rows):
-        raw_labels.append(row[col].strip())
-        k = 0
-        for j, tok in enumerate(row):
-            if j == col:
-                continue
+        for k, tok in enumerate(row):
             tok = tok.strip()
             if tok == "":
                 raise DatasetError(f"{path}: row {i + 1} has a missing value")
             try:
-                value = float(tok)
+                features[i, k] = float(tok)
             except ValueError:
                 raise DatasetError(f"{path}: non-numeric feature token {tok!r} in row {i + 1}")
-            features[i, k] = value
-            k += 1
     return features, raw_labels, header
 
 

@@ -68,14 +68,14 @@ class PredictionMatrix:
     labels: np.ndarray    # (n,) of +-1
 
     def __post_init__(self):
-        h = np.asarray(self.entries, dtype=float)
-        y = np.asarray(self.labels, dtype=float)
+        # one C-order copy: entries @ w sums in the order of the layout, so
+        # margins are bit-for-bit the same only if every matrix is C-order
+        h = np.array(self.entries, dtype=float, order="C")
+        y = np.array(self.labels, dtype=float)
         if h.ndim != 2 or y.shape != (h.shape[0],):
             raise ValueError("entries must be (n, T) with one label per row")
         if not np.all(np.isin(h, (-1.0, 1.0))) or not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("entries and labels must be -1 or +1")
-        h = h.copy()
-        y = y.copy()
         h.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "entries", h)
@@ -201,23 +201,17 @@ def bagging(train: Dataset, T: int, params: TreeParams | None = None,
 
 
 def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
-    cols = [tree.predict(data.features) for tree in model.trees]
-    return PredictionMatrix(np.column_stack(cols), data.labels)
+    """The (n, T) matrix of every learner's vote on every row of data.
 
-
-def predict(model: EnsembleModel, features) -> np.ndarray:
-    """Combined vote per row: sign of the weighted learner sum, 0 -> +1."""
-    x = np.asarray(features, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    score = np.zeros(x.shape[0])
-    for tree, w in zip(model.trees, model.vote_weights):
-        score += w * tree.predict(x)
-    return np.where(score >= 0.0, 1.0, -1.0)
-
-
-def test_error(model: EnsembleModel, data: Dataset) -> float:
-    return float(np.mean(predict(model, data.features) != data.labels))
+    The features are put in Fortran order once, so every node test of
+    every tree reads a contiguous column, and each tree's votes fill one
+    column of a Fortran-order buffer.
+    """
+    x = np.asfortranarray(data.features)
+    entries = np.empty((data.n_rows, model.n_learners), order="F")
+    for t, tree in enumerate(model.trees):
+        entries[:, t] = tree.predict(x)
+    return PredictionMatrix(entries, data.labels)
 
 
 def save_model(model: EnsembleModel, path) -> None:

@@ -20,6 +20,7 @@ from .ensemble import (
     METHODS,
     EnsembleError,
     EnsembleModel,
+    PredictionMatrix,
     adaboost,
     bagging,
     prediction_matrix,
@@ -410,16 +411,20 @@ def export_cmd_series(model: EnsembleModel, data: Dataset,
     Checkpoints beyond the learner count fall back to the full ensemble (an
     early-stopped model simply has nothing further to add).  Keys are the
     requested checkpoints; values are (threshold, cumulative fraction) rows.
+    Every tree predicts once: a prefix ensemble's matrix is the leading
+    columns of the full one.
     """
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
     points = sorted({int(c) for c in checkpoints})
     if points[0] < 1:
         raise ValueError("checkpoints must be positive")
+    full = prediction_matrix(model, data)
     series = {}
     for count in points:
         sub = truncate_model(model, min(count, model.n_learners))
-        matrix = prediction_matrix(sub, data)
+        matrix = full if sub is model else PredictionMatrix(
+            full.entries[:, :sub.n_learners], data.labels)
         profile = compute_margins(matrix, sub.vote_weights)
         series[count] = cmd(profile)
     return series

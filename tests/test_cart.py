@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import predict_oracle
 import split_oracle
 from margin_forge.cart import Tree, TreeParams, best_split, column_order, fit_tree
+from margin_forge.dataset_io import generate_synthetic
+from margin_forge.ensemble import adaboost, prediction_matrix, random_forest
 from stump_oracle import all_candidates, best_stump
 
 
@@ -219,3 +222,66 @@ def test_route_left_on_equal_value():
                            "right": [2, -1, -1], "value": [1.0, -1.0, 1.0]})
     assert tree.predict(np.array([[1.0]]))[0] == -1.0  # boundary goes left
     assert tree.predict(np.array([[1.0 + 1e-12]]))[0] == 1.0
+
+
+def random_tree(rng, p, max_depth, thresholds):
+    """A valid tree of random shape, children appended after their parent."""
+    blob = {"n_features": p, "feature": [-1], "threshold": [0.0], "left": [-1],
+            "right": [-1], "value": [float(rng.choice([-1.0, 1.0]))]}
+    pending = [(0, 0)]
+    while pending:
+        node, depth = pending.pop(int(rng.integers(len(pending))))
+        if depth >= max_depth or rng.random() < 0.3:
+            continue
+        blob["feature"][node] = int(rng.integers(p))
+        blob["threshold"][node] = float(rng.choice(thresholds))
+        blob["left"][node], blob["right"][node] = len(blob["value"]), len(blob["value"]) + 1
+        for _ in range(2):
+            pending.append((len(blob["value"]), depth + 1))
+            blob["feature"].append(-1)
+            blob["threshold"].append(0.0)
+            blob["left"].append(-1)
+            blob["right"].append(-1)
+            blob["value"].append(float(rng.choice([-1.0, 1.0])))
+    return Tree.from_dict(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), p=st.integers(1, 4),
+       max_depth=st.integers(0, 4), layout=st.sampled_from(["C", "F", "strided"]))
+def test_predict_matches_row_subset_reference(seed, n, p, max_depth, layout):
+    rng = np.random.default_rng(seed)
+    thresholds = rng.integers(-3, 4, size=int(rng.integers(1, 4))) * 0.5
+    tree = random_tree(rng, p, max_depth, thresholds)
+    # about half the values sit exactly on a threshold, where rows go left
+    x = np.where(rng.random((n, p)) < 0.5, rng.choice(thresholds, size=(n, p)),
+                 rng.normal(0.0, 1.5, size=(n, p)))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 2 * p))
+        wide[::2, 1::2] = x
+        x = wide[::2, 1::2]
+    got = tree.predict(x)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got, predict_oracle.predict(tree, x))
+
+
+def test_predict_nan_goes_right():
+    tree = Tree.from_dict({"n_features": 1, "feature": [0, -1, -1],
+                           "threshold": [1.0, 0.0, 0.0], "left": [1, -1, -1],
+                           "right": [2, -1, -1], "value": [1.0, -1.0, 1.0]})
+    x = np.array([[np.nan], [1.0]])
+    assert tree.predict(x).tolist() == predict_oracle.predict(tree, x).tolist() == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("fit", [lambda d: random_forest(d, T=25, seed=4),
+                                 lambda d: adaboost(d, T=15)])
+def test_prediction_matrix_matches_reference_columns(fit):
+    data = generate_synthetic("ring-vs-disk", 120, 0.3, seed=11)
+    model = fit(data)
+    entries = prediction_matrix(model, data).entries
+    want = np.column_stack([predict_oracle.predict(tree, data.features)
+                            for tree in model.trees])
+    assert np.array_equal(entries, want)
+    assert entries.flags.c_contiguous and not entries.flags.writeable

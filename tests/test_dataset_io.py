@@ -99,6 +99,56 @@ def test_roundtrip_exact(tmp_path):
     assert np.allclose(back.features, data.features, rtol=0, atol=1e-12)
     # %.17g actually reproduces float64 bit-for-bit
     assert np.array_equal(back.features, data.features)
+    assert np.array_equal(back.features.view(np.int64), data.features.view(np.int64))
+
+
+def test_roundtrip_keeps_signed_zero_and_extremes(tmp_path):
+    x = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308],
+                  [0.1, 1.0 / 3.0]])
+    data = Dataset("rt", x, np.array([-1.0, 1.0, 1.0]))
+    out = tmp_path / "rt.csv"
+    write_dataset(data, out)
+    back = load_dataset(out)
+    assert np.array_equal(back.features.view(np.int64), data.features.view(np.int64))
+
+
+def test_whitespace_padded_tokens(tmp_path):
+    path = make_csv(tmp_path, " 1.5 ,\t2.0 , 0\n  -3e1,4 ,1 \n")
+    data = load_dataset(path, delimiter=",")
+    assert data.features.tolist() == [[1.5, 2.0], [-30.0, 4.0]]
+    assert list(data.labels) == [-1.0, 1.0]
+
+
+def test_label_column_zero_with_header(tmp_path):
+    path = make_csv(tmp_path, "y,a,b\n1,10.0,20.0\n-1,30.0,40.0\n")
+    data = load_dataset(path, label_column=0)
+    assert data.feature_names == ("a", "b")
+    assert data.features.tolist() == [[10.0, 20.0], [30.0, 40.0]]
+    assert list(data.labels) == [1.0, -1.0]
+
+
+def test_tab_delimiter(tmp_path):
+    path = make_csv(tmp_path, "0.25\t-1.5\t0\n2\t3\t1\n")
+    data = load_dataset(path, delimiter="\t")
+    assert data.features.tolist() == [[0.25, -1.5], [2.0, 3.0]]
+    assert list(data.labels) == [-1.0, 1.0]
+
+
+def test_tokens_parse_as_python_float(tmp_path):
+    path = make_csv(tmp_path, "1_0,\uff11\uff12,0\n2.5,1e-3,1\n")
+    data = load_dataset(path)
+    assert data.features[0, 0] == float("1_0") == 10.0
+    assert data.features[0, 1] == float("\uff11\uff12") == 12.0
+    assert data.features[1].tolist() == [2.5, 0.001]
+
+
+@pytest.mark.parametrize("bad, message", [("", "row 3 has a missing value"),
+                                          ("x", "non-numeric feature token 'x' in row 3")])
+def test_first_bad_row_is_reported(tmp_path, bad, message):
+    # row 3 holds the first bad token; a later row holds another of each kind
+    text = f"a,b,y\n1,2,0\n3,4,1\n5,{bad},0\n7,8,1\n,q,0\n"
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(make_csv(tmp_path, text))
 
 
 def test_dataset_validation():

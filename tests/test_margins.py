@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from margin_forge.dataset_io import generate_synthetic
 from margin_forge.ensemble import PredictionMatrix, prediction_matrix, random_forest
-from margin_forge.ensemble import test_error as error_rate
 from margin_forge.margins import (
     MarginProfile, cmd, compute_margins, export_cmd, margin_improvement,
     training_error_from_margins,
 )
+from vote_oracle import test_error as error_rate
 
 
 def matrix_of(entries, labels):
