@@ -3,8 +3,8 @@ LP-based vote reweighting, margin analytics, generalization-bound
 calculators, and a simulation harness with paired significance tests."""
 
 from .bounds import (
-    BOUND_NAMES, BoundReport, breiman_bound, expected_disagreement, germain_bound,
-    gibbs_risk, report_rows, schapire_terms,
+    BOUND_NAMES, BoundReport, breiman_bound, germain_bound, gibbs_risk, report_rows,
+    schapire_terms,
 )
 from .cart import Tree, TreeParams, fit_tree
 from .dataset_io import (
@@ -13,7 +13,7 @@ from .dataset_io import (
 )
 from .ensemble import (
     EnsembleError, EnsembleModel, PredictionMatrix, adaboost, bagging, load_model,
-    prediction_matrix, random_forest, replay_distributions, save_model,
+    prediction_matrix, random_forest, save_model,
 )
 from .harness import (
     ExperimentConfig, ExperimentError, ExperimentReport, PairedTResult, SchemeSummary,
@@ -40,11 +40,11 @@ __all__ = [
     "PredictionMatrix", "RewResult", "RewSpec", "SchemeSummary", "SimplexError",
     "SimulationRecord", "SplitSpec", "Tree", "TreeParams", "adaboost", "apply_scheme",
     "bagging", "breiman_bound", "check_paired", "cmd", "compute_margins",
-    "derived_seed", "ews_r", "expected_disagreement", "export_cmd",
+    "derived_seed", "ews_r", "export_cmd",
     "export_cmd_series", "fit_baseline", "fit_tree", "generate_synthetic",
     "germain_bound", "gibbs_risk", "load_dataset", "load_model", "margin_improvement",
     "mm_weights", "paired_t_test", "parse_spec", "prediction_matrix", "pws_r",
-    "random_forest", "render_table", "replay_distributions", "report_lines",
+    "random_forest", "render_table", "report_lines",
     "report_rows", "residuals", "run_experiment", "run_one_simulation", "save_model",
     "schapire_terms", "sm1_weights", "sm2_weights", "solve", "split_indices",
     "stratified_split", "t_two_sided_p", "training_error_from_margins",

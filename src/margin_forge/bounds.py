@@ -4,8 +4,9 @@ Three classical forms are evaluated as empirical plug-ins.  The
 margin-threshold form keeps its two terms separate (its hidden
 constant is nobody's to invent); the minimum-margin form carries
 domain preconditions surfaced through an `applicable` flag; the
-risk/disagreement form is computed from margin moments with the
-pairwise definitions as a cross-check.
+risk/disagreement form is computed from margin moments, which for
+simplex weights equal the Gibbs risk and the pairwise expected
+disagreement.
 """
 from __future__ import annotations
 
@@ -94,17 +95,6 @@ def gibbs_risk(matrix: PredictionMatrix, weights) -> float:
     w = np.asarray(weights, dtype=float)
     wrong = matrix.entries != matrix.labels[:, None]
     return float(w @ wrong.mean(axis=0))
-
-
-def expected_disagreement(matrix: PredictionMatrix, weights) -> float:
-    """Weight-squared average over learner pairs of their disagreement rate."""
-    w = np.asarray(weights, dtype=float)
-    h = matrix.entries
-    n = matrix.n_rows
-    # fraction of rows where t and u differ, for all pairs at once
-    agree = (h.T @ h) / n                 # in [-1, 1]
-    disagree = (1.0 - agree) / 2.0
-    return float(w @ disagree @ w)
 
 
 def germain_bound(matrix: PredictionMatrix, weights) -> BoundReport:

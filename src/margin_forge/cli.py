@@ -245,10 +245,22 @@ def _check_table_family(cfg: dict[str, str], config: ExperimentConfig) -> None:
         raise CliError(f"the {family} table needs exactly one scheme")
 
 
+def _cmd_checkpoints(cfg: dict[str, str]) -> tuple[int, ...]:
+    text = cfg.get("cmd_checkpoints", "50,200,500")
+    try:
+        points = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        points = ()
+    if not points or min(points) < 1:
+        raise CliError(f"cmd_checkpoints must be a list of positive integers, got {text!r}")
+    return points
+
+
 def _cmd_experiment(args) -> int:
     cfg = _read_config(args.config)
     config = _build_experiment(cfg)
     _check_table_family(cfg, config)
+    checkpoints = _cmd_checkpoints(cfg)
     report = run_experiment(config)
     print(f"# {report.resampling}")
     print(f"dataset\t{config.dataset.name}")
@@ -271,11 +283,6 @@ def _cmd_experiment(args) -> int:
                                     encoding="utf-8")
         print(f"wrote {cfg['out']}")
     if "cmd_out" in cfg:
-        try:
-            checkpoints = tuple(int(v.strip())
-                                for v in cfg.get("cmd_checkpoints", "50,200,500").split(","))
-        except ValueError as exc:
-            raise CliError(str(exc))
         model = fit_baseline(config, config.dataset, config.seed)
         series = export_cmd_series(model, config.dataset, checkpoints)
         for count, rows in sorted(series.items()):

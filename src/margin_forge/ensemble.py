@@ -47,6 +47,8 @@ class EnsembleModel:
         a = np.asarray(self.raw_alphas, dtype=float)
         if w.shape != (len(self.trees),) or a.shape != w.shape:
             raise ValueError("weights must align with the learner list")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
+            raise ValueError("vote_weights and raw_alphas must be finite")
         if np.any(w < 0) or np.any(w > 1) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("vote_weights must lie in [0,1] and sum to 1")
         w = w.copy()
@@ -139,20 +141,6 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     raw = np.array(alphas)
     return EnsembleModel("adaboost", tuple(trees), raw / raw.sum(), raw, params,
                          break_reason=break_reason)
-
-
-def replay_distributions(model: EnsembleModel, train: Dataset) -> np.ndarray:
-    """Reconstruct the (T_effective+1, n) reweighting history from a
-    trained boosting model; row 0 is the uniform start."""
-    if model.method != "adaboost":
-        raise ValueError("only boosting models carry a reweighting history")
-    x, y = train.features, train.labels
-    n = train.n_rows
-    rows = [np.full(n, 1.0 / n)]
-    for tree, alpha in zip(model.trees, model.raw_alphas):
-        wrong = tree.predict(x) != y
-        rows.append(_reweight(rows[-1], float(alpha), wrong))
-    return np.vstack(rows)
 
 
 def random_forest(train: Dataset, T: int, m_try: int | None = None,

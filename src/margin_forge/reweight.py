@@ -1,30 +1,33 @@
 """Post-hoc vote reweighting that lifts training margins.
 
-Three families share one engine:
+Three families:
 
 * margin maximization: a linear program that maximizes the r-weighted
   total margin improvement subject to every margin staying at least as
   large as before, over simplex weights.  The r vector encodes the
   emphasis: all-ones, rank-powered, or an indicator of the smallest
   margins.
-* targeted lifting: same objective with unit emphasis, but the
-  constraints push low margins up to the xi-quantile and the rest to
-  the mean; this one can genuinely be infeasible, which is reported,
-  not raised.
+* targeted lifting: the same linear program with unit emphasis, but the
+  floors push low margins up to the xi-quantile and the rest to the
+  mean; this one can genuinely be infeasible, which is reported, not
+  raised.
 * variance flattening: least squares through the origin that pulls all
   margins toward a common target, then renormalizes the coefficients
   to sum 1 (they may go negative).
+
+The two LP families share one margin LP, whose answer is checked against
+its constraints; one that breaks a floor raises SimplexError.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ensemble import PredictionMatrix
 from .margins import MarginProfile, compute_margins
-from .simplex import LpProblem, SimplexError, solve
+from .simplex import FEAS_TOL, LpProblem, SimplexError, residuals, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
 
@@ -136,16 +139,33 @@ def _signed_design(matrix: PredictionMatrix) -> np.ndarray:
     return matrix.labels[:, None] * matrix.entries
 
 
-def _finish(scheme: str, matrix, w, old: MarginProfile) -> RewResult:
-    new = compute_margins(matrix, w)
-    deltas = new.margins - old.margins
-    return RewResult(
-        scheme=scheme, feasible=True, weights=w,
-        old_profile=old, new_profile=new,
-        objective=float(deltas.sum()),
-        variance_reduction=old.variance - new.variance,
-        range_reduction=old.spread - new.spread,
-    )
+def _finish(scheme: str, w, old: MarginProfile, new: MarginProfile, objective: float,
+            raw_coefficients=None) -> RewResult:
+    return RewResult(scheme=scheme, feasible=True, weights=w, old_profile=old,
+                     new_profile=new, objective=objective,
+                     variance_reduction=old.variance - new.variance,
+                     range_reduction=old.spread - new.spread,
+                     raw_coefficients=raw_coefficients)
+
+
+def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
+    """Simplex weights maximizing the emphasis-weighted margin total with
+    every margin at or above its floor, checked against the LP's own
+    constraints; None when no weights reach the floors."""
+    signed = _signed_design(matrix)
+    problem = LpProblem(emphasis @ signed, a_ge=signed, b_ge=floors,
+                        a_eq=np.ones((1, matrix.n_learners)), b_eq=np.ones(1))
+    solution = solve(problem)
+    if solution.status == "infeasible":
+        return None
+    if not solution.optimal:
+        raise SimplexError(f"margin LP ended {solution.status}, expected optimal")
+    violations = residuals(problem, solution.x)
+    worst = max(violations, key=violations.get)
+    if not violations[worst] <= FEAS_TOL:
+        raise SimplexError(f"margin LP answer breaks its {worst} constraints by "
+                           f"{violations[worst]:.3e}")
+    return solution.x / solution.x.sum()
 
 
 def mm_weights(matrix: PredictionMatrix, alpha, r) -> RewResult:
@@ -163,21 +183,12 @@ def mm_weights(matrix: PredictionMatrix, alpha, r) -> RewResult:
     if np.any(r < 0) or not np.any(r > 0):
         raise ValueError("emphasis must be nonnegative and not all zero")
     old = compute_margins(matrix, a)
-    signed = _signed_design(matrix)
-    scaled = r / r.max()
-    problem = LpProblem(
-        objective=scaled @ signed,
-        ge_rows=list(zip(signed, old.margins)),
-        eq_rows=[(np.ones(matrix.n_learners), 1.0)],
-    )
-    solution = solve(problem)
-    if not solution.optimal:
-        raise SimplexError(f"margin LP ended {solution.status}, expected optimal")
-    w = solution.x / solution.x.sum()
-    result = _finish("mm", matrix, w, old)
+    w = _margin_lp(matrix, r / r.max(), old.margins)
+    if w is None:
+        raise SimplexError("margin LP ended infeasible, expected optimal")
+    new = compute_margins(matrix, w)
     # report the objective under the caller's r, not the rescaled one
-    deltas = result.new_profile.margins - old.margins
-    return RewResult(**{**result.__dict__, "objective": float(r @ deltas)})
+    return _finish("mm", w, old, new, float(r @ (new.margins - old.margins)))
 
 
 def sm1_weights(matrix: PredictionMatrix, alpha, xi: float = 0.05) -> RewResult:
@@ -187,22 +198,12 @@ def sm1_weights(matrix: PredictionMatrix, alpha, xi: float = 0.05) -> RewResult:
         raise ValueError("xi must lie in (0, 1)")
     a = _check_alpha(alpha, matrix.n_learners)
     old = compute_margins(matrix, a)
-    mean = old.mean
-    theta = old.percentile(xi)
-    floors = np.where(old.margins <= mean, theta, mean)
-    signed = _signed_design(matrix)
-    problem = LpProblem(
-        objective=np.ones(matrix.n_rows) @ signed,
-        ge_rows=list(zip(signed, floors)),
-        eq_rows=[(np.ones(matrix.n_learners), 1.0)],
-    )
-    solution = solve(problem)
-    if solution.status == "infeasible":
+    floors = np.where(old.margins <= old.mean, old.percentile(xi), old.mean)
+    w = _margin_lp(matrix, np.ones(matrix.n_rows), floors)
+    if w is None:
         return RewResult(scheme="sm1", feasible=False, old_profile=old)
-    if not solution.optimal:
-        raise SimplexError(f"margin LP ended {solution.status}, expected optimal")
-    w = solution.x / solution.x.sum()
-    return _finish("sm1", matrix, w, old)
+    new = compute_margins(matrix, w)
+    return _finish("sm1", w, old, new, float((new.margins - old.margins).sum()))
 
 
 def sm2_weights(matrix: PredictionMatrix, alpha, target_mean: float | None = None) -> RewResult:
@@ -226,14 +227,7 @@ def sm2_weights(matrix: PredictionMatrix, alpha, target_mean: float | None = Non
     w = coef / total
     new = compute_margins(matrix, w)
     sse = float(np.sum((signed @ coef - response) ** 2))
-    return RewResult(
-        scheme="sm2", feasible=True, weights=w,
-        old_profile=old, new_profile=new,
-        objective=sse,
-        variance_reduction=old.variance - new.variance,
-        range_reduction=old.spread - new.spread,
-        raw_coefficients=coef,
-    )
+    return _finish("sm2", w, old, new, sse, raw_coefficients=coef)
 
 
 def apply_scheme(spec: RewSpec, matrix: PredictionMatrix, alpha) -> RewResult:
@@ -252,4 +246,4 @@ def apply_scheme(spec: RewSpec, matrix: PredictionMatrix, alpha) -> RewResult:
         else:
             r = pws_r(old.margins, spec.xi)
         result = mm_weights(matrix, alpha, r)
-    return RewResult(**{**result.__dict__, "scheme": spec.label})
+    return replace(result, scheme=spec.label)

@@ -1,9 +1,10 @@
 """Dense two-phase simplex solver.
 
 Problems are stated in a single canonical form: maximize c.x subject to
-"coeffs.x >= bound" inequality rows, equality rows, and finite variable
-lower bounds (default 0) with optional upper bounds.  Infeasible and
-unbounded are reported as solution statuses, never exceptions.
+inequality rows a_ge x >= b_ge and equality rows a_eq x = b_eq, each
+block given as one (k, n) array and its k bounds, with x >= 0 and
+optional finite upper bounds.  Infeasible and unbounded are reported as
+solution statuses, never exceptions.
 
 Pivoting uses the largest-coefficient rule for speed; a prolonged
 degenerate stall switches the run to Bland's rule, which cannot cycle.
@@ -24,54 +25,48 @@ class SimplexError(RuntimeError):
     """Numerical breakdown inside the solver; distinct from infeasible/unbounded."""
 
 
-def _rows_to_arrays(rows, n_vars: int, what: str):
-    if rows is None:
-        return np.zeros((0, n_vars)), np.zeros(0)
-    coeffs = np.atleast_2d(np.asarray([r[0] for r in rows], dtype=float))
-    rhs = np.asarray([r[1] for r in rows], dtype=float)
-    if len(rows) == 0:
-        return np.zeros((0, n_vars)), np.zeros(0)
-    if coeffs.shape[1] != n_vars:
-        raise ValueError(f"{what} row length {coeffs.shape[1]} != {n_vars} variables")
-    return coeffs, rhs
+def _row_block(a, b, n: int, what: str):
+    # one constraint block as float arrays: a is (k, n), b is (k,), both finite
+    if a is None and b is None:
+        return np.zeros((0, n)), np.zeros(0)
+    if a is None or b is None:
+        raise ValueError(f"{what} rows need both their coefficients and their bounds")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[1] != n or b.shape != (a.shape[0],):
+        raise ValueError(f"{what} rows must be a (k, {n}) array with k bounds, "
+                         f"got {a.shape} and {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError(f"non-finite entries in the {what} rows")
+    return a, b
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective.x  s.t.  a_ge x >= b_ge,  a_eq x = b_eq,  lower <= x (<= upper)."""
+    """maximize objective.x  s.t.  a_ge x >= b_ge,  a_eq x = b_eq,  0 <= x (<= upper)."""
 
     objective: np.ndarray
-    a_ge: np.ndarray
-    b_ge: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray | None
+    a_ge: np.ndarray | None = None
+    b_ge: np.ndarray | None = None
+    a_eq: np.ndarray | None = None
+    b_eq: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
-    def __init__(self, objective, ge_rows=None, eq_rows=None, lower=None, upper=None):
-        c = np.asarray(objective, dtype=float)
+    def __post_init__(self):
+        c = np.asarray(self.objective, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("objective must be a nonempty vector")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("non-finite entries in the objective")
         n = c.size
-        a_ge, b_ge = _rows_to_arrays(ge_rows, n, "inequality")
-        a_eq, b_eq = _rows_to_arrays(eq_rows, n, "equality")
-        lo = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-        up = None if upper is None else np.asarray(upper, dtype=float)
-        for name, arr in (("objective", c), ("inequality", a_ge), ("bounds", b_ge),
-                          ("equality", a_eq), ("values", b_eq), ("lower", lo)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {name}")
-        if lo.shape != (n,) or (up is not None and up.shape != (n,)):
-            raise ValueError("bound vectors must match the variable count")
-        if up is not None and not np.all(np.isfinite(up)):
-            raise ValueError("non-finite entries in upper")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "a_ge", a_ge)
-        object.__setattr__(self, "b_ge", b_ge)
-        object.__setattr__(self, "a_eq", a_eq)
-        object.__setattr__(self, "b_eq", b_eq)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+        a_ge, b_ge = _row_block(self.a_ge, self.b_ge, n, "inequality")
+        a_eq, b_eq = _row_block(self.a_eq, self.b_eq, n, "equality")
+        up = None if self.upper is None else np.asarray(self.upper, dtype=float)
+        if up is not None and (up.shape != (n,) or not np.all(np.isfinite(up))):
+            raise ValueError("upper must hold one finite bound per variable")
+        for name, value in (("objective", c), ("a_ge", a_ge), ("b_ge", b_ge),
+                            ("a_eq", a_eq), ("b_eq", b_eq), ("upper", up)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -171,91 +166,76 @@ def _run_simplex(tableau, basis, allowed, max_iter, lockout_from=None) -> str:
     raise SimplexError("iteration limit exceeded")
 
 
+def _price_out(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
+    # cost of the leading columns, then cleared on each basic column in
+    # basis-row order; that order fixes the rounding of the cost row
+    tableau[-1, :] = 0.0
+    tableau[-1, :cost.size] = cost
+    for i, bc in enumerate(basis):
+        if tableau[-1, bc] != 0.0:
+            tableau[-1, :] -= tableau[-1, bc] * tableau[i, :]
+
+
 def solve(problem: LpProblem) -> LpSolution:
     """Two-phase dense simplex.  Deterministic: ties always break by lowest index."""
     n = problem.n_vars
-    lo = problem.lower
-    if problem.upper is not None and np.any(problem.upper < lo - BOUND_TOL):
+    upper = problem.upper
+    if upper is not None and np.any(upper < -BOUND_TOL):
         return LpSolution("infeasible", None, None)
 
-    # shift to z = x - lower >= 0
-    a_rows = [problem.a_ge, problem.a_eq]
-    b_rows = [problem.b_ge - problem.a_ge @ lo, problem.b_eq - problem.a_eq @ lo]
-    kinds = ["ge"] * problem.a_ge.shape[0] + ["eq"] * problem.a_eq.shape[0]
-    if problem.upper is not None:
-        eye = np.eye(n)
-        a_rows.append(eye)
-        b_rows.append(problem.upper - lo)
-        kinds += ["le"] * n
-    A = np.vstack(a_rows)
-    b = np.concatenate(b_rows)
-    m = A.shape[0]
+    # rows: inequalities, equalities, then x <= upper; every row but an
+    # equality gets a slack column, with sign -1 (surplus) or +1
+    k_ge, k_eq = problem.a_ge.shape[0], problem.a_eq.shape[0]
+    k_up = 0 if upper is None else n
+    m = k_ge + k_eq + k_up
     if m == 0:
-        # no constraints beyond bounds: maximize over the box directly
+        # no constraints beyond x >= 0
         c = problem.objective
-        if problem.upper is None:
-            if np.any(c > 0):
-                return LpSolution("unbounded", None, None)
-            return LpSolution("optimal", lo.copy(), float(c @ lo))
-        x = np.where(c > 0, problem.upper, lo)
+        if np.any(c > 0):
+            return LpSolution("unbounded", None, None)
+        x = np.zeros(n)
         return LpSolution("optimal", x, float(c @ x))
+    A = np.vstack([problem.a_ge, problem.a_eq] + ([np.eye(n)] if k_up else []))
+    b = np.concatenate([problem.b_ge, problem.b_eq] + ([upper] if k_up else []))
+    slack_sign = np.concatenate([np.full(k_ge, -1.0), np.zeros(k_eq), np.ones(k_up)])
+    slack_rows = np.flatnonzero(slack_sign)
 
-    # slack/surplus per inequality row, then flip rows so rhs >= 0
-    n_slack = sum(k != "eq" for k in kinds)
-    slack_sign = np.zeros(m)
-    slack_col = np.full(m, -1, dtype=int)
-    j = n
-    for i, kind in enumerate(kinds):
-        if kind == "le":
-            slack_sign[i] = 1.0
-        elif kind == "ge":
-            slack_sign[i] = -1.0
-        if kind != "eq":
-            slack_col[i] = j
-            j += 1
+    # flip rows so rhs >= 0
     flip = b < 0
     A = np.where(flip[:, None], -A, A)
     b = np.where(flip, -b, b)
     slack_sign = np.where(flip, -slack_sign, slack_sign)
 
     # rows whose slack enters with +1 start basic; the rest get artificials
-    art_rows = [i for i in range(m) if slack_sign[i] <= 0]
-    n_art = len(art_rows)
-    total = n + n_slack + n_art
+    art_rows = np.flatnonzero(slack_sign <= 0)
+    n_slack, n_art = slack_rows.size, art_rows.size
+    art_start = n + n_slack
+    total = art_start + n_art
+    slack_cols = np.arange(n, art_start)
+    art_cols = np.arange(art_start, total)
     tableau = np.zeros((m + 1, total + 1))
     tableau[:m, :n] = A
     tableau[:m, -1] = b
-    basis: list[int] = [0] * m
-    for i in range(m):
-        if slack_col[i] >= 0:
-            tableau[i, slack_col[i]] = slack_sign[i]
-        if slack_sign[i] > 0:
-            basis[i] = slack_col[i]
-    for k, i in enumerate(art_rows):
-        col = n + n_slack + k
-        tableau[i, col] = 1.0
-        basis[i] = col
+    tableau[slack_rows, slack_cols] = slack_sign[slack_rows]
+    tableau[art_rows, art_cols] = 1.0
+    start = np.empty(m, dtype=int)
+    start[slack_rows] = slack_cols
+    start[art_rows] = art_cols
+    basis: list[int] = start.tolist()
 
     max_iter = 20000 + 50 * (m + total)
 
     # phase 1: minimize the sum of artificials
     if n_art:
-        cost1 = np.zeros(total + 1)
-        cost1[n + n_slack:total] = 1.0
-        tableau[-1, :] = cost1
-        for i, bc in enumerate(basis):
-            if tableau[-1, bc] != 0.0:
-                tableau[-1, :] -= tableau[-1, bc] * tableau[i, :]
+        _price_out(tableau, basis, np.concatenate([np.zeros(art_start), np.ones(n_art)]))
         allowed = np.ones(total, dtype=bool)
-        status = _run_simplex(tableau, basis, allowed, max_iter,
-                              lockout_from=n + n_slack)
+        status = _run_simplex(tableau, basis, allowed, max_iter, lockout_from=art_start)
         if status != "optimal":
             raise SimplexError("phase 1 terminated " + status)
         if -tableau[-1, -1] > FEAS_TOL:
             return LpSolution("infeasible", None, None)
         # drive leftover artificials out of the basis on the largest available
         # pivot; a row with no usable entry is redundant and gets dropped
-        art_start = n + n_slack
         drop_rows = []
         for i in range(m):
             if basis[i] >= art_start:
@@ -277,13 +257,8 @@ def solve(problem: LpProblem) -> LpSolution:
             raise SimplexError("phase 1 left an infeasible basis")
         np.clip(rhs, 0.0, None, out=rhs)
 
-    # phase 2: minimize -objective over the shifted variables
-    cost2 = np.zeros(total + 1)
-    cost2[:n] = -problem.objective
-    tableau[-1, :] = cost2
-    for i, bc in enumerate(basis):
-        if tableau[-1, bc] != 0.0:
-            tableau[-1, :] -= tableau[-1, bc] * tableau[i, :]
+    # phase 2: minimize -objective
+    _price_out(tableau, basis, -problem.objective)
     allowed = np.ones(total, dtype=bool)
     status = _run_simplex(tableau, basis, allowed, max_iter)
     if status == "unbounded":
@@ -293,20 +268,20 @@ def solve(problem: LpProblem) -> LpSolution:
     rhs = tableau[:m, -1]
     for i, bc in enumerate(basis):
         z[bc] = rhs[i]
-    x = lo + np.clip(z[:n], 0.0, None)
-    if problem.upper is not None:
-        x = np.minimum(x, problem.upper)
+    x = np.clip(z[:n], 0.0, None)
+    if upper is not None:
+        x = np.minimum(x, upper)
     return LpSolution("optimal", x, float(problem.objective @ x))
 
 
 def residuals(problem: LpProblem, x: np.ndarray) -> dict[str, float]:
-    """Worst-case constraint violations of a candidate point (diagnostics)."""
-    out = {"ge": 0.0, "eq": 0.0, "lower": 0.0, "upper": 0.0}
+    """Worst-case constraint violations of a candidate point; "lower" is x >= 0."""
+    out = {"ge": 0.0, "eq": 0.0, "lower": float(np.max(np.clip(-x, 0.0, None))),
+           "upper": 0.0}
     if problem.a_ge.shape[0]:
         out["ge"] = float(np.max(np.clip(problem.b_ge - problem.a_ge @ x, 0.0, None)))
     if problem.a_eq.shape[0]:
         out["eq"] = float(np.max(np.abs(problem.a_eq @ x - problem.b_eq)))
-    out["lower"] = float(np.max(np.clip(problem.lower - x, 0.0, None)))
     if problem.upper is not None:
         out["upper"] = float(np.max(np.clip(x - problem.upper, 0.0, None)))
     return out

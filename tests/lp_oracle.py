@@ -25,7 +25,7 @@ def _hyperplanes(problem: LpProblem):
         planes.append((a, b))
     eye = np.eye(n)
     for j in range(n):
-        planes.append((eye[j], problem.lower[j]))
+        planes.append((eye[j], 0.0))
     if problem.upper is not None:
         for j in range(n):
             planes.append((eye[j], problem.upper[j]))
@@ -37,7 +37,7 @@ def _is_feasible(problem: LpProblem, x: np.ndarray) -> bool:
         return False
     if problem.a_eq.shape[0] and np.any(np.abs(problem.a_eq @ x - problem.b_eq) > _TOL):
         return False
-    if np.any(x < problem.lower - _TOL):
+    if np.any(x < -_TOL):
         return False
     if problem.upper is not None and np.any(x > problem.upper + _TOL):
         return False
@@ -64,14 +64,11 @@ def _recession_section(problem: LpProblem) -> LpProblem:
     # directions d >= 0 with a_ge d >= 0, a_eq d = 0, d_j = 0 where x_j is
     # bounded above, normalized onto sum(d) = 1
     n = problem.n_vars
-    ge = [(a, 0.0) for a in problem.a_ge]
-    eq = [(a, 0.0) for a in problem.a_eq]
-    eq.append((np.ones(n), 1.0))
-    if problem.upper is not None:
-        eye = np.eye(n)
-        for j in range(n):
-            eq.append((eye[j], 0.0))
-    return LpProblem(problem.objective, ge_rows=ge, eq_rows=eq)
+    fixed = np.eye(n) if problem.upper is not None else np.zeros((0, n))
+    a_eq = np.vstack([problem.a_eq, np.ones((1, n)), fixed])
+    b_eq = np.concatenate([np.zeros(problem.a_eq.shape[0]), [1.0], np.zeros(fixed.shape[0])])
+    return LpProblem(problem.objective, a_ge=problem.a_ge,
+                     b_ge=np.zeros(problem.a_ge.shape[0]), a_eq=a_eq, b_eq=b_eq)
 
 
 def oracle_solve(problem: LpProblem) -> tuple[str, float | None]:
@@ -91,20 +88,21 @@ def random_lp(rng: np.random.Generator) -> LpProblem:
     n = int(rng.integers(1, 5))
     n_rows = int(rng.integers(1, 9))
     c = rng.integers(-5, 6, size=n).astype(float)
-    ge = []
-    for _ in range(n_rows):
-        a = rng.integers(-4, 5, size=n).astype(float)
-        if not np.any(a):
-            a[int(rng.integers(0, n))] = 1.0
+    a_ge = np.empty((n_rows, n))
+    b_ge = np.empty(n_rows)
+    for i in range(n_rows):
+        a_ge[i] = rng.integers(-4, 5, size=n)
+        if not np.any(a_ge[i]):
+            a_ge[i, int(rng.integers(0, n))] = 1.0
         # rhs biased low so rows are more often satisfiable
-        ge.append((a, float(rng.integers(-8, 4))))
-    eq = None
+        b_ge[i] = rng.integers(-8, 4)
+    a_eq = b_eq = None
     if rng.random() < 0.3:
-        a = rng.integers(-3, 4, size=n).astype(float)
-        if not np.any(a):
-            a[0] = 1.0
-        eq = [(a, float(rng.integers(0, 5)))]
+        a_eq = rng.integers(-3, 4, size=(1, n)).astype(float)
+        if not np.any(a_eq):
+            a_eq[0, 0] = 1.0
+        b_eq = np.array([float(rng.integers(0, 5))])
     upper = None
     if rng.random() < 0.6:
         upper = rng.integers(1, 10, size=n).astype(float)
-    return LpProblem(c, ge_rows=ge, eq_rows=eq, upper=upper)
+    return LpProblem(c, a_ge=a_ge, b_ge=b_ge, a_eq=a_eq, b_eq=b_eq, upper=upper)

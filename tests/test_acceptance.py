@@ -12,6 +12,7 @@ import numpy as np
 
 from bench_data import ionosphere_like, pima_like, sonar_like
 from lp_oracle import oracle_solve, random_lp
+from replay_oracle import replay_distributions
 from simplex_grid_oracle import grid_best
 
 from margin_forge.bounds import breiman_bound, germain_bound
@@ -19,7 +20,6 @@ from margin_forge.cart import TreeParams
 from margin_forge.dataset_io import generate_synthetic, load_dataset, write_dataset
 from margin_forge.ensemble import (
     PredictionMatrix, adaboost, bagging, prediction_matrix, random_forest,
-    replay_distributions,
 )
 from margin_forge.harness import (
     ExperimentConfig, paired_t_test, run_experiment, t_two_sided_p, truncate_model,

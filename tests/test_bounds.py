@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from margin_forge.bounds import (
-    BoundReport, breiman_bound, expected_disagreement, germain_bound,
-    gibbs_risk, report_rows, schapire_terms,
+    BoundReport, breiman_bound, germain_bound, gibbs_risk, report_rows, schapire_terms,
 )
 from margin_forge.ensemble import PredictionMatrix
 from margin_forge.margins import MarginProfile, compute_margins
+
+from disagreement_oracle import expected_disagreement
 
 
 def matrix_of(entries, labels):

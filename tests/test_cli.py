@@ -123,35 +123,44 @@ def test_bounds_bad_theta(model_and_data, capsys):
 
 
 def _edit(name, index, value):
-    def corrupt(tree):
-        tree[name][index] = value
-        return tree
+    # one entry of one list of the first tree
+    def corrupt(blob):
+        blob["trees"][0][name][index] = value
     return corrupt
 
 
-def _five_features(tree):
+def _edit_model(name, index, value):
+    # one entry of one of the model's own lists
+    def corrupt(blob):
+        blob[name][index] = value
+    return corrupt
+
+
+def _five_features(blob):
     # the other trees of the snapshot keep n_features 2
-    return {**tree, "n_features": 5}
+    blob["trees"][0]["n_features"] = 5
 
 
-def _nested(tree):
+def _nested(blob):
     # the nested node layout that snapshots used before trees were flat arrays
-    return {"n_features": tree["n_features"],
-            "root": {"feature": 0, "threshold": 0.0,
-                     "left": {"value": -1.0}, "right": {"value": 1.0}},
-            "params": {"max_depth": 2, "max_leaves": 4, "min_leaf_weight": 1e-12}}
+    blob["trees"][0] = {
+        "n_features": blob["trees"][0]["n_features"],
+        "root": {"feature": 0, "threshold": 0.0,
+                 "left": {"value": -1.0}, "right": {"value": 1.0}},
+        "params": {"max_depth": 2, "max_leaves": 4, "min_leaf_weight": 1e-12}}
 
 
 @pytest.mark.parametrize("corrupt", [
     _edit("feature", 0, 99), _edit("feature", 0, -1), _edit("threshold", 0, float("nan")),
     _edit("value", -1, 0.5), _nested, _five_features,
+    _edit_model("vote_weights", 0, float("nan")), _edit_model("raw_alphas", 0, float("inf")),
 ], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested",
-        "mixed-n-features"])
+        "mixed-n-features", "nan-vote-weight", "inf-raw-alpha"])
 def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt):
     model_path, data_path, _ = model_and_data
     blob = json.loads(Path(model_path).read_text())
     assert len(blob["trees"]) >= 2
-    blob["trees"][0] = corrupt(blob["trees"][0])
+    corrupt(blob)
     Path(model_path).write_text(json.dumps(blob))
     assert main(["bounds", "--model", model_path, "--data", data_path]) == 1
     assert "bad model snapshot" in capsys.readouterr().err
@@ -201,6 +210,23 @@ cmd_checkpoints = 3, 6
         assert path.exists()
         first = path.read_text().splitlines()[0].split("\t")
         float(first[0]), float(first[1])
+
+
+@pytest.mark.parametrize("checkpoints", ["3,x", "0,3"], ids=["not-a-number", "zero"])
+def test_experiment_bad_checkpoints_exit_before_the_run(tmp_path, capsys, checkpoints):
+    cfg = write_config(tmp_path, f"""
+dataset = synthetic:two-gaussians:60:0.8:3
+T = 6
+schemes = uws
+sims = 2
+cmd_out = {tmp_path / "cmd"}
+cmd_checkpoints = {checkpoints}
+""")
+    assert main(["experiment", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cmd_checkpoints" in captured.err
+    assert not list(tmp_path.glob("cmd.T*.tsv"))
 
 
 def test_experiment_unknown_key(tmp_path, capsys):

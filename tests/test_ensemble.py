@@ -7,9 +7,9 @@ from margin_forge.cart import Tree, TreeParams, fit_tree
 from margin_forge.dataset_io import Dataset, generate_synthetic
 from margin_forge.ensemble import (
     EnsembleError, EnsembleModel, PredictionMatrix, adaboost, bagging,
-    load_model, prediction_matrix, random_forest, replay_distributions,
-    save_model,
+    load_model, prediction_matrix, random_forest, save_model,
 )
+from replay_oracle import replay_distributions
 from vote_oracle import predict
 from vote_oracle import test_error as error_rate  # avoid test collection
 

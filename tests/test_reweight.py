@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from margin_forge import reweight
 from margin_forge.dataset_io import generate_synthetic
 from margin_forge.ensemble import PredictionMatrix, prediction_matrix, random_forest
 from margin_forge.margins import compute_margins
@@ -8,6 +9,7 @@ from margin_forge.reweight import (
     RewSpec, apply_scheme, ews_r, mm_weights, parse_spec, pws_r, sm1_weights,
     sm2_weights, uws_r,
 )
+from margin_forge.simplex import LpSolution, SimplexError
 from simplex_grid_oracle import grid_best
 
 
@@ -193,6 +195,21 @@ def test_sm1_matches_grid_oracle_on_feasibility():
             assert result.objective == pytest.approx(best, abs=2e-3)
             seen_feasible = True
     assert seen_feasible
+
+
+@pytest.mark.parametrize("scheme", [
+    lambda matrix, alpha: mm_weights(matrix, alpha, uws_r(matrix.n_rows)),
+    lambda matrix, alpha: sm1_weights(matrix, alpha, xi=0.5),
+], ids=["mm", "sm1"])
+def test_margin_lp_rejects_an_answer_below_a_floor(monkeypatch, scheme):
+    # learner 0 misses row 0 and learner 1 hits both rows; all the weight on
+    # learner 0 drops row 0's margin from 0 to -1, below its floor in both LPs
+    matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
+    x = np.array([1.0, 0.0])
+    monkeypatch.setattr(reweight, "solve", lambda problem: LpSolution(
+        "optimal", x, float(problem.objective @ x)))
+    with pytest.raises(SimplexError, match="ge constraints"):
+        scheme(matrix, np.array([0.5, 0.5]))
 
 
 def test_sm2_single_learner():

@@ -16,26 +16,26 @@ def test_single_variable_box():
 
 def test_contradictory_bounds_infeasible():
     # x >= 2 and x <= 1
-    sol = solve(LpProblem([1.0], ge_rows=[(np.array([1.0]), 2.0)], upper=[1.0]))
+    sol = solve(LpProblem([1.0], a_ge=[[1.0]], b_ge=[2.0], upper=[1.0]))
     assert sol.status == "infeasible"
     assert sol.x is None
 
 
 def test_unbounded():
-    sol = solve(LpProblem([1.0, 0.0], ge_rows=[(np.array([1.0, 1.0]), 1.0)]))
+    sol = solve(LpProblem([1.0, 0.0], a_ge=[[1.0, 1.0]], b_ge=[1.0]))
     assert sol.status == "unbounded"
 
 
 def test_negative_rhs_rows():
     # -x1 - x2 >= -4 (i.e. x1 + x2 <= 4), maximize x1 + 2 x2
-    sol = solve(LpProblem([1.0, 2.0], ge_rows=[(np.array([-1.0, -1.0]), -4.0)], upper=[3.0, 3.0]))
+    sol = solve(LpProblem([1.0, 2.0], a_ge=[[-1.0, -1.0]], b_ge=[-4.0], upper=[3.0, 3.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(7.0, abs=1e-8)
 
 
 def test_equality_constraint():
     # maximize x1 s.t. x1 + x2 = 1, x >= 0
-    sol = solve(LpProblem([1.0, 0.0], eq_rows=[(np.array([1.0, 1.0]), 1.0)]))
+    sol = solve(LpProblem([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
     assert sol.x[1] == pytest.approx(0.0, abs=1e-9)
@@ -46,7 +46,7 @@ def test_simplex_constraint_stays_in_simplex():
     for _ in range(20):
         t = int(rng.integers(2, 6))
         c = rng.normal(size=t)
-        sol = solve(LpProblem(c, eq_rows=[(np.ones(t), 1.0)]))
+        sol = solve(LpProblem(c, a_eq=np.ones((1, t)), b_eq=[1.0]))
         assert sol.status == "optimal"
         assert np.all(sol.x >= -1e-9)
         assert sum(sol.x) == pytest.approx(1.0, abs=1e-9)
@@ -55,8 +55,7 @@ def test_simplex_constraint_stays_in_simplex():
 
 def test_redundant_equalities():
     # duplicated equality row must not break phase 1 cleanup
-    row = (np.array([1.0, 1.0]), 1.0)
-    sol = solve(LpProblem([1.0, 0.0], eq_rows=[row, row]))
+    sol = solve(LpProblem([1.0, 0.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 1.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
@@ -103,9 +102,31 @@ def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         LpProblem([np.nan])
     with pytest.raises(ValueError):
-        LpProblem([1.0], ge_rows=[(np.array([np.inf]), 0.0)])
+        LpProblem([1.0], a_ge=[[np.inf]], b_ge=[0.0])
+    with pytest.raises(ValueError):
+        LpProblem([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[np.nan])
+    with pytest.raises(ValueError):
+        LpProblem([1.0], upper=[np.inf])
 
 
 def test_rejects_bad_row_length():
     with pytest.raises(ValueError):
-        LpProblem([1.0, 2.0], ge_rows=[(np.array([1.0]), 0.0)])
+        LpProblem([1.0, 2.0], a_ge=[[1.0]], b_ge=[0.0])
+    # one bound too many for the single inequality row
+    with pytest.raises(ValueError):
+        LpProblem([1.0, 2.0], a_ge=[[1.0, 1.0]], b_ge=[0.0, 1.0])
+    # a 1-D equality block is not read as one row
+    with pytest.raises(ValueError):
+        LpProblem([1.0, 2.0], a_eq=[1.0, 1.0], b_eq=[1.0])
+    with pytest.raises(ValueError):
+        LpProblem([1.0, 2.0], a_ge=[[1.0, 1.0]])
+    # every variable is x >= 0; there is no lower-bound argument to set
+    with pytest.raises(TypeError):
+        LpProblem([1.0], lower=[0.0])
+
+
+def test_lower_residual_measures_nonnegativity():
+    sol = solve(LpProblem([-1.0, -2.0], a_ge=[[1.0, 1.0]], b_ge=[-3.0]))
+    assert sol.status == "optimal"
+    assert np.array_equal(sol.x, [0.0, 0.0])
+    assert residuals(LpProblem([1.0]), np.array([-0.5]))["lower"] == 0.5
