@@ -9,6 +9,13 @@ solution statuses, never exceptions.
 Pivoting uses the largest-coefficient rule for speed; a prolonged
 degenerate stall switches the run to Bland's rule, which cannot cycle.
 Both rules break ties by lowest index, so solves are deterministic.
+
+The tableau is column-major and holds the variable and slack columns and
+the rhs, but no artificial columns: an artificial starts basic and never
+re-enters once it leaves, so its column would never be read.  A pivot
+writes only the columns where its pivot row is nonzero, the only entries
+whose value can change.  Each solution reports its pivots per phase,
+whether Bland's rule took over and how many redundant rows were dropped.
 """
 from __future__ import annotations
 
@@ -78,21 +85,23 @@ class LpSolution:
     status: str                      # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective_value: float | None
+    pivots: tuple[int, int] = (0, 0)  # per phase; drive-out pivots count in phase 1
+    bland: bool = False              # a stall switched a phase to Bland's rule
+    dropped_rows: int = 0            # redundant equality rows removed after phase 1
 
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
 
 
-def _bland_entering(costs: np.ndarray, allowed: np.ndarray) -> int:
-    candidates = np.nonzero(allowed & (costs < -COST_TOL))[0]
+def _bland_entering(costs: np.ndarray) -> int:
+    candidates = np.nonzero(costs < -COST_TOL)[0]
     return int(candidates[0]) if candidates.size else -1
 
 
-def _dantzig_entering(costs: np.ndarray, allowed: np.ndarray) -> int:
-    masked = np.where(allowed, costs, 0.0)
-    col = int(np.argmin(masked))
-    return col if masked[col] < -COST_TOL else -1
+def _dantzig_entering(costs: np.ndarray) -> int:
+    col = int(np.argmin(costs))
+    return col if costs[col] < -COST_TOL else -1
 
 
 def _bland_leaving(tableau: np.ndarray, basis: list[int], col: int) -> int:
@@ -126,34 +135,35 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     piv = tableau[row, col]
     if abs(piv) <= PIVOT_TOL:
         raise SimplexError(f"pivot magnitude {abs(piv):.3e} below {PIVOT_TOL:g}")
-    tableau[row, :] /= piv
+    # a column where the pivot row holds zero keeps t - f * 0 == t, so only
+    # the row's nonzero columns are written (a zero may lose its sign); the
+    # tableau is column-major, so its transpose gathers whole columns
+    cols = np.flatnonzero(tableau[row, :])
+    scaled = tableau[row, cols] / piv
+    tableau[row, cols] = scaled
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row, :])
+    tableau.T[cols] -= np.multiply.outer(scaled, factors)
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, allowed, max_iter, lockout_from=None) -> str:
-    # lockout_from: columns at or past this index are barred from re-entering
-    # once they leave the basis (phase-1 artificials)
+def _run_simplex(tableau, basis, max_iter, phase: int) -> tuple[str, int, bool]:
+    # returns the status, the pivots taken and whether Bland's rule took over
     stall_limit = 200 + 2 * len(basis)
     use_bland = False
     stalled = 0
     last = tableau[-1, -1]
-    for _ in range(max_iter):
+    for it in range(max_iter):
         costs = tableau[-1, :-1]
-        col = _bland_entering(costs, allowed) if use_bland else _dantzig_entering(costs, allowed)
+        col = _bland_entering(costs) if use_bland else _dantzig_entering(costs)
         if col < 0:
-            return "optimal"
+            return "optimal", it, use_bland
         row = _bland_leaving(tableau, basis, col) if use_bland else _harris_leaving(tableau, col)
         if row < 0:
-            return "unbounded"
-        departing = basis[row]
+            return "unbounded", it, use_bland
         _pivot(tableau, basis, row, col)
-        if lockout_from is not None and departing >= lockout_from:
-            allowed[departing] = False
         if not use_bland:
             value = tableau[-1, -1]
             if value > last + 1e-9 * (1.0 + abs(last)):
@@ -163,7 +173,7 @@ def _run_simplex(tableau, basis, allowed, max_iter, lockout_from=None) -> str:
                 if stalled >= stall_limit:
                     use_bland = True
             last = value
-    raise SimplexError("iteration limit exceeded")
+    raise SimplexError(f"phase {phase} iteration limit exceeded after {max_iter} pivots")
 
 
 def _price_out(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
@@ -206,52 +216,52 @@ def solve(problem: LpProblem) -> LpSolution:
     b = np.where(flip, -b, b)
     slack_sign = np.where(flip, -slack_sign, slack_sign)
 
-    # rows whose slack enters with +1 start basic; the rest get artificials
+    # rows whose slack enters with +1 start basic; the rest start on an
+    # artificial variable.  An artificial never re-enters once it leaves,
+    # so its column is never read and is not stored: its basis index
+    # art_start + k only marks the row
     art_rows = np.flatnonzero(slack_sign <= 0)
     n_slack, n_art = slack_rows.size, art_rows.size
     art_start = n + n_slack
-    total = art_start + n_art
     slack_cols = np.arange(n, art_start)
-    art_cols = np.arange(art_start, total)
-    tableau = np.zeros((m + 1, total + 1))
+    tableau = np.zeros((m + 1, art_start + 1), order="F")
     tableau[:m, :n] = A
     tableau[:m, -1] = b
     tableau[slack_rows, slack_cols] = slack_sign[slack_rows]
-    tableau[art_rows, art_cols] = 1.0
     start = np.empty(m, dtype=int)
     start[slack_rows] = slack_cols
-    start[art_rows] = art_cols
+    start[art_rows] = np.arange(art_start, art_start + n_art)
     basis: list[int] = start.tolist()
 
-    max_iter = 20000 + 50 * (m + total)
+    max_iter = 20000 + 50 * (m + art_start + n_art)
+    phase1, bland1, drop_rows = 0, False, []
 
-    # phase 1: minimize the sum of artificials
+    # phase 1: minimize the sum of artificials; its priced-out cost row is
+    # minus the artificial rows, subtracted one at a time in row order
     if n_art:
-        _price_out(tableau, basis, np.concatenate([np.zeros(art_start), np.ones(n_art)]))
-        allowed = np.ones(total, dtype=bool)
-        status = _run_simplex(tableau, basis, allowed, max_iter, lockout_from=art_start)
+        for i in art_rows:
+            tableau[-1, :] -= tableau[i, :]
+        status, phase1, bland1 = _run_simplex(tableau, basis, max_iter, phase=1)
         if status != "optimal":
             raise SimplexError("phase 1 terminated " + status)
         if -tableau[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None)
+            return LpSolution("infeasible", None, None, pivots=(phase1, 0), bland=bland1)
         # drive leftover artificials out of the basis on the largest available
         # pivot; a row with no usable entry is redundant and gets dropped
-        drop_rows = []
         for i in range(m):
             if basis[i] >= art_start:
                 row = tableau[i, :art_start]
                 cols = np.nonzero(np.abs(row) > 1e-9)[0]
                 if cols.size:
                     _pivot(tableau, basis, i, int(cols[np.argmax(np.abs(row[cols]))]))
+                    phase1 += 1
                 else:
                     drop_rows.append(i)
         if drop_rows:
             keep = [i for i in range(m) if i not in drop_rows]
-            tableau = np.vstack([tableau[keep, :], tableau[-1:, :]])
+            tableau = np.asfortranarray(tableau[keep + [m], :])
             basis = [basis[i] for i in keep]
             m = len(basis)
-        tableau = np.hstack([tableau[:, :art_start], tableau[:, -1:]])
-        total = art_start
         rhs = tableau[:m, -1]
         if rhs.size and rhs.min() < -FEAS_TOL:
             raise SimplexError("phase 1 left an infeasible basis")
@@ -259,19 +269,20 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # phase 2: minimize -objective
     _price_out(tableau, basis, -problem.objective)
-    allowed = np.ones(total, dtype=bool)
-    status = _run_simplex(tableau, basis, allowed, max_iter)
+    status, phase2, bland2 = _run_simplex(tableau, basis, max_iter, phase=2)
+    counters = {"pivots": (phase1, phase2), "bland": bland1 or bland2,
+                "dropped_rows": len(drop_rows)}
     if status == "unbounded":
-        return LpSolution("unbounded", None, None)
+        return LpSolution("unbounded", None, None, **counters)
 
-    z = np.zeros(total)
+    z = np.zeros(art_start)
     rhs = tableau[:m, -1]
     for i, bc in enumerate(basis):
         z[bc] = rhs[i]
     x = np.clip(z[:n], 0.0, None)
     if upper is not None:
         x = np.minimum(x, upper)
-    return LpSolution("optimal", x, float(problem.objective @ x))
+    return LpSolution("optimal", x, float(problem.objective @ x), **counters)
 
 
 def residuals(problem: LpProblem, x: np.ndarray) -> dict[str, float]:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from margin_forge.simplex import LpProblem, SimplexError, residuals, solve
+from margin_forge import simplex
+from margin_forge.cart import TreeParams
+from margin_forge.ensemble import adaboost, prediction_matrix
+from margin_forge.margins import compute_margins
+from margin_forge.reweight import pws_r, uws_r
+from margin_forge.simplex import LpProblem, LpSolution, SimplexError, residuals, solve
 
+import pivot_oracle
+from bench_data import ionosphere_like, pima_like, sonar_like
 from lp_oracle import oracle_solve, random_lp
 
 
@@ -58,6 +66,8 @@ def test_redundant_equalities():
     sol = solve(LpProblem([1.0, 0.0], a_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[1.0, 1.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+    assert sol.dropped_rows == 1
+    assert sol.pivots[0] >= 1 and not sol.bland
 
 
 def test_matches_oracle_on_random_instances():
@@ -130,3 +140,78 @@ def test_lower_residual_measures_nonnegativity():
     assert sol.status == "optimal"
     assert np.array_equal(sol.x, [0.0, 0.0])
     assert residuals(LpProblem([1.0]), np.array([-0.5]))["lower"] == 0.5
+
+
+def test_solution_counters_default_to_zero():
+    sol = LpSolution("optimal", np.zeros(1), 0.0)
+    assert sol.pivots == (0, 0) and not sol.bland and sol.dropped_rows == 0
+
+
+def test_iteration_limit_names_phase_and_pivots():
+    # one pivot is needed (x enters), none is allowed
+    tableau = np.asfortranarray([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
+    with pytest.raises(SimplexError, match="phase 2 iteration limit exceeded after 0 pivots"):
+        simplex._run_simplex(tableau, [1], 0, phase=2)
+
+
+def _outcome(solver, problem):
+    # everything a solve reports, in bytes where it is a vector
+    try:
+        sol = solver(problem)
+    except SimplexError:
+        return "SimplexError"
+    x = None if sol.x is None else sol.x.tobytes()
+    return (sol.status, x, sol.objective_value, sol.pivots, sol.bland, sol.dropped_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rescale=st.booleans())
+def test_pivots_match_dense_reference_on_random_lps(seed, rescale):
+    rng = np.random.default_rng(seed)
+    problem = random_lp(rng)
+    if rescale:
+        # the same feasible set with non-integer rows, so rounding shows
+        scale = rng.uniform(0.3, 3.0, size=problem.b_ge.size)
+        problem = LpProblem(problem.objective * rng.uniform(0.3, 3.0),
+                            a_ge=problem.a_ge * scale[:, None], b_ge=problem.b_ge * scale,
+                            a_eq=problem.a_eq, b_eq=problem.b_eq, upper=problem.upper)
+    assert _outcome(solve, problem) == _outcome(pivot_oracle.solve, problem)
+
+
+def _margin_problem(matrix, emphasis, floors, eq_rows=1):
+    # the recipe of reweight._margin_lp; eq_rows > 1 repeats the simplex row
+    signed = matrix.labels[:, None] * matrix.entries
+    return LpProblem(emphasis @ signed, a_ge=signed, b_ge=floors,
+                     a_eq=np.ones((eq_rows, matrix.n_learners)), b_eq=np.ones(eq_rows))
+
+
+def _bench_margin_lp(make, n, T, seed, scheme, eq_rows=1):
+    data = make(0)
+    rows = np.sort(np.random.default_rng(seed).permutation(data.n_rows)[:n])
+    train = data.take(rows)
+    model = adaboost(train, T, TreeParams(max_depth=2, max_leaves=4))
+    matrix = prediction_matrix(model, train)
+    old = compute_margins(matrix, model.vote_weights)
+    if scheme == "sm1":
+        floors = np.where(old.margins <= old.mean, old.percentile(0.05), old.mean)
+        emphasis = np.ones(n)
+    else:
+        floors = old.margins
+        emphasis = uws_r(n) if scheme == "uws" else pws_r(old.margins, 0.2)
+    return _margin_problem(matrix, emphasis, floors, eq_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(make=st.sampled_from([sonar_like, ionosphere_like, pima_like]),
+       n=st.integers(20, 90), T=st.integers(2, 25), seed=st.integers(0, 2**32 - 1),
+       scheme=st.sampled_from(["uws", "pws", "sm1"]))
+def test_pivots_match_dense_reference_on_margin_lps(make, n, T, seed, scheme):
+    problem = _bench_margin_lp(make, n, T, seed, scheme)
+    assert _outcome(solve, problem) == _outcome(pivot_oracle.solve, problem)
+
+
+def test_pivots_match_dense_reference_when_a_row_is_dropped():
+    problem = _bench_margin_lp(pima_like, 60, 12, 4, "uws", eq_rows=2)
+    got = _outcome(solve, problem)
+    assert got == _outcome(pivot_oracle.solve, problem)
+    assert got[0] == "optimal" and got[5] == 1
