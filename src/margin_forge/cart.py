@@ -162,9 +162,6 @@ class Tree:
             reach[right[node]] = rows ^ go_left
         return _SIGN.take(plus.view(np.uint8))
 
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
     def to_dict(self) -> dict:
         return {"n_features": self.n_features,
                 **{name: getattr(self, name).tolist() for name in _ARRAYS}}

@@ -23,8 +23,8 @@ from .dataset_io import (
 )
 from .ensemble import load_model, prediction_matrix
 from .harness import (
-    TABLE_FAMILIES,
     ExperimentConfig,
+    check_table_family,
     export_cmd_series,
     fit_baseline,
     render_table,
@@ -33,14 +33,6 @@ from .harness import (
 )
 from .margins import compute_margins, margin_improvement
 from .reweight import apply_scheme, parse_spec
-
-_CONFIG_KEYS = (
-    "dataset", "test", "format", "label_column", "method", "T", "schemes",
-    "sims", "seed", "alpha", "depth", "leaves", "mtry", "vc", "frac",
-    "max_rows", "freeze_split", "freeze_ensemble", "table", "out", "cmd_out",
-    "cmd_checkpoints",
-)
-
 
 class CliError(Exception):
     """Configuration problem; the process exits with status 1."""
@@ -100,7 +92,7 @@ def _cmd_data_info(args) -> int:
 def _cmd_data_split(args) -> int:
     data = _load_ref(args.path, args.fmt, args.label_column)
     try:
-        spec = SplitSpec(args.frac, True, args.seed)
+        spec = SplitSpec(args.frac, args.seed)
         train, test = stratified_split(data, spec)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -163,13 +155,34 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.strip().lower()
     if low in ("yes", "true", "1", "on"):
         return True
     if low in ("no", "false", "0", "off"):
         return False
-    raise CliError(f"{key} must be a yes/no value, got {value!r}")
+    raise ValueError(f"must be a yes/no value, got {value!r}")
+
+
+# config key -> (field, parser); a key left out keeps the field's default
+_LOAD_KEYS = {"format": ("fmt", str), "label_column": ("label_column", int)}
+_TREE_KEYS = {"depth": ("max_depth", int), "leaves": ("max_leaves", int)}
+_EXPERIMENT_KEYS = {
+    "method": ("method", str),
+    "T": ("n_trees", int),
+    "sims": ("simulations", int),
+    "frac": ("train_fraction", float),
+    "alpha": ("alpha_level", float),
+    "seed": ("seed", int),
+    "mtry": ("m_try", int),
+    "freeze_split": ("freeze_split", _parse_bool),
+    "freeze_ensemble": ("freeze_ensemble", _parse_bool),
+    "max_rows": ("max_rows", int),
+}
+_CONFIG_KEYS = (
+    "dataset", "test", "schemes", "vc", "table", "out", "cmd_out", "cmd_checkpoints",
+    *_LOAD_KEYS, *_TREE_KEYS, *_EXPERIMENT_KEYS,
+)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -197,69 +210,52 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
+def _fields(cfg: dict[str, str], keys: dict) -> dict:
+    out = {}
+    for key, (name, parse) in keys.items():
+        if key in cfg:
+            try:
+                out[name] = parse(cfg[key])
+            except ValueError as exc:
+                raise CliError(f"{key}: {exc}")
+    return out
+
+
 def _build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
-    fmt = cfg.get("format", "delimited")
-    try:
-        label_column = int(cfg.get("label_column", "-1"))
-    except ValueError as exc:
-        raise CliError(str(exc))
-    data = _load_ref(cfg["dataset"], fmt, label_column)
-    test = _load_ref(cfg["test"], fmt, label_column) if "test" in cfg else None
+    load = _fields(cfg, _LOAD_KEYS)
+    data = _load_ref(cfg["dataset"], **load)
+    test = _load_ref(cfg["test"], **load) if "test" in cfg else None
+    tree = _fields(cfg, _TREE_KEYS)
+    settings = _fields(cfg, _EXPERIMENT_KEYS)
     try:
         schemes = tuple(parse_spec(part.strip())
                         for part in cfg["schemes"].split(",") if part.strip())
-        params = TreeParams(max_depth=int(cfg.get("depth", "2")),
-                            max_leaves=int(cfg.get("leaves", "4")))
-        return ExperimentConfig(
-            dataset=data,
-            schemes=schemes,
-            method=cfg.get("method", "adaboost"),
-            n_trees=int(cfg.get("T", "100")),
-            tree_params=params,
-            simulations=int(cfg.get("sims", "30")),
-            train_fraction=float(cfg.get("frac", "0.7")),
-            alpha_level=float(cfg.get("alpha", "0.05")),
-            seed=int(cfg.get("seed", "0")),
-            m_try=int(cfg["mtry"]) if "mtry" in cfg else None,
-            test_dataset=test,
-            freeze_split=_parse_bool(cfg.get("freeze_split", "no"), "freeze_split"),
-            freeze_ensemble=_parse_bool(cfg.get("freeze_ensemble", "no"),
-                                        "freeze_ensemble"),
-            max_rows=int(cfg["max_rows"]) if "max_rows" in cfg else 1000,
-        )
+        config = ExperimentConfig(dataset=data, schemes=schemes, test_dataset=test,
+                                  tree_params=TreeParams(**tree), **settings)
+        if "table" in cfg:
+            check_table_family(cfg["table"], [s.label for s in config.schemes])
+        return config
     except ValueError as exc:
         raise CliError(str(exc))
 
 
-def _check_table_family(cfg: dict[str, str], config: ExperimentConfig) -> None:
-    family = cfg.get("table")
-    if family is None:
-        return
-    if family not in TABLE_FAMILIES:
-        raise CliError(f"table must be one of {TABLE_FAMILIES}")
-    if family == "pws":
-        kinds = [s.scheme for s in config.schemes]
-        if len(kinds) != 3 or any(k != "pws" for k in kinds):
-            raise CliError("the pws table needs exactly three pws schemes")
-    elif len(config.schemes) != 1:
-        raise CliError(f"the {family} table needs exactly one scheme")
-
-
-def _cmd_checkpoints(cfg: dict[str, str]) -> tuple[int, ...]:
-    text = cfg.get("cmd_checkpoints", "50,200,500")
+def _cmd_checkpoints(cfg: dict[str, str]) -> dict[str, tuple[int, ...]]:
+    """export_cmd_series keyword arguments; empty keeps its default checkpoints."""
+    if "cmd_checkpoints" not in cfg:
+        return {}
+    text = cfg["cmd_checkpoints"]
     try:
         points = tuple(int(v) for v in text.split(","))
     except ValueError:
         points = ()
     if not points or min(points) < 1:
         raise CliError(f"cmd_checkpoints must be a list of positive integers, got {text!r}")
-    return points
+    return {"checkpoints": points}
 
 
 def _cmd_experiment(args) -> int:
     cfg = _read_config(args.config)
     config = _build_experiment(cfg)
-    _check_table_family(cfg, config)
     checkpoints = _cmd_checkpoints(cfg)
     report = run_experiment(config)
     print(f"# {report.resampling}")
@@ -284,7 +280,7 @@ def _cmd_experiment(args) -> int:
         print(f"wrote {cfg['out']}")
     if "cmd_out" in cfg:
         model = fit_baseline(config, config.dataset, config.seed)
-        series = export_cmd_series(model, config.dataset, checkpoints)
+        series = export_cmd_series(model, config.dataset, **checkpoints)
         for count, rows in sorted(series.items()):
             path = Path(f"{cfg['cmd_out']}.T{count}.tsv")
             path.write_text("\n".join(f"{t:.17g}\t{f:.17g}" for t, f in rows) + "\n",

@@ -66,7 +66,6 @@ class Dataset:
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float
-    stratified: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -179,7 +178,7 @@ def _parse_sparse(lines: list[str], path: Path):
 
 
 def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
-                 delimiter: str | None = None, name: str | None = None) -> Dataset:
+                 delimiter: str | None = None) -> Dataset:
     """Read a delimited or sparse-index file into a validated Dataset."""
     path = Path(path)
     if not path.exists():
@@ -196,39 +195,34 @@ def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
     else:
         raise ValueError(f"unknown format {fmt!r}")
     labels = _map_labels(raw_labels, path)
-    return Dataset(name or path.stem, features, labels, names)
+    return Dataset(path.stem, features, labels, names)
 
 
-def write_dataset(data: Dataset, path, delimiter: str = ",") -> None:
-    """Delimited dump, label last; %.17g keeps the reload within 1e-12."""
+def write_dataset(data: Dataset, path) -> None:
+    """Comma-delimited dump, label last; %.17g keeps the reload within 1e-12."""
     path = Path(path)
     with path.open("w") as fh:
         if data.feature_names is not None:
-            fh.write(delimiter.join([*data.feature_names, "label"]) + "\n")
+            fh.write(",".join([*data.feature_names, "label"]) + "\n")
         for row, label in zip(data.features, data.labels):
             fields = [f"{v:.17g}" for v in row] + [f"{int(label):d}"]
-            fh.write(delimiter.join(fields) + "\n")
+            fh.write(",".join(fields) + "\n")
 
 
 def split_indices(data: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Index sets behind stratified_split; sorted, disjoint, exhaustive."""
     rng = np.random.default_rng(spec.seed)
-    n = data.n_rows
-    if spec.stratified:
-        train_parts = []
-        for cls in (-1.0, 1.0):
-            idx = np.nonzero(data.labels == cls)[0]
-            if idx.size == 0:
-                raise ValueError(f"class {int(cls):+d} has no members to split")
-            n_train = math.ceil(spec.train_fraction * idx.size)
-            if n_train == 0:
-                raise ValueError(f"class {int(cls):+d} would receive zero training rows")
-            train_parts.append(rng.permutation(idx)[:n_train])
-        train = np.sort(np.concatenate(train_parts))
-    else:
-        n_train = math.ceil(spec.train_fraction * n)
-        train = np.sort(rng.permutation(n)[:n_train])
-    mask = np.zeros(n, dtype=bool)
+    train_parts = []
+    for cls in (-1.0, 1.0):
+        idx = np.nonzero(data.labels == cls)[0]
+        if idx.size == 0:
+            raise DatasetError(f"class {int(cls):+d} has no members to split")
+        n_train = math.ceil(spec.train_fraction * idx.size)
+        if n_train == 0:
+            raise DatasetError(f"class {int(cls):+d} would receive zero training rows")
+        train_parts.append(rng.permutation(idx)[:n_train])
+    train = np.sort(np.concatenate(train_parts))
+    mask = np.zeros(data.n_rows, dtype=bool)
     mask[train] = True
     test = np.nonzero(~mask)[0]
     return train, test
@@ -237,7 +231,7 @@ def split_indices(data: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarra
 def stratified_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     train_idx, test_idx = split_indices(data, spec)
     if test_idx.size == 0:
-        raise ValueError("train_fraction leaves no test rows")
+        raise DatasetError("train_fraction leaves no test rows")
     return (data.take(train_idx, f"{data.name}/train"),
             data.take(test_idx, f"{data.name}/test"))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cart import Tree, TreeParams, column_order, fit_tree
-from .dataset_io import Dataset
+from .dataset_io import Dataset, DatasetError
 
 # floor keeps the round coefficient finite when a tree fits its
 # training distribution perfectly
@@ -95,7 +95,7 @@ class PredictionMatrix:
 def _check_two_classes(data: Dataset):
     counts = data.class_counts()
     if counts[-1] == 0 or counts[+1] == 0:
-        raise ValueError("training data must contain both classes")
+        raise DatasetError("training data must contain both classes")
 
 
 def _reweight(dist, alpha: float, wrong) -> np.ndarray:
@@ -144,8 +144,7 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
 
 
 def random_forest(train: Dataset, T: int, m_try: int | None = None,
-                  params: TreeParams | None = None, seed: int = 0,
-                  bootstrap: bool = True) -> EnsembleModel:
+                  params: TreeParams | None = None, seed: int = 0) -> EnsembleModel:
     """Bootstrap-resampled trees on random feature subsets, uniform votes.
 
     The bootstrap is realized as draw counts divided by n, so a fitted
@@ -166,11 +165,7 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
     trees = []
     for t in range(T):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        if bootstrap:
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            weights = counts / n
-        else:
-            weights = np.full(n, 1.0 / n)
+        weights = np.bincount(rng.integers(0, n, size=n), minlength=n) / n
         subset = np.sort(rng.choice(p, size=m_try, replace=False))
         trees.append(fit_tree(x, y, weights=weights, params=params,
                               feature_subset=subset, order=order))
@@ -180,10 +175,9 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
 
 
 def bagging(train: Dataset, T: int, params: TreeParams | None = None,
-            seed: int = 0, bootstrap: bool = True) -> EnsembleModel:
+            seed: int = 0) -> EnsembleModel:
     """Random forest with every feature available to every tree."""
-    model = random_forest(train, T, m_try=train.n_features, params=params,
-                          seed=seed, bootstrap=bootstrap)
+    model = random_forest(train, T, m_try=train.n_features, params=params, seed=seed)
     return EnsembleModel("bagging", model.trees, model.vote_weights,
                          model.raw_alphas, model.tree_params, seed=seed)
 

@@ -4,18 +4,21 @@ Each simulation derives its own seed from (master seed, simulation index),
 draws a stratified train/test split, trains one baseline ensemble, applies
 every requested reweighting scheme to that same set of trees, and scores
 baseline and reweighted votes on the same held-out rows.  Aggregation then
-pairs the per-simulation test errors in t-tests.
+pairs the per-simulation test errors in t-tests, whose two-sided tail for the
+integer df = simulations - 1 is the finite Abramowitz & Stegun sum in
+theta = atan(|t| / sqrt(df)).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cart import TreeParams
-from .dataset_io import Dataset, SplitSpec, check_paired, stratified_split
+from .dataset_io import Dataset, DatasetError, SplitSpec, check_paired, stratified_split
 from .ensemble import (
     METHODS,
     EnsembleError,
@@ -34,8 +37,9 @@ TABLE_FAMILIES = ("improve", "pws", "reduction")
 
 _METHOD_LABELS = {"adaboost": "AdaBoost", "random-forest": "RF", "bagging": "Bagging"}
 
-# errors that abort a single simulation rather than the whole run
-_SIM_ERRORS = (ValueError, EnsembleError, SimplexError, ArithmeticError)
+# data, training and LP problems abort a single simulation; any other
+# exception is a bug and ends the run
+_SIM_ERRORS = (DatasetError, EnsembleError, SimplexError)
 
 _SUBSAMPLE_STREAM = 977
 
@@ -44,72 +48,38 @@ class ExperimentError(RuntimeError):
     pass
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # continued fraction for the regularized incomplete beta, Lentz's method
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for shape parameters a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("shape parameters must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def t_two_sided_p(t: float, df: int) -> float:
-    """Two-sided tail probability of Student's t with df degrees of freedom."""
+    """Two-sided tail probability of Student's t with integer df >= 1.
+
+    The finite sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even
+    df) in theta = atan(|t| / sqrt(df)) give the central area A, at most
+    df/2 terms; the tail is 1 - A.
+    """
+    if not isinstance(df, numbers.Integral):
+        raise ValueError("df must be an integer")
     if df < 1:
         raise ValueError("df must be at least 1")
     if math.isnan(t):
         raise ValueError("t statistic must be a number")
-    if math.isinf(t):
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    return regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
+    q = df + t * t
+    if math.isinf(q):
+        return 0.0  # t * t overflowed: |t| > 1e154, whose tail is below 1e-150
+    sin = abs(t) / math.sqrt(q)
+    cos2 = df / q
+    odd = df % 2
+    # A = sin * (1 + (1/2)cos2 + (1*3)/(2*4)cos2^2 + ...) for even df and
+    # (2/pi)(theta + sin*cos*(1 + (2/3)cos2 + (2*4)/(3*5)cos2^2 + ...)) for
+    # odd df, the last power of cos being df - 2 in both
+    term, total = 1.0, 0.0
+    for j in range(1 + odd, df, 2):
+        total += term
+        term *= cos2 * j / (j + 1)
+    if odd:
+        area = 2.0 / math.pi * (math.atan2(abs(t), math.sqrt(df))
+                                + sin * math.sqrt(cos2) * total)
+    else:
+        area = sin * total
+    return min(1.0, max(0.0, 1.0 - area))
 
 
 @dataclass(frozen=True)
@@ -294,7 +264,7 @@ def _error_from_weights(matrix, weights) -> float:
 
 
 def run_one_simulation(config: ExperimentConfig, sim: int) -> SimulationRecord:
-    """Run a single simulation; module errors become a failure record."""
+    """Run a single simulation; data, ensemble and LP errors become a failure record."""
     sim_seed = derived_seed(config.seed, sim)
     try:
         data = _desk_scale(config.dataset, config.max_rows, config.seed)
@@ -302,7 +272,7 @@ def run_one_simulation(config: ExperimentConfig, sim: int) -> SimulationRecord:
             train, test = data, config.test_dataset
         else:
             split_seed = config.seed if config.freeze_split else sim_seed
-            spec = SplitSpec(config.train_fraction, True, split_seed)
+            spec = SplitSpec(config.train_fraction, split_seed)
             train, test = stratified_split(data, spec)
         ens_seed = config.seed if config.freeze_ensemble else sim_seed
         model = fit_baseline(config, train, ens_seed)
@@ -436,6 +406,18 @@ def _cell(value: float, mark: str = "") -> str:
     return f"{value:.4f}{mark}"
 
 
+def check_table_family(family: str, labels) -> None:
+    """Raise ValueError unless the scheme labels fill the family's columns:
+    exactly three pws schemes for pws, exactly one scheme otherwise."""
+    if family not in TABLE_FAMILIES:
+        raise ValueError(f"table family must be one of {TABLE_FAMILIES}")
+    if family == "pws":
+        if len(labels) != 3 or any(label.split(":")[0] != "pws" for label in labels):
+            raise ValueError("the pws table needs exactly three pws schemes")
+    elif len(labels) != 1:
+        raise ValueError(f"the {family} table needs exactly one scheme")
+
+
 def render_table(report: ExperimentReport, family: str = "improve") -> str:
     """Two-line comparison table in one of the standard column layouts.
 
@@ -446,24 +428,17 @@ def render_table(report: ExperimentReport, family: str = "improve") -> str:
     reduction: baseline error, scheme error, variance and range reduction,
                star convention as in improve.
     """
-    if family not in TABLE_FAMILIES:
-        raise ValueError(f"family must be one of {TABLE_FAMILIES}")
     summaries = report.summaries
-    if not summaries:
-        raise ValueError("report carries no scheme comparisons")
+    check_table_family(family, [s.label for s in summaries])
     base_label = _METHOD_LABELS[report.config.method]
     name = report.config.dataset.name
     if family == "pws":
-        if len(summaries) != 3 or any(s.label.split(":")[0] != "pws" for s in summaries):
-            raise ValueError("pws family expects exactly three pws schemes")
         header = ["Data Set", base_label] + [s.label.upper() for s in summaries]
         row = [name, _cell(report.baseline_error)]
         for s in summaries:
             mark = "*" if s.winner == s.label else "-" if s.winner == "baseline" else ""
             row.append(_cell(s.mean_error, mark))
     else:
-        if len(summaries) != 1:
-            raise ValueError(f"{family} family expects exactly one scheme")
         s = summaries[0]
         base_mark = "*" if s.winner == "baseline" else ""
         scheme_mark = "*" if s.winner == s.label else ""

@@ -72,28 +72,20 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
     return MarginProfile(matrix.labels * (matrix.entries @ w))
 
 
-def cmd(profile: MarginProfile, grid=None) -> list[tuple[float, float]]:
-    """Cumulative distribution of margins over theta values: the fraction
-    of margins <= theta (inclusive).  Default grid: sorted unique margins."""
-    if grid is None:
-        grid = np.unique(profile.margins)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("grid must be a nonempty 1-D sequence")
-        if np.any(np.diff(grid) < 0):
-            raise ValueError("grid must be sorted ascending")
+def cmd(profile: MarginProfile) -> list[tuple[float, float]]:
+    """Cumulative distribution of margins at each distinct margin theta, in
+    ascending order: the fraction of margins <= theta (inclusive)."""
     ordered = np.sort(profile.margins)
+    grid = np.unique(ordered)
     counts = np.searchsorted(ordered, grid, side="right")
     return [(float(t), float(c) / profile.n) for t, c in zip(grid, counts)]
 
 
-def export_cmd(profile: MarginProfile, path, grid=None, delimiter: str = "\t") -> None:
-    """Two-column series (theta, fraction) for plotting."""
-    rows = cmd(profile, grid)
+def export_cmd(profile: MarginProfile, path) -> None:
+    """Tab-separated two-column series (theta, fraction) for plotting."""
     with Path(path).open("w") as fh:
-        for theta, frac in rows:
-            fh.write(f"{theta:.17g}{delimiter}{frac:.17g}\n")
+        for theta, frac in cmd(profile):
+            fh.write(f"{theta:.17g}\t{frac:.17g}\n")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import PredictionMatrix
+from .ensemble import EnsembleError, PredictionMatrix
 from .margins import MarginProfile, compute_margins
 from .simplex import FEAS_TOL, LpProblem, SimplexError, residuals, solve
 
@@ -223,7 +223,7 @@ def sm2_weights(matrix: PredictionMatrix, alpha, target_mean: float | None = Non
     coef, *_ = np.linalg.lstsq(signed, response, rcond=None)
     total = coef.sum()
     if abs(total) < 1e-9:
-        raise ValueError("non-normalizable solution: coefficients sum to zero")
+        raise EnsembleError("non-normalizable solution: coefficients sum to zero")
     w = coef / total
     new = compute_margins(matrix, w)
     sse = float(np.sum((signed @ coef - response) ** 2))

@@ -32,7 +32,7 @@ def test_xor_needs_depth_two():
     assert np.mean(stump.predict(x) != y) > 0  # no single split separates xor
     tree = fit_tree(x, y)  # defaults: depth 2, four leaves
     assert np.array_equal(tree.predict(x), y)
-    assert tree.n_leaves() <= 4
+    assert np.sum(tree.feature < 0) <= 4
 
 
 def test_tie_break_prefers_lowest_feature():
@@ -72,7 +72,7 @@ def test_max_leaves_caps_growth():
     x = rng.standard_normal((200, 4))
     y = np.where(rng.random(200) < 0.5, -1.0, 1.0)
     tree = fit_tree(x, y, params=TreeParams(max_depth=2, max_leaves=3))
-    assert tree.n_leaves() <= 3
+    assert np.sum(tree.feature < 0) <= 3
 
 
 def test_depth_limit_respected():

@@ -255,10 +255,13 @@ def test_experiment_duplicate_key(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
-def test_experiment_table_family_mismatch(tmp_path):
+def test_experiment_table_family_mismatch(tmp_path, capsys):
     cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:40:0.5:1\n"
                                  "schemes = uws, ews:5\ntable = improve\nsims = 2\nT = 4\n")
     assert main(["experiment", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "table" in captured.err
 
 
 def test_experiment_runtime_failure(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from margin_forge.cart import Tree, TreeParams, fit_tree
+from margin_forge.cart import Tree, TreeParams
 from margin_forge.dataset_io import Dataset, generate_synthetic
 from margin_forge.ensemble import (
     EnsembleError, EnsembleModel, PredictionMatrix, adaboost, bagging,
@@ -110,14 +110,6 @@ def test_forest_mtry_defaults_to_ceil_sqrt_p():
     for tree in model.trees:
         used = set(tree.feature[tree.feature >= 0].tolist())
         assert len(used) <= math.ceil(math.sqrt(10))  # 4
-
-
-def test_forest_without_bootstrap_and_full_mtry_equals_plain_fit():
-    data = spiral_like(n=25, seed=2)
-    model = random_forest(data, T=3, m_try=data.n_features, seed=9, bootstrap=False)
-    direct = fit_tree(data.features, data.labels)
-    for tree in model.trees:
-        assert tree.to_dict() == direct.to_dict()
 
 
 def test_bagging_equals_full_mtry_forest():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from margin_forge import harness
 from margin_forge.cart import TreeParams
 from margin_forge.dataset_io import Dataset, SplitSpec, generate_synthetic, stratified_split
 from margin_forge.ensemble import adaboost, prediction_matrix, random_forest
@@ -15,7 +16,6 @@ from margin_forge.harness import (
     derived_seed,
     export_cmd_series,
     paired_t_test,
-    regularized_incomplete_beta,
     render_table,
     report_lines,
     run_experiment,
@@ -44,34 +44,15 @@ def tiny_config(**overrides):
 # ---------------------------------------------------------------- t machinery
 
 
-def test_incomplete_beta_edges():
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-    # I_x(1, 1) is the identity
-    for x in (0.1, 0.25, 0.5, 0.9):
-        assert abs(regularized_incomplete_beta(1.0, 1.0, x) - x) < 1e-14
-
-
-def test_incomplete_beta_symmetry():
-    for a, b, x in [(2.0, 5.0, 0.3), (0.5, 0.5, 0.7), (4.0, 1.5, 0.55)]:
-        left = regularized_incomplete_beta(a, b, x)
-        right = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-        assert abs(left - right) < 1e-13
-
-
-def test_incomplete_beta_validation():
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(1.0, 1.0, 1.5)
-
-
 def test_t_p_edge_values():
     assert t_two_sided_p(0.0, 5) == 1.0
     assert t_two_sided_p(math.inf, 5) == 0.0
     assert t_two_sided_p(-math.inf, 5) == 0.0
+    assert t_two_sided_p(1e200, 4) == 0.0  # t * t overflows
     with pytest.raises(ValueError):
         t_two_sided_p(1.0, 0)
+    with pytest.raises(ValueError, match="integer"):
+        t_two_sided_p(1.0, 2.5)
     with pytest.raises(ValueError):
         t_two_sided_p(math.nan, 5)
 
@@ -141,6 +122,19 @@ def test_t_p_matches_quadrature_oracle():
             got = t_two_sided_p(t, df)
             want = quad_oracle_p(t, df)
             assert abs(got - want) < 1e-10, (t, df, got, want)
+
+
+def test_t_p_matches_mpmath_betainc():
+    # the two-sided tail is I_x(df/2, 1/2) at x = df / (df + t^2)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    ts = (0.0, 1e-8, 1e-3, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0)
+    for df in [*range(1, 121), 200, 500, 999, 2000]:
+        for t in ts:
+            x = mp.mpf(df) / (df + mp.mpf(t) ** 2)
+            want = float(mp.betainc(mp.mpf(df) / 2, mp.mpf(1) / 2, 0, x, regularized=True))
+            got = t_two_sided_p(t, df)
+            assert abs(got - want) <= 1e-12, (t, df, got, want)
 
 
 # ------------------------------------------------------------- configuration
@@ -229,7 +223,7 @@ def test_record_recomputable_from_seed():
     sim = 1
     rec = report.records[sim]
     assert rec.seed == derived_seed(config.seed, sim)
-    split = SplitSpec(config.train_fraction, True, rec.seed)
+    split = SplitSpec(config.train_fraction, rec.seed)
     train, test = stratified_split(config.dataset, split)
     model = adaboost(train, config.n_trees, config.tree_params)
     assert error_rate(model, test) == rec.baseline_error
@@ -270,6 +264,15 @@ def test_single_class_data_fails_every_simulation():
     assert math.isnan(rec.baseline_error)
     with pytest.raises(ExperimentError):
         run_experiment(config)
+
+
+def test_package_bug_is_not_a_failure_row(monkeypatch):
+    def broken(matrix, weights):
+        raise ValueError("shape bug")
+
+    monkeypatch.setattr(harness, "compute_margins", broken)
+    with pytest.raises(ValueError, match="shape bug"):
+        run_one_simulation(tiny_config(), 0)
 
 
 def test_desk_scale_subsamples_large_datasets():

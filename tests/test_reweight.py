@@ -3,7 +3,7 @@ import pytest
 
 from margin_forge import reweight
 from margin_forge.dataset_io import generate_synthetic
-from margin_forge.ensemble import PredictionMatrix, prediction_matrix, random_forest
+from margin_forge.ensemble import EnsembleError, PredictionMatrix, prediction_matrix, random_forest
 from margin_forge.margins import compute_margins
 from margin_forge.reweight import (
     RewSpec, apply_scheme, ews_r, mm_weights, parse_spec, pws_r, sm1_weights,
@@ -239,7 +239,7 @@ def test_sm2_accepts_explicit_target():
 def test_sm2_non_normalizable_raises():
     # second learner is the first negated: coefficient mass cancels
     m = matrix_of([[1, -1], [1, -1], [-1, 1]], [1, 1, -1])
-    with pytest.raises(ValueError, match="non-normalizable"):
+    with pytest.raises(EnsembleError, match="non-normalizable"):
         sm2_weights(m, [0.5, 0.5], target_mean=0.5)
 
 
