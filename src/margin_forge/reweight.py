@@ -171,8 +171,9 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
 def mm_weights(matrix: PredictionMatrix, alpha, r) -> RewResult:
     """Maximize the r-weighted margin gain, never letting a margin drop.
 
-    Feasible by construction (alpha itself satisfies every constraint),
-    so the reported objective is always >= 0 up to solver tolerance.
+    Feasible by construction (alpha itself satisfies every constraint).
+    When the LP's answer does not score above alpha under r, alpha is
+    kept with objective 0, so the reported objective is never negative.
     The r vector is rescaled by its maximum before entering the solver;
     positive scaling cannot change the set of optimal weight vectors.
     """
@@ -187,8 +188,12 @@ def mm_weights(matrix: PredictionMatrix, alpha, r) -> RewResult:
     if w is None:
         raise SimplexError("margin LP ended infeasible, expected optimal")
     new = compute_margins(matrix, w)
-    # report the objective under the caller's r, not the rescaled one
-    return _finish("mm", w, old, new, float(r @ (new.margins - old.margins)))
+    # judge the answer under the caller's r, not the rescaled one; alpha
+    # meets every floor, so an answer that does not beat it is rounding noise
+    gain = float(r @ (new.margins - old.margins))
+    if not gain > 0:
+        return _finish("mm", a.copy(), old, old, 0.0)
+    return _finish("mm", w, old, new, gain)
 
 
 def sm1_weights(matrix: PredictionMatrix, alpha, xi: float = 0.05) -> RewResult:

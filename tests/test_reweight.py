@@ -99,6 +99,22 @@ def test_mm_never_lowers_a_margin():
         assert np.all(w >= -1e-9) and w.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_mm_keeps_alpha_when_the_lp_does_not_beat_it(monkeypatch):
+    # an answer that scores below alpha under r is rounding noise: alpha,
+    # which meets every floor, is kept and the objective is exactly 0
+    matrix, alpha = small_forest(n=30, T=8, seed=5)
+    r = uws_r(matrix.n_rows)
+    worse = np.zeros(matrix.n_learners)
+    worse[np.argmin(r @ (matrix.labels[:, None] * matrix.entries))] = 1.0
+    old = compute_margins(matrix, alpha)
+    assert r @ (compute_margins(matrix, worse).margins - old.margins) < 0
+    monkeypatch.setattr(reweight, "_margin_lp", lambda *args: worse)
+    result = mm_weights(matrix, alpha, r)
+    assert np.array_equal(result.weights, alpha)
+    assert result.objective == 0.0
+    assert np.array_equal(result.new_profile.margins, old.margins)
+
+
 def test_mm_objective_identity():
     matrix, alpha = small_forest(n=30, T=8, seed=5)
     old = compute_margins(matrix, alpha)
