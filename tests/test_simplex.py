@@ -178,6 +178,67 @@ def test_pivots_match_dense_reference_on_random_lps(seed, rescale):
     assert _outcome(solve, problem) == _outcome(pivot_oracle.solve, problem)
 
 
+def _phase1_cost_rows(problem):
+    # the cost row each solver enters phase 1 with, caught on its way into
+    # the pivot loop; the reference's artificial columns are priced to zero
+    # and left out, since the solver stores none
+    rows = {}
+
+    def spy(key, run):
+        def wrapped(tableau, *args, **kwargs):
+            rows.setdefault(key, tableau[-1, :].copy())
+            return run(tableau, *args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_run_simplex", spy("solver", simplex._run_simplex))
+        mp.setattr(pivot_oracle, "_run_simplex", spy("dense", pivot_oracle._run_simplex))
+        for solver in (solve, pivot_oracle.solve):
+            try:
+                solver(problem)
+            except SimplexError:
+                pass
+    got, dense = rows["solver"], rows["dense"]
+    assert not np.any(dense[got.size - 1:-1])
+    return got, np.concatenate([dense[:got.size - 1], dense[-1:]])
+
+
+def _tying_lp(rng):
+    # ge rows whose sums differ in the last bit when added in another order
+    # (0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1), each with an artificial
+    k = int(rng.integers(3, 7))
+    a_ge = rng.choice([0.1, 0.2, 0.3, 0.7], size=(k, 3))
+    b_ge = rng.choice([0.1, 0.2, 0.3, 0.7], size=k)
+    return LpProblem(rng.normal(size=3), a_ge=a_ge, b_ge=b_ge, upper=np.full(3, 9.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tying=st.booleans())
+def test_phase1_cost_row_matches_dense_reference(seed, tying):
+    rng = np.random.default_rng(seed)
+    if tying:
+        problem = _tying_lp(rng)
+    else:
+        problem = random_lp(rng)
+        scale = rng.uniform(0.3, 3.0, size=problem.b_ge.size)
+        problem = LpProblem(problem.objective, a_ge=problem.a_ge * scale[:, None],
+                            b_ge=problem.b_ge * scale, a_eq=problem.a_eq,
+                            b_eq=problem.b_eq, upper=problem.upper)
+    if not np.any(problem.b_ge >= 0) and not problem.b_eq.size:
+        return  # every row starts on its slack: no phase 1
+    got, dense = _phase1_cost_rows(problem)
+    assert got.tobytes() == dense.tobytes()
+
+
+def test_phase1_cost_row_sums_artificial_rows_in_row_order():
+    problem = LpProblem([1.0, 1.0, 1.0], a_ge=[[0.1, 0.3, 0.2], [0.2, 0.2, 0.1], [0.3, 0.1, 0.7]],
+                        b_ge=[0.1, 0.2, 0.3])
+    got, dense = _phase1_cost_rows(problem)
+    assert got.tobytes() == dense.tobytes()
+    # the fixture ties only in row order: reversed, the sums differ
+    assert (0.0 - 0.1 - 0.2 - 0.3) != (0.0 - 0.3 - 0.2 - 0.1)
+
+
 def _margin_problem(matrix, emphasis, floors, eq_rows=1):
     # the recipe of reweight._margin_lp; eq_rows > 1 repeats the simplex row
     signed = matrix.labels[:, None] * matrix.entries
