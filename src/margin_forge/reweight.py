@@ -30,6 +30,7 @@ from .margins import MarginProfile, compute_margins
 from .simplex import FEAS_TOL, LpProblem, SimplexError, residuals, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
+GAP_TOL = 1e-9       # relative duality gap allowed on a margin LP's answer
 
 
 @dataclass(frozen=True)
@@ -151,21 +152,36 @@ def _finish(scheme: str, w, old: MarginProfile, new: MarginProfile, objective: f
 def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     """Simplex weights maximizing the emphasis-weighted margin total with
     every margin at or above its floor, checked against the LP's own
-    constraints; None when no weights reach the floors."""
+    constraints and its duality gap; None when no weights reach the floors.
+
+    The LP, max c.w s.t. S w >= floors, 1.w = 1, w >= 0 with S the signed
+    design and c = emphasis @ S, is solved through its dual: max floors.u - v
+    s.t. -S'u + v 1 >= c, u >= 0, v = v+ - v- free.  The dual has one row
+    per learner and is always feasible; the weights are its row prices.
+    """
     signed = _signed_design(matrix)
-    problem = LpProblem(emphasis @ signed, a_ge=signed, b_ge=floors,
-                        a_eq=np.ones((1, matrix.n_learners)), b_eq=np.ones(1))
-    solution = solve(problem)
-    if solution.status == "infeasible":
+    c = emphasis @ signed
+    ones = np.ones((matrix.n_learners, 1))
+    dual = LpProblem(np.concatenate([floors, [-1.0, 1.0]]),
+                     a_ge=np.hstack([-signed.T, ones, -ones]), b_ge=c)
+    solution = solve(dual)
+    if solution.status == "unbounded":
         return None
     if not solution.optimal:
-        raise SimplexError(f"margin LP ended {solution.status}, expected optimal")
-    violations = residuals(problem, solution.x)
+        raise SimplexError(f"margin LP dual ended {solution.status}, expected optimal")
+    w = np.clip(solution.prices, 0.0, None)
+    primal = LpProblem(c, a_ge=signed, b_ge=floors,
+                       a_eq=ones.T, b_eq=np.ones(1))
+    violations = residuals(primal, w)
     worst = max(violations, key=violations.get)
     if not violations[worst] <= FEAS_TOL:
         raise SimplexError(f"margin LP answer breaks its {worst} constraints by "
                            f"{violations[worst]:.3e}")
-    return solution.x / solution.x.sum()
+    value = solution.objective_value
+    gap = abs(c @ w + value)
+    if not gap <= GAP_TOL * (1.0 + abs(value)):
+        raise SimplexError(f"margin LP duality gap {gap:.3e} at objective {-value:.6g}")
+    return w / w.sum()
 
 
 def mm_weights(matrix: PredictionMatrix, alpha, r) -> RewResult:

@@ -88,6 +88,7 @@ class LpSolution:
     pivots: tuple[int, int] = (0, 0)  # per phase; drive-out pivots count in phase 1
     bland: bool = False              # a stall switched a phase to Bland's rule
     dropped_rows: int = 0            # redundant equality rows removed after phase 1
+    prices: np.ndarray | None = None  # optimal only: one dual value per ge row
 
     @property
     def optimal(self) -> bool:
@@ -131,7 +132,14 @@ def _harris_leaving(tableau: np.ndarray, col: int) -> int:
     return int(cand[np.argmax(column[cand])])
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _work(tableau: np.ndarray) -> np.ndarray:
+    # two blocks the shape of the transposed tableau, written by every
+    # pivot on it, so that no pivot allocates memory of that size
+    return np.empty((2,) + tableau.T.shape)
+
+
+def _pivot(tableau: np.ndarray, work: np.ndarray, basis: list[int], row: int,
+           col: int) -> None:
     piv = tableau[row, col]
     if abs(piv) <= PIVOT_TOL:
         raise SimplexError(f"pivot magnitude {abs(piv):.3e} below {PIVOT_TOL:g}")
@@ -143,13 +151,16 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row, cols] = scaled
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau.T[cols] -= np.multiply.outer(scaled, factors)
+    product = np.multiply.outer(scaled, factors, out=work[0, :cols.size])
+    block = np.take(tableau.T, cols, axis=0, out=work[1, :cols.size], mode="clip")
+    np.subtract(block, product, out=block)
+    tableau.T[cols] = block
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, max_iter, phase: int) -> tuple[str, int, bool]:
+def _run_simplex(tableau, work, basis, max_iter, phase: int) -> tuple[str, int, bool]:
     # returns the status, the pivots taken and whether Bland's rule took over
     stall_limit = 200 + 2 * len(basis)
     use_bland = False
@@ -163,7 +174,7 @@ def _run_simplex(tableau, basis, max_iter, phase: int) -> tuple[str, int, bool]:
         row = _bland_leaving(tableau, basis, col) if use_bland else _harris_leaving(tableau, col)
         if row < 0:
             return "unbounded", it, use_bland
-        _pivot(tableau, basis, row, col)
+        _pivot(tableau, work, basis, row, col)
         if not use_bland:
             value = tableau[-1, -1]
             if value > last + 1e-9 * (1.0 + abs(last)):
@@ -204,7 +215,7 @@ def solve(problem: LpProblem) -> LpSolution:
         if np.any(c > 0):
             return LpSolution("unbounded", None, None)
         x = np.zeros(n)
-        return LpSolution("optimal", x, float(c @ x))
+        return LpSolution("optimal", x, float(c @ x), prices=np.zeros(0))
     A = np.vstack([problem.a_ge, problem.a_eq] + ([np.eye(n)] if k_up else []))
     b = np.concatenate([problem.b_ge, problem.b_eq] + ([upper] if k_up else []))
     slack_sign = np.concatenate([np.full(k_ge, -1.0), np.zeros(k_eq), np.ones(k_up)])
@@ -232,6 +243,7 @@ def solve(problem: LpProblem) -> LpSolution:
     start[slack_rows] = slack_cols
     start[art_rows] = np.arange(art_start, art_start + n_art)
     basis: list[int] = start.tolist()
+    work = _work(tableau)
 
     max_iter = 20000 + 50 * (m + art_start + n_art)
     phase1, bland1, drop_rows = 0, False, []
@@ -241,7 +253,7 @@ def solve(problem: LpProblem) -> LpSolution:
     if n_art:
         for i in art_rows:
             tableau[-1, :] -= tableau[i, :]
-        status, phase1, bland1 = _run_simplex(tableau, basis, max_iter, phase=1)
+        status, phase1, bland1 = _run_simplex(tableau, work, basis, max_iter, phase=1)
         if status != "optimal":
             raise SimplexError("phase 1 terminated " + status)
         if -tableau[-1, -1] > FEAS_TOL:
@@ -253,13 +265,14 @@ def solve(problem: LpProblem) -> LpSolution:
                 row = tableau[i, :art_start]
                 cols = np.nonzero(np.abs(row) > 1e-9)[0]
                 if cols.size:
-                    _pivot(tableau, basis, i, int(cols[np.argmax(np.abs(row[cols]))]))
+                    _pivot(tableau, work, basis, i, int(cols[np.argmax(np.abs(row[cols]))]))
                     phase1 += 1
                 else:
                     drop_rows.append(i)
         if drop_rows:
             keep = [i for i in range(m) if i not in drop_rows]
             tableau = np.asfortranarray(tableau[keep + [m], :])
+            work = _work(tableau)
             basis = [basis[i] for i in keep]
             m = len(basis)
         rhs = tableau[:m, -1]
@@ -269,7 +282,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # phase 2: minimize -objective
     _price_out(tableau, basis, -problem.objective)
-    status, phase2, bland2 = _run_simplex(tableau, basis, max_iter, phase=2)
+    status, phase2, bland2 = _run_simplex(tableau, work, basis, max_iter, phase=2)
     counters = {"pivots": (phase1, phase2), "bland": bland1 or bland2,
                 "dropped_rows": len(drop_rows)}
     if status == "unbounded":
@@ -282,7 +295,11 @@ def solve(problem: LpProblem) -> LpSolution:
     x = np.clip(z[:n], 0.0, None)
     if upper is not None:
         x = np.minimum(x, upper)
-    return LpSolution("optimal", x, float(problem.objective @ x), **counters)
+    # the phase-2 reduced costs of the surplus columns are the ge rows'
+    # dual values, in row order; a flipped row flips both the sign of its
+    # surplus and of its dual, so no correction is needed
+    prices = tableau[-1, n:n + k_ge].copy()
+    return LpSolution("optimal", x, float(problem.objective @ x), prices=prices, **counters)
 
 
 def residuals(problem: LpProblem, x: np.ndarray) -> dict[str, float]:

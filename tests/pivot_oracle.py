@@ -6,9 +6,9 @@ phase-1 tableau stores one identity column per artificial variable, an
 tableau is row-major, and every pivot subtracts a full outer product.
 The bodies are kept as they were; the only addition is that each phase
 counts its pivots (drive-out pivots count in phase 1) and the solution
-carries those counts, the Bland flag and the number of dropped rows.
-The solver must take exactly the same pivots and return exactly the
-same bytes.
+carries those counts, the Bland flag, the number of dropped rows and
+the ge rows' prices, read from the final cost row.  The solver must
+take exactly the same pivots and return exactly the same bytes.
 """
 import numpy as np
 
@@ -91,7 +91,7 @@ def solve(problem: LpProblem) -> LpSolution:
         if np.any(c > 0):
             return LpSolution("unbounded", None, None)
         x = np.zeros(n)
-        return LpSolution("optimal", x, float(c @ x))
+        return LpSolution("optimal", x, float(c @ x), prices=np.zeros(0))
     A = np.vstack([problem.a_ge, problem.a_eq] + ([np.eye(n)] if k_up else []))
     b = np.concatenate([problem.b_ge, problem.b_eq] + ([upper] if k_up else []))
     slack_sign = np.concatenate([np.full(k_ge, -1.0), np.zeros(k_eq), np.ones(k_up)])
@@ -172,4 +172,5 @@ def solve(problem: LpProblem) -> LpSolution:
     x = np.clip(z[:n], 0.0, None)
     if upper is not None:
         x = np.minimum(x, upper)
-    return LpSolution("optimal", x, float(problem.objective @ x), **counters)
+    prices = tableau[-1, n:n + k_ge].copy()
+    return LpSolution("optimal", x, float(problem.objective @ x), prices=prices, **counters)

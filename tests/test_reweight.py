@@ -9,7 +9,10 @@ from margin_forge.reweight import (
     RewSpec, apply_scheme, ews_r, mm_weights, parse_spec, pws_r, sm1_weights,
     sm2_weights, uws_r,
 )
+from margin_forge.cart import TreeParams
+from margin_forge.harness import ExperimentConfig, run_experiment
 from margin_forge.simplex import LpSolution, SimplexError
+from bench_data import pima_like
 from simplex_grid_oracle import grid_best
 
 
@@ -213,19 +216,65 @@ def test_sm1_matches_grid_oracle_on_feasibility():
     assert seen_feasible
 
 
-@pytest.mark.parametrize("scheme", [
+_MARGIN_LP_SCHEMES = pytest.mark.parametrize("scheme", [
     lambda matrix, alpha: mm_weights(matrix, alpha, uws_r(matrix.n_rows)),
     lambda matrix, alpha: sm1_weights(matrix, alpha, xi=0.5),
 ], ids=["mm", "sm1"])
+
+
+def _dual_answer(prices, value_offset=0.0):
+    # an optimal answer of the dual margin LP with the given prices (the
+    # weights); its objective is minus the primal's at those weights, which
+    # is what a zero duality gap means, plus an offset
+    prices = np.asarray(prices, dtype=float)
+
+    def answer(problem):
+        value = -float(problem.b_ge @ prices) + value_offset
+        return LpSolution("optimal", np.zeros(problem.n_vars), value, prices=prices)
+    return answer
+
+
+@_MARGIN_LP_SCHEMES
 def test_margin_lp_rejects_an_answer_below_a_floor(monkeypatch, scheme):
     # learner 0 misses row 0 and learner 1 hits both rows; all the weight on
     # learner 0 drops row 0's margin from 0 to -1, below its floor in both LPs
     matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
-    x = np.array([1.0, 0.0])
-    monkeypatch.setattr(reweight, "solve", lambda problem: LpSolution(
-        "optimal", x, float(problem.objective @ x)))
+    monkeypatch.setattr(reweight, "solve", _dual_answer([1.0, 0.0]))
     with pytest.raises(SimplexError, match="ge constraints"):
         scheme(matrix, np.array([0.5, 0.5]))
+
+
+@_MARGIN_LP_SCHEMES
+def test_margin_lp_rejects_an_answer_with_a_duality_gap(monkeypatch, scheme):
+    # all the weight on learner 1 lifts both margins to 1, above every
+    # floor, but the reported dual objective is off by 1e-6
+    matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
+    monkeypatch.setattr(reweight, "solve", _dual_answer([0.0, 1.0], 1e-6))
+    with pytest.raises(SimplexError, match="duality gap"):
+        scheme(matrix, np.array([0.5, 0.5]))
+    monkeypatch.setattr(reweight, "solve", _dual_answer([0.0, 1.0]))
+    assert scheme(matrix, np.array([0.5, 0.5])).weights.tolist() == [0.0, 1.0]
+
+
+def test_margin_lp_reports_a_dual_failure(monkeypatch):
+    monkeypatch.setattr(reweight, "solve", lambda problem: LpSolution("infeasible", None, None))
+    with pytest.raises(SimplexError, match="dual ended infeasible"):
+        sm1_weights(matrix_of([[-1, 1], [1, 1]], [1, 1]), [0.5, 0.5])
+
+
+def test_margin_lps_of_a_drifting_seed_finish():
+    # the pws:0.05 LP of simulation 1 drove the primal's phase 2 into its
+    # iteration limit; every LP of this run must now end optimal or, for
+    # sm1, reported infeasible, and no mm margin may drop
+    config = ExperimentConfig(
+        dataset=pima_like(), schemes=tuple(parse_spec(s) for s in ("uws", "pws:0.05", "sm1")),
+        n_trees=100, tree_params=TreeParams(max_depth=2, max_leaves=4), simulations=2,
+        seed=2768950738)
+    report = run_experiment(config)
+    assert [r.failure for r in report.records] == [None, None]
+    for record in report.records:
+        assert record.min_improvements["uws"] >= -1e-7
+        assert record.min_improvements["pws:0.05"] >= -1e-7
 
 
 def test_sm2_single_learner():

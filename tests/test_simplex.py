@@ -145,13 +145,35 @@ def test_lower_residual_measures_nonnegativity():
 def test_solution_counters_default_to_zero():
     sol = LpSolution("optimal", np.zeros(1), 0.0)
     assert sol.pivots == (0, 0) and not sol.bland and sol.dropped_rows == 0
+    assert sol.prices is None
+
+
+def test_prices_are_optimal_dual_values():
+    # max c.x s.t. A x >= b, x >= 0 has the dual min -b.y s.t. A'y <= -c,
+    # y >= 0, whose optimum is the primal's; the prices are that y
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(60):
+        drawn = random_lp(rng)
+        problem = LpProblem(drawn.objective, a_ge=drawn.a_ge, b_ge=drawn.b_ge)
+        sol = solve(problem)
+        if not sol.optimal:
+            continue
+        checked += 1
+        y = sol.prices
+        assert y.shape == problem.b_ge.shape
+        assert np.all(y >= -1e-9)
+        assert np.all(problem.a_ge.T @ y <= -problem.objective + 1e-9)
+        assert problem.b_ge @ y == pytest.approx(-sol.objective_value, abs=1e-9)
+    assert checked >= 10
+    assert solve(LpProblem([-1.0])).prices.shape == (0,)
 
 
 def test_iteration_limit_names_phase_and_pivots():
     # one pivot is needed (x enters), none is allowed
     tableau = np.asfortranarray([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
     with pytest.raises(SimplexError, match="phase 2 iteration limit exceeded after 0 pivots"):
-        simplex._run_simplex(tableau, [1], 0, phase=2)
+        simplex._run_simplex(tableau, simplex._work(tableau), [1], 0, phase=2)
 
 
 def _outcome(solver, problem):
@@ -161,7 +183,9 @@ def _outcome(solver, problem):
     except SimplexError:
         return "SimplexError"
     x = None if sol.x is None else sol.x.tobytes()
-    return (sol.status, x, sol.objective_value, sol.pivots, sol.bland, sol.dropped_rows)
+    prices = None if sol.prices is None else sol.prices.tobytes()
+    return (sol.status, x, prices, sol.objective_value, sol.pivots, sol.bland,
+            sol.dropped_rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,14 +263,22 @@ def test_phase1_cost_row_sums_artificial_rows_in_row_order():
     assert (0.0 - 0.1 - 0.2 - 0.3) != (0.0 - 0.3 - 0.2 - 0.1)
 
 
-def _margin_problem(matrix, emphasis, floors, eq_rows=1):
-    # the recipe of reweight._margin_lp; eq_rows > 1 repeats the simplex row
+def _margin_problem(matrix, emphasis, floors, form="primal", eq_rows=1):
+    # the margin LP, max c.w s.t. S w >= floors, 1.w = 1, w >= 0, in primal
+    # form (eq_rows > 1 repeats the simplex row) or as the dual that
+    # reweight._margin_lp solves: max floors.u - v s.t. -S'u + v 1 >= c,
+    # u >= 0, with v = v+ - v-
     signed = matrix.labels[:, None] * matrix.entries
-    return LpProblem(emphasis @ signed, a_ge=signed, b_ge=floors,
+    c = emphasis @ signed
+    if form == "dual":
+        ones = np.ones((matrix.n_learners, 1))
+        return LpProblem(np.concatenate([floors, [-1.0, 1.0]]),
+                         a_ge=np.hstack([-signed.T, ones, -ones]), b_ge=c)
+    return LpProblem(c, a_ge=signed, b_ge=floors,
                      a_eq=np.ones((eq_rows, matrix.n_learners)), b_eq=np.ones(eq_rows))
 
 
-def _bench_margin_lp(make, n, T, seed, scheme, eq_rows=1):
+def _bench_margin_lp(make, n, T, seed, scheme, form="primal", eq_rows=1):
     data = make(0)
     rows = np.sort(np.random.default_rng(seed).permutation(data.n_rows)[:n])
     train = data.take(rows)
@@ -259,20 +291,36 @@ def _bench_margin_lp(make, n, T, seed, scheme, eq_rows=1):
     else:
         floors = old.margins
         emphasis = uws_r(n) if scheme == "uws" else pws_r(old.margins, 0.2)
-    return _margin_problem(matrix, emphasis, floors, eq_rows)
+    return _margin_problem(matrix, emphasis, floors, form, eq_rows)
 
 
 @settings(max_examples=40, deadline=None)
 @given(make=st.sampled_from([sonar_like, ionosphere_like, pima_like]),
        n=st.integers(20, 90), T=st.integers(2, 25), seed=st.integers(0, 2**32 - 1),
-       scheme=st.sampled_from(["uws", "pws", "sm1"]))
-def test_pivots_match_dense_reference_on_margin_lps(make, n, T, seed, scheme):
-    problem = _bench_margin_lp(make, n, T, seed, scheme)
+       scheme=st.sampled_from(["uws", "pws", "sm1"]),
+       form=st.sampled_from(["primal", "dual"]))
+def test_pivots_match_dense_reference_on_margin_lps(make, n, T, seed, scheme, form):
+    problem = _bench_margin_lp(make, n, T, seed, scheme, form)
     assert _outcome(solve, problem) == _outcome(pivot_oracle.solve, problem)
+
+
+@pytest.mark.parametrize("scheme", ["uws", "pws", "sm1"])
+def test_dual_margin_lp_prices_solve_the_primal(scheme):
+    primal = _bench_margin_lp(pima_like, 80, 15, 2, scheme)
+    dual = _bench_margin_lp(pima_like, 80, 15, 2, scheme, form="dual")
+    want, got = solve(primal), solve(dual)
+    if want.status == "infeasible":
+        assert got.status == "unbounded"
+        return
+    assert want.optimal and got.optimal
+    w = np.clip(got.prices, 0.0, None)
+    assert max(residuals(primal, w).values()) <= 1e-9
+    assert primal.objective @ w == pytest.approx(want.objective_value, abs=1e-9)
+    assert got.objective_value == pytest.approx(-want.objective_value, abs=1e-9)
 
 
 def test_pivots_match_dense_reference_when_a_row_is_dropped():
     problem = _bench_margin_lp(pima_like, 60, 12, 4, "uws", eq_rows=2)
     got = _outcome(solve, problem)
     assert got == _outcome(pivot_oracle.solve, problem)
-    assert got[0] == "optimal" and got[5] == 1
+    assert got[0] == "optimal" and got[6] == 1
