@@ -13,6 +13,7 @@ from pathlib import Path
 from .bounds import breiman_bound, germain_bound, report_rows, schapire_terms
 from .cart import TreeParams
 from .dataset_io import (
+    FORMATS,
     Dataset,
     DatasetError,
     SplitSpec,
@@ -45,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_ref(ref: str, fmt: str = "delimited", label_column: int = -1) -> Dataset:
     """Load a dataset from a file path or a synthetic:kind:n:noise:seed reference."""
+    if fmt not in FORMATS:
+        raise CliError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     if ref.startswith("synthetic:"):
         parts = ref.split(":")
         if len(parts) != 5:
@@ -290,7 +293,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fmt", choices=("delimited", "sparse-index"),
+    parser.add_argument("--fmt", choices=FORMATS,
                         default="delimited", help="input file format")
     parser.add_argument("--label-column", type=int, default=-1,
                         help="label column for delimited files")

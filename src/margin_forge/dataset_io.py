@@ -177,6 +177,9 @@ def _parse_sparse(lines: list[str], path: Path):
     return features, raw_labels
 
 
+FORMATS = ("delimited", "sparse-index")
+
+
 def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
                  delimiter: str | None = None) -> Dataset:
     """Read a delimited or sparse-index file into a validated Dataset."""

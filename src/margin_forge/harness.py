@@ -163,8 +163,12 @@ class ExperimentConfig:
             raise ValueError("alpha_level must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.m_try is not None and self.method != "random-forest":
-            raise ValueError("m_try only applies to random-forest")
+        if self.m_try is not None:
+            if self.method != "random-forest":
+                raise ValueError("m_try only applies to random-forest")
+            p = self.dataset.n_features
+            if not 1 <= self.m_try <= p:
+                raise ValueError(f"m_try must lie in [1, {p}]")
         if self.max_rows is not None and self.max_rows < 4:
             raise ValueError("max_rows must be at least 4")
         if self.test_dataset is not None:

@@ -264,6 +264,30 @@ def test_experiment_table_family_mismatch(tmp_path, capsys):
     assert "table" in captured.err
 
 
+@pytest.mark.parametrize("dataset", ["file", "synthetic"])
+def test_experiment_unknown_format_exits_before_the_run(tmp_path, capsys, dataset):
+    ref = "synthetic:two-gaussians:40:0.5:1"
+    if dataset == "file":
+        ref = str(tmp_path / "rows.csv")
+        write_dataset(generate_synthetic("two-gaussians", 40, 0.5, 1), ref)
+    cfg = write_config(tmp_path, f"dataset = {ref}\nschemes = uws\nsims = 2\nT = 3\n"
+                                 "format = xyz\n")
+    assert main(["experiment", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "format" in captured.err and "'xyz'" in captured.err
+
+
+def test_experiment_mtry_above_the_feature_count_exits_before_the_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:40:0.5:1\n"
+                                 "schemes = uws\nsims = 2\nT = 3\n"
+                                 "method = random-forest\nmtry = 9\n")
+    assert main(["experiment", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m_try must lie in [1, 2]" in captured.err
+
+
 def test_experiment_runtime_failure(tmp_path, capsys):
     # 0.9 of a 2-row class rounds up to both rows, so no split survives
     cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:4:0.5:1\n"

@@ -163,6 +163,9 @@ def test_config_validation():
         ExperimentConfig(dataset=data, schemes=uws, seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=data, schemes=uws, m_try=2)
+    for m_try in (0, 3):  # the data has 2 features
+        with pytest.raises(ValueError, match=r"m_try must lie in \[1, 2\]"):
+            ExperimentConfig(dataset=data, schemes=uws, method="random-forest", m_try=m_try)
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=data, schemes=uws, max_rows=2)
     other = generate_synthetic("ring-vs-disk", 40, 0.1, 1)
