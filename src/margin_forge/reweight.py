@@ -15,8 +15,12 @@ Three families:
   margins toward a common target, then renormalizes the coefficients
   to sum 1 (they may go negative).
 
-The two LP families share one margin LP, whose answer is checked against
-its constraints; one that breaks a floor raises SimplexError.
+The two LP families share one margin LP.  It is solved through its dual,
+which has one row per learner and is always feasible, and the weights
+are the dual's row prices.  The answer is checked against the primal's
+constraints and against the duality gap; one that breaks a floor or
+leaves a gap raises SimplexError.  Margin maximization keeps alpha when
+the LP's answer does not score above it under the caller's emphasis.
 """
 from __future__ import annotations
 

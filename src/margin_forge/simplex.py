@@ -14,8 +14,12 @@ The tableau is column-major and holds the variable and slack columns and
 the rhs, but no artificial columns: an artificial starts basic and never
 re-enters once it leaves, so its column would never be read.  A pivot
 writes only the columns where its pivot row is nonzero, the only entries
-whose value can change.  Each solution reports its pivots per phase,
-whether Bland's rule took over and how many redundant rows were dropped.
+whose value can change, through two work blocks that solve allocates once
+per tableau, so that no pivot allocates memory the size of what it writes.
+Each solution reports its pivots per phase, whether Bland's rule took
+over and how many redundant rows were dropped.  An optimal one also
+reports the prices of its ge rows, their dual values in row order: the
+phase-2 reduced costs of their surplus columns.
 """
 from __future__ import annotations
 
@@ -152,6 +156,7 @@ def _pivot(tableau: np.ndarray, work: np.ndarray, basis: list[int], row: int,
     factors = tableau[:, col].copy()
     factors[row] = 0.0
     product = np.multiply.outer(scaled, factors, out=work[0, :cols.size])
+    # cols are in range; mode="raise" would gather into a fresh buffer anyway
     block = np.take(tableau.T, cols, axis=0, out=work[1, :cols.size], mode="clip")
     np.subtract(block, product, out=block)
     tableau.T[cols] = block

@@ -255,12 +255,11 @@ def test_phase1_cost_row_matches_dense_reference(seed, tying):
 
 
 def test_phase1_cost_row_sums_artificial_rows_in_row_order():
+    # column 0 and the rhs sum 0.1, 0.2, 0.3: reversed, the last bit differs
     problem = LpProblem([1.0, 1.0, 1.0], a_ge=[[0.1, 0.3, 0.2], [0.2, 0.2, 0.1], [0.3, 0.1, 0.7]],
                         b_ge=[0.1, 0.2, 0.3])
     got, dense = _phase1_cost_rows(problem)
     assert got.tobytes() == dense.tobytes()
-    # the fixture ties only in row order: reversed, the sums differ
-    assert (0.0 - 0.1 - 0.2 - 0.3) != (0.0 - 0.3 - 0.2 - 0.1)
 
 
 def _margin_problem(matrix, emphasis, floors, form="primal", eq_rows=1):
