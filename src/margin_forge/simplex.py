@@ -12,10 +12,11 @@ Both rules break ties by lowest index, so solves are deterministic.
 
 The tableau is column-major and holds the variable and slack columns and
 the rhs, but no artificial columns: an artificial starts basic and never
-re-enters once it leaves, so its column would never be read.  A pivot
-writes only the columns where its pivot row is nonzero, the only entries
-whose value can change, through two work blocks that solve allocates once
-per tableau, so that no pivot allocates memory the size of what it writes.
+re-enters once it leaves, so its column would never be read.  A pivot is
+one dense update in place: the outer product of the scaled pivot row and
+the pivot column goes into a work block that solve allocates once per
+tableau, and is subtracted from the whole tableau, so that no pivot
+allocates memory the size of what it writes.
 Each solution reports its pivots per phase, whether Bland's rule took
 over and how many redundant rows were dropped.  An optimal one also
 reports the prices of its ge rows, their dual values in row order: the
@@ -137,9 +138,9 @@ def _harris_leaving(tableau: np.ndarray, col: int) -> int:
 
 
 def _work(tableau: np.ndarray) -> np.ndarray:
-    # two blocks the shape of the transposed tableau, written by every
-    # pivot on it, so that no pivot allocates memory of that size
-    return np.empty((2,) + tableau.T.shape)
+    # one block the shape of the transposed tableau, written by every pivot
+    # on it, so that no pivot allocates memory of that size
+    return np.empty(tableau.T.shape)
 
 
 def _pivot(tableau: np.ndarray, work: np.ndarray, basis: list[int], row: int,
@@ -147,19 +148,14 @@ def _pivot(tableau: np.ndarray, work: np.ndarray, basis: list[int], row: int,
     piv = tableau[row, col]
     if abs(piv) <= PIVOT_TOL:
         raise SimplexError(f"pivot magnitude {abs(piv):.3e} below {PIVOT_TOL:g}")
-    # a column where the pivot row holds zero keeps t - f * 0 == t, so only
-    # the row's nonzero columns are written (a zero may lose its sign); the
-    # tableau is column-major, so its transpose gathers whole columns
-    cols = np.flatnonzero(tableau[row, :])
-    scaled = tableau[row, cols] / piv
-    tableau[row, cols] = scaled
+    tableau[row, :] /= piv
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    product = np.multiply.outer(scaled, factors, out=work[0, :cols.size])
-    # cols are in range; mode="raise" would gather into a fresh buffer anyway
-    block = np.take(tableau.T, cols, axis=0, out=work[1, :cols.size], mode="clip")
-    np.subtract(block, product, out=block)
-    tableau.T[cols] = block
+    # the tableau is column-major, so its transpose is the C-ordered view
+    # whose shape the outer product has; subtracting in place writes every
+    # entry once, and a column where the pivot row holds zero keeps t - f * 0
+    np.multiply.outer(tableau[row, :], factors, out=work)
+    np.subtract(tableau.T, work, out=tableau.T)
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
