@@ -17,7 +17,9 @@ Three families:
 
 The two LP families share one margin LP.  It is solved through its dual,
 which has one row per learner and is always feasible, and the weights
-are the dual's row prices.  The answer is checked against the primal's
+are the dual's row prices.  The dual's free variable is shifted by the
+largest entry of its rhs, so every row but those tied at that maximum
+starts on its slack and phase 1 takes one pivot per tied row.  The answer is checked against the primal's
 constraints and against the duality gap; one that breaks a floor or
 leaves a gap raises SimplexError.  Margin maximization keeps alpha when
 the LP's answer does not score above it under the caller's emphasis.
@@ -160,14 +162,20 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
 
     The LP, max c.w s.t. S w >= floors, 1.w = 1, w >= 0 with S the signed
     design and c = emphasis @ S, is solved through its dual: max floors.u - v
-    s.t. -S'u + v 1 >= c, u >= 0, v = v+ - v- free.  The dual has one row
-    per learner and is always feasible; the weights are its row prices.
+    s.t. -S'u + v 1 >= c, u >= 0, v free.  The dual has one row per learner
+    and is always feasible; the weights are its row prices.  It is stated
+    with v = top + v+ - v-, top = max(c), so its rhs is c - top <= 0 and
+    every row but those tied at the maximum starts on its slack (u = 0,
+    v = top is feasible): phase 1 takes one pivot per tied row.  The shift
+    moves the dual objective by the constant -top and leaves the prices as
+    they are.
     """
     signed = _signed_design(matrix)
     c = emphasis @ signed
+    top = c.max()
     ones = np.ones((matrix.n_learners, 1))
     dual = LpProblem(np.concatenate([floors, [-1.0, 1.0]]),
-                     a_ge=np.hstack([-signed.T, ones, -ones]), b_ge=c)
+                     a_ge=np.hstack([-signed.T, ones, -ones]), b_ge=c - top)
     solution = solve(dual)
     if solution.status == "unbounded":
         return None
@@ -181,7 +189,7 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     if not violations[worst] <= FEAS_TOL:
         raise SimplexError(f"margin LP answer breaks its {worst} constraints by "
                            f"{violations[worst]:.3e}")
-    value = solution.objective_value
+    value = solution.objective_value - top
     gap = abs(c @ w + value)
     if not gap <= GAP_TOL * (1.0 + abs(value)):
         raise SimplexError(f"margin LP duality gap {gap:.3e} at objective {-value:.6g}")

@@ -10,6 +10,14 @@ Pivoting uses the largest-coefficient rule for speed; a prolonged
 degenerate stall switches the run to Bland's rule, which cannot cycle.
 Both rules break ties by lowest index, so solves are deterministic.
 
+Each row with a negative bound is negated first.  A row whose slack then
+enters with +1 (an upper bound, or a ge row with a negative bound) starts
+basic on its slack; every other row starts on an artificial variable, and
+phase 1 runs only when there is one.  So a caller that moves a known
+feasible point to x = 0, leaving every ge bound at or below zero, hands
+the solver a feasible start: phase 1 has only the rows with a zero bound
+to move.
+
 The tableau is column-major and holds the variable and slack columns and
 the rhs, but no artificial columns: an artificial starts basic and never
 re-enters once it leaves, so its column would never be read.  A pivot is

@@ -3,7 +3,9 @@ import pytest
 
 from margin_forge import reweight
 from margin_forge.dataset_io import generate_synthetic
-from margin_forge.ensemble import EnsembleError, PredictionMatrix, prediction_matrix, random_forest
+from margin_forge.ensemble import (
+    EnsembleError, PredictionMatrix, adaboost, prediction_matrix, random_forest,
+)
 from margin_forge.margins import compute_margins
 from margin_forge.reweight import (
     RewSpec, apply_scheme, ews_r, mm_weights, parse_spec, pws_r, sm1_weights,
@@ -276,6 +278,31 @@ def test_margin_lps_of_a_drifting_seed_finish():
         assert record.min_improvements["uws"] >= -1e-7
         assert record.min_improvements["pws:0.05"] >= -1e-7
 
+
+
+def test_margin_lp_dual_starts_on_a_feasible_basis(monkeypatch):
+    # u = 0, v = max(c) is feasible in the dual, so only the learners tied
+    # at the maximum of c start on an artificial, and phase 1 takes at most
+    # one pivot for each of them
+    data = pima_like()
+    model = adaboost(data, 100, TreeParams(max_depth=2, max_leaves=4))
+    matrix = prediction_matrix(model, data)
+    solved = []
+    real = reweight.solve
+
+    def spy(problem):
+        solution = real(problem)
+        c = problem.b_ge
+        solved.append((solution, int(np.sum(c == c.max()))))
+        return solution
+
+    monkeypatch.setattr(reweight, "solve", spy)
+    for text in ("uws", "pws:0.05", "sm1"):
+        apply_scheme(parse_spec(text), matrix, model.vote_weights)
+    assert len(solved) == 3
+    for solution, tied in solved:
+        assert solution.status in ("optimal", "unbounded")
+        assert solution.pivots[0] <= tied
 
 def test_sm2_single_learner():
     m = matrix_of([[1], [-1], [1]], [1, 1, -1])

@@ -266,13 +266,14 @@ def _margin_problem(matrix, emphasis, floors, form="primal", eq_rows=1):
     # the margin LP, max c.w s.t. S w >= floors, 1.w = 1, w >= 0, in primal
     # form (eq_rows > 1 repeats the simplex row) or as the dual that
     # reweight._margin_lp solves: max floors.u - v s.t. -S'u + v 1 >= c,
-    # u >= 0, with v = v+ - v-
+    # u >= 0, with v = max(c) + v+ - v-, so its rhs is c - max(c) and only
+    # the rows tied at the maximum start on an artificial
     signed = matrix.labels[:, None] * matrix.entries
     c = emphasis @ signed
     if form == "dual":
         ones = np.ones((matrix.n_learners, 1))
         return LpProblem(np.concatenate([floors, [-1.0, 1.0]]),
-                         a_ge=np.hstack([-signed.T, ones, -ones]), b_ge=c)
+                         a_ge=np.hstack([-signed.T, ones, -ones]), b_ge=c - c.max())
     return LpProblem(c, a_ge=signed, b_ge=floors,
                      a_eq=np.ones((eq_rows, matrix.n_learners)), b_eq=np.ones(eq_rows))
 
@@ -315,7 +316,9 @@ def test_dual_margin_lp_prices_solve_the_primal(scheme):
     w = np.clip(got.prices, 0.0, None)
     assert max(residuals(primal, w).values()) <= 1e-9
     assert primal.objective @ w == pytest.approx(want.objective_value, abs=1e-9)
-    assert got.objective_value == pytest.approx(-want.objective_value, abs=1e-9)
+    # the dual's rhs is shifted by max(c), which moves its objective by -max(c)
+    top = primal.objective.max()
+    assert got.objective_value - top == pytest.approx(-want.objective_value, abs=1e-9)
 
 
 def test_pivots_match_dense_reference_when_a_row_is_dropped():
