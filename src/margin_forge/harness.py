@@ -140,7 +140,7 @@ class ExperimentConfig:
     test_dataset: Dataset | None = None
     freeze_split: bool = False
     freeze_ensemble: bool = False
-    max_rows: int | None = 1000
+    max_rows: int | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -249,6 +249,9 @@ def _resampling_note(config: ExperimentConfig) -> str:
         ens = "ensemble randomness frozen"
     else:
         ens = "ensemble randomness resampled per simulation"
+    n = config.dataset.n_rows
+    if config.max_rows is not None and n > config.max_rows:
+        return f"{split}; {ens}; subsampled to {config.max_rows} of {n} rows"
     return f"{split}; {ens}"
 
 

@@ -288,6 +288,28 @@ def test_desk_scale_subsamples_large_datasets():
         assert abs(rec.baseline_error * 30 - round(rec.baseline_error * 30)) < 1e-9
 
 
+
+def test_rows_are_subsampled_only_on_request(monkeypatch):
+    data = generate_synthetic("two-gaussians", 600, 0.8, 3)
+    trained = []
+    fit = harness.fit_baseline
+
+    def spy(config, train, seed):
+        trained.append(train.n_rows)
+        return fit(config, train, seed)
+
+    monkeypatch.setattr(harness, "fit_baseline", spy)
+    whole = run_experiment(tiny_config(dataset=data, simulations=2))
+    assert trained == [420, 420]  # the stratified 70% of all 600 rows
+    assert whole.resampling == ("split resampled per simulation; "
+                                "ensemble randomness resampled per simulation")
+    trained.clear()
+    sub = run_experiment(tiny_config(dataset=data, max_rows=100, simulations=2))
+    assert trained == [71, 71]  # the stratified 70% of 100 rows
+    assert sub.resampling.endswith("; subsampled to 100 of 600 rows")
+    # a limit at or above the row count keeps every row and says nothing
+    assert run_experiment(tiny_config(dataset=data, max_rows=600)).resampling == whole.resampling
+
 # ----------------------------------------------------- prefixes and the CMD
 
 
