@@ -19,10 +19,11 @@ The two LP families share one margin LP.  It is solved through its dual,
 which has one row per learner and is always feasible, and the weights
 are the dual's row prices.  The dual's free variable is shifted by the
 largest entry of its rhs, so every row but those tied at that maximum
-starts on its slack and phase 1 takes one pivot per tied row.  The answer is checked against the primal's
-constraints and against the duality gap; one that breaks a floor or
-leaves a gap raises SimplexError.  Margin maximization keeps alpha when
-the LP's answer does not score above it under the caller's emphasis.
+starts on its slack and phase 1 takes one pivot per tied row.  The
+answer is checked against the primal's constraints and against the
+duality gap; one that breaks a floor or leaves a gap raises SimplexError.
+Margin maximization keeps alpha when the LP's answer does not score above
+it under the caller's emphasis.
 """
 from __future__ import annotations
 

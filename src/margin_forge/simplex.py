@@ -161,7 +161,8 @@ def _pivot(tableau: np.ndarray, work: np.ndarray, basis: list[int], row: int,
     factors[row] = 0.0
     # the tableau is column-major, so its transpose is the C-ordered view
     # whose shape the outer product has; subtracting in place writes every
-    # entry once, and a column where the pivot row holds zero keeps t - f * 0
+    # entry once, and a column where the pivot row holds zero keeps
+    # t - f * 0 == t (a zero may lose its sign)
     np.multiply.outer(tableau[row, :], factors, out=work)
     np.subtract(tableau.T, work, out=tableau.T)
     tableau[:, col] = 0.0

@@ -288,7 +288,6 @@ def test_desk_scale_subsamples_large_datasets():
         assert abs(rec.baseline_error * 30 - round(rec.baseline_error * 30)) < 1e-9
 
 
-
 def test_rows_are_subsampled_only_on_request(monkeypatch):
     data = generate_synthetic("two-gaussians", 600, 0.8, 3)
     trained = []
@@ -309,6 +308,7 @@ def test_rows_are_subsampled_only_on_request(monkeypatch):
     assert sub.resampling.endswith("; subsampled to 100 of 600 rows")
     # a limit at or above the row count keeps every row and says nothing
     assert run_experiment(tiny_config(dataset=data, max_rows=600)).resampling == whole.resampling
+
 
 # ----------------------------------------------------- prefixes and the CMD
 

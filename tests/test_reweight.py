@@ -279,7 +279,6 @@ def test_margin_lps_of_a_drifting_seed_finish():
         assert record.min_improvements["pws:0.05"] >= -1e-7
 
 
-
 def test_margin_lp_dual_starts_on_a_feasible_basis(monkeypatch):
     # u = 0, v = max(c) is feasible in the dual, so only the learners tied
     # at the maximum of c start on an artificial, and phase 1 takes at most
@@ -292,8 +291,9 @@ def test_margin_lp_dual_starts_on_a_feasible_basis(monkeypatch):
 
     def spy(problem):
         solution = real(problem)
-        c = problem.b_ge
-        solved.append((solution, int(np.sum(c == c.max()))))
+        # the rhs is c - max(c) here and c at the parent: the same ties
+        rhs = problem.b_ge
+        solved.append((solution, int(np.sum(rhs == rhs.max()))))
         return solution
 
     monkeypatch.setattr(reweight, "solve", spy)
@@ -303,6 +303,7 @@ def test_margin_lp_dual_starts_on_a_feasible_basis(monkeypatch):
     for solution, tied in solved:
         assert solution.status in ("optimal", "unbounded")
         assert solution.pivots[0] <= tied
+
 
 def test_sm2_single_learner():
     m = matrix_of([[1], [-1], [1]], [1, 1, -1])
