@@ -69,6 +69,9 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
     w = np.asarray(weights, dtype=float)
     if w.shape != (matrix.n_learners,):
         raise ValueError("one weight per learner required")
+    if np.all(w == w[0]):
+        # an integer vote count scaled once: a tied vote is exactly 0
+        return MarginProfile(matrix.labels * (matrix.entries.sum(axis=1) * w[0]))
     return MarginProfile(matrix.labels * (matrix.entries @ w))
 
 

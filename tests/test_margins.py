@@ -109,6 +109,18 @@ def test_zero_margin_tie_rule_depends_on_label():
     assert training_error_from_margins(prof, [1.0, -1.0]) == 0.5
 
 
+def test_tied_vote_of_equal_weights_is_an_exact_zero():
+    # 1/100 is inexact, so a weighted sum of 50 votes each way can round to
+    # +-1e-17; the tie rule needs the vote count itself
+    rng = np.random.default_rng(11)
+    votes = np.repeat([1.0, -1.0], 50)
+    h = np.array([rng.permutation(votes) for _ in range(200)])
+    y = np.ones(200)
+    prof = compute_margins(matrix_of(h, y), np.full(100, 0.01))
+    assert np.count_nonzero(prof.margins) == 0
+    assert training_error_from_margins(prof, y) == 0.0
+
+
 def test_learner_permutation_invariance():
     rng = np.random.default_rng(5)
     h = np.where(rng.random((20, 5)) < 0.5, -1.0, 1.0)
