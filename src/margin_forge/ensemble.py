@@ -66,16 +66,18 @@ class EnsembleModel:
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    entries: np.ndarray   # (n, T) of +-1
+    """Every learner's vote on every row; row t holds learner t's votes."""
+
+    entries: np.ndarray   # (T, n) of +-1
     labels: np.ndarray    # (n,) of +-1
 
     def __post_init__(self):
-        # one C-order copy: entries @ w sums in the order of the layout, so
-        # margins are bit-for-bit the same only if every matrix is C-order
-        h = np.array(self.entries, dtype=float, order="C")
+        # w @ entries sums in the order of the layout, so margins are the same
+        # bit for bit only if every matrix is C-order; C float input is kept
+        h = np.asarray(self.entries, dtype=float, order="C")
         y = np.array(self.labels, dtype=float)
-        if h.ndim != 2 or y.shape != (h.shape[0],):
-            raise ValueError("entries must be (n, T) with one label per row")
+        if h.ndim != 2 or y.shape != (h.shape[1],):
+            raise ValueError("entries must be (T, n) with one label per row")
         if not np.all(np.isin(h, (-1.0, 1.0))) or not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("entries and labels must be -1 or +1")
         h.flags.writeable = False
@@ -85,11 +87,11 @@ class PredictionMatrix:
 
     @property
     def n_rows(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[1]
 
     @property
     def n_learners(self) -> int:
-        return self.entries.shape[1]
+        return self.entries.shape[0]
 
 
 def _check_two_classes(data: Dataset):
@@ -183,16 +185,16 @@ def bagging(train: Dataset, T: int, params: TreeParams | None = None,
 
 
 def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
-    """The (n, T) matrix of every learner's vote on every row of data.
+    """The (T, n) matrix of every learner's vote on every row of data.
 
     The features are put in Fortran order once, so every node test of
     every tree reads a contiguous column, and each tree's votes fill one
-    column of a Fortran-order buffer.
+    contiguous row of the matrix.
     """
     x = np.asfortranarray(data.features)
-    entries = np.empty((data.n_rows, model.n_learners), order="F")
+    entries = np.empty((model.n_learners, data.n_rows))
     for t, tree in enumerate(model.trees):
-        entries[:, t] = tree.predict(x)
+        entries[t] = tree.predict(x)
     return PredictionMatrix(entries, data.labels)
 
 

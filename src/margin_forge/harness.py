@@ -388,8 +388,8 @@ def export_cmd_series(model: EnsembleModel, data: Dataset,
     Checkpoints beyond the learner count fall back to the full ensemble (an
     early-stopped model simply has nothing further to add).  Keys are the
     requested checkpoints; values are (threshold, cumulative fraction) rows.
-    Every tree predicts once: a prefix ensemble's matrix is the leading
-    columns of the full one.
+    Every tree predicts once: a prefix ensemble's matrix is a view of the
+    leading rows of the full one.
     """
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
@@ -401,7 +401,7 @@ def export_cmd_series(model: EnsembleModel, data: Dataset,
     for count in points:
         sub = truncate_model(model, min(count, model.n_learners))
         matrix = full if sub is model else PredictionMatrix(
-            full.entries[:, :sub.n_learners], data.labels)
+            full.entries[:sub.n_learners], data.labels)
         profile = compute_margins(matrix, sub.vote_weights)
         series[count] = cmd(profile)
     return series

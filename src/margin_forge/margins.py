@@ -71,8 +71,8 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
         raise ValueError("one weight per learner required")
     if np.all(w == w[0]):
         # an integer vote count scaled once: a tied vote is exactly 0
-        return MarginProfile(matrix.labels * (matrix.entries.sum(axis=1) * w[0]))
-    return MarginProfile(matrix.labels * (matrix.entries @ w))
+        return MarginProfile(matrix.labels * (matrix.entries.sum(axis=0) * w[0]))
+    return MarginProfile(matrix.labels * (w @ matrix.entries))
 
 
 def cmd(profile: MarginProfile) -> list[tuple[float, float]]:

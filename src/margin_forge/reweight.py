@@ -142,11 +142,6 @@ def _check_alpha(alpha, T: int) -> np.ndarray:
     return a
 
 
-def _signed_design(matrix: PredictionMatrix) -> np.ndarray:
-    # x_it = y_i h_it, so margins are plain row sums under the weights
-    return matrix.labels[:, None] * matrix.entries
-
-
 def _finish(scheme: str, w, old: MarginProfile, new: MarginProfile, objective: float,
             raw_coefficients=None) -> RewResult:
     return RewResult(scheme=scheme, feasible=True, weights=w, old_profile=old,
@@ -161,29 +156,29 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     every margin at or above its floor, checked against the LP's own
     constraints and its duality gap; None when no weights reach the floors.
 
-    The LP, max c.w s.t. S w >= floors, 1.w = 1, w >= 0 with S the signed
-    design and c = emphasis @ S, is solved through its dual: max floors.u - v
-    s.t. -S'u + v 1 >= c, u >= 0, v free.  The dual has one row per learner
-    and is always feasible; the weights are its row prices.  It is stated
-    with v = top + v+ - v-, top = max(c), so its rhs is c - top <= 0 and
-    every row but those tied at the maximum starts on its slack (u = 0,
-    v = top is feasible): phase 1 takes one pivot per tied row.  The shift
-    moves the dual objective by the constant -top and leaves the prices as
-    they are.
+    The LP, max c.w s.t. S'w >= floors, 1.w = 1, w >= 0 with S the (T, n)
+    signed votes and c = S @ emphasis, is solved through its dual: max
+    floors.u - v s.t. -S u + v 1 >= c, u >= 0, v free.  The dual has one
+    row per learner and is always feasible; the weights are its row
+    prices.  It is stated with v = top + v+ - v-, top = max(c), so its rhs
+    is c - top <= 0 and every row but those tied at the maximum starts on
+    its slack (u = 0, v = top is feasible): phase 1 takes one pivot per
+    tied row.  The shift moves the dual objective by the constant -top
+    and leaves the prices as they are.
     """
-    signed = _signed_design(matrix)
-    c = emphasis @ signed
+    signed = matrix.entries * matrix.labels
+    c = signed @ emphasis
     top = c.max()
     ones = np.ones((matrix.n_learners, 1))
     dual = LpProblem(np.concatenate([floors, [-1.0, 1.0]]),
-                     a_ge=np.hstack([-signed.T, ones, -ones]), b_ge=c - top)
+                     a_ge=np.hstack([-signed, ones, -ones]), b_ge=c - top)
     solution = solve(dual)
     if solution.status == "unbounded":
         return None
     if not solution.optimal:
         raise SimplexError(f"margin LP dual ended {solution.status}, expected optimal")
     w = np.clip(solution.prices, 0.0, None)
-    primal = LpProblem(c, a_ge=signed, b_ge=floors,
+    primal = LpProblem(c, a_ge=signed.T, b_ge=floors,
                        a_eq=ones.T, b_eq=np.ones(1))
     violations = residuals(primal, w)
     worst = max(violations, key=violations.get)
@@ -252,15 +247,15 @@ def sm2_weights(matrix: PredictionMatrix, alpha, target_mean: float | None = Non
     a = _check_alpha(alpha, matrix.n_learners)
     old = compute_margins(matrix, a)
     target = old.mean if target_mean is None else float(target_mean)
-    signed = _signed_design(matrix)
+    signed = matrix.entries * matrix.labels
     response = np.full(matrix.n_rows, target)
-    coef, *_ = np.linalg.lstsq(signed, response, rcond=None)
+    coef, *_ = np.linalg.lstsq(signed.T, response, rcond=None)
     total = coef.sum()
     if abs(total) < 1e-9:
         raise EnsembleError("non-normalizable solution: coefficients sum to zero")
     w = coef / total
     new = compute_margins(matrix, w)
-    sse = float(np.sum((signed @ coef - response) ** 2))
+    sse = float(np.sum((coef @ signed - response) ** 2))
     return _finish("sm2", w, old, new, sse, raw_coefficients=coef)
 
 

@@ -16,6 +16,6 @@ def expected_disagreement(matrix: PredictionMatrix, weights) -> float:
     h = matrix.entries
     n = matrix.n_rows
     # fraction of rows where t and u differ, for all pairs at once
-    agree = (h.T @ h) / n                 # in [-1, 1]
+    agree = (h @ h.T) / n                 # in [-1, 1]
     disagree = (1.0 - agree) / 2.0
     return float(w @ disagree @ w)

@@ -13,7 +13,8 @@ from disagreement_oracle import expected_disagreement
 
 
 def matrix_of(entries, labels):
-    return PredictionMatrix(np.array(entries, dtype=float), np.array(labels, dtype=float))
+    # one literal row per observation; the matrix stores one row per learner
+    return PredictionMatrix(np.array(entries, dtype=float).T, np.array(labels, dtype=float))
 
 
 def random_matrix(rng, n, T):
@@ -139,7 +140,7 @@ def test_germain_disagreement_brute_force_pairs():
     total = 0.0
     for t in range(5):
         for u in range(5):
-            total += w[t] * w[u] * float(np.mean(h[:, t] != h[:, u]))
+            total += w[t] * w[u] * float(np.mean(h[t] != h[u]))
     assert expected_disagreement(matrix, w) == pytest.approx(total, abs=1e-12)
 
 

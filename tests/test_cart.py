@@ -8,7 +8,7 @@ import predict_oracle
 import split_oracle
 from margin_forge.cart import Tree, TreeParams, best_split, column_order, fit_tree
 from margin_forge.dataset_io import generate_synthetic
-from margin_forge.ensemble import adaboost, prediction_matrix, random_forest
+from margin_forge.ensemble import PredictionMatrix, adaboost, prediction_matrix, random_forest
 from stump_oracle import all_candidates, best_stump
 
 
@@ -280,8 +280,11 @@ def test_predict_nan_goes_right():
 def test_prediction_matrix_matches_reference_columns(fit):
     data = generate_synthetic("ring-vs-disk", 120, 0.3, seed=11)
     model = fit(data)
-    entries = prediction_matrix(model, data).entries
-    want = np.column_stack([predict_oracle.predict(tree, data.features)
-                            for tree in model.trees])
+    full = prediction_matrix(model, data)
+    entries = full.entries
+    want = np.stack([predict_oracle.predict(tree, data.features) for tree in model.trees])
     assert np.array_equal(entries, want)
     assert entries.flags.c_contiguous and not entries.flags.writeable
+    # a prefix ensemble's matrix is a view of the leading rows, not a copy
+    prefix = PredictionMatrix(full.entries[:5], data.labels)
+    assert np.shares_memory(prefix.entries, full.entries)

@@ -84,9 +84,9 @@ def test_boosting_drives_training_error_to_zero():
     data = spiral_like(n=40, seed=3, noise=1.2)
     model = adaboost(data, T=60)
     matrix = prediction_matrix(model, data)
-    scores = np.cumsum(matrix.entries * model.raw_alphas, axis=1)
+    scores = np.cumsum(matrix.entries * model.raw_alphas[:, None], axis=0)
     votes = np.where(scores >= 0, 1.0, -1.0)
-    prefix_errors = np.mean(votes != data.labels[:, None], axis=0)
+    prefix_errors = np.mean(votes != data.labels, axis=1)
     assert prefix_errors[-1] == 0.0
     assert np.all(np.diff(prefix_errors) <= 1e-12)  # non-increasing on this set
 
@@ -142,7 +142,7 @@ def test_error_matches_matrix_route():
     model = random_forest(data, T=9, seed=5)
     direct = error_rate(model, data)
     matrix = prediction_matrix(model, data)
-    votes = np.where(matrix.entries @ model.vote_weights >= 0, 1.0, -1.0)
+    votes = np.where(model.vote_weights @ matrix.entries >= 0, 1.0, -1.0)
     assert direct == float(np.mean(votes != data.labels))
 
 

@@ -12,7 +12,8 @@ from vote_oracle import test_error as error_rate
 
 
 def matrix_of(entries, labels):
-    return PredictionMatrix(np.array(entries, dtype=float), np.array(labels, dtype=float))
+    # one literal row per observation; the matrix stores one row per learner
+    return PredictionMatrix(np.array(entries, dtype=float).T, np.array(labels, dtype=float))
 
 
 def test_margin_hand_values():

@@ -19,7 +19,8 @@ from simplex_grid_oracle import grid_best
 
 
 def matrix_of(entries, labels):
-    return PredictionMatrix(np.array(entries, dtype=float), np.array(labels, dtype=float))
+    # one literal row per observation; the matrix stores one row per learner
+    return PredictionMatrix(np.array(entries, dtype=float).T, np.array(labels, dtype=float))
 
 
 def small_forest(n=40, T=10, seed=3):
@@ -110,7 +111,7 @@ def test_mm_keeps_alpha_when_the_lp_does_not_beat_it(monkeypatch):
     matrix, alpha = small_forest(n=30, T=8, seed=5)
     r = uws_r(matrix.n_rows)
     worse = np.zeros(matrix.n_learners)
-    worse[np.argmin(r @ (matrix.labels[:, None] * matrix.entries))] = 1.0
+    worse[np.argmin((matrix.entries * matrix.labels) @ r)] = 1.0
     old = compute_margins(matrix, alpha)
     assert r @ (compute_margins(matrix, worse).margins - old.margins) < 0
     monkeypatch.setattr(reweight, "_margin_lp", lambda *args: worse)
@@ -152,7 +153,7 @@ def test_mm_matches_grid_oracle():
         scaled = r / r.max()
         result = mm_weights(matrix, alpha, r)
         lp_value = float(scaled @ (result.new_profile.margins - old.margins))
-        signed = matrix.labels[:, None] * matrix.entries
+        signed = (matrix.entries * matrix.labels).T
         best, _ = grid_best(signed, old.margins, scaled, old.margins)
         if best is None:
             continue
@@ -206,7 +207,7 @@ def test_sm1_matches_grid_oracle_on_feasibility():
         old = compute_margins(matrix, alpha)
         theta = old.percentile(0.3)
         floors = np.where(old.margins <= old.mean, theta, old.mean)
-        signed = matrix.labels[:, None] * matrix.entries
+        signed = (matrix.entries * matrix.labels).T
         best, _ = grid_best(signed, floors, np.ones(n), old.margins)
         result = sm1_weights(matrix, alpha, xi=0.3)
         if best is not None:
@@ -315,8 +316,8 @@ def test_sm2_beats_alpha_at_its_own_game():
     matrix, alpha = small_forest(n=40, T=10, seed=2)
     result = sm2_weights(matrix, alpha)
     target = result.old_profile.mean
-    signed = matrix.labels[:, None] * matrix.entries
-    sse_alpha = float(np.sum((signed @ alpha - target) ** 2))
+    signed = matrix.entries * matrix.labels
+    sse_alpha = float(np.sum((alpha @ signed - target) ** 2))
     assert result.objective <= sse_alpha * (1 + 1e-9)
     assert result.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -324,8 +325,8 @@ def test_sm2_beats_alpha_at_its_own_game():
 def test_sm2_accepts_explicit_target():
     matrix, alpha = small_forest(n=30, T=8, seed=4)
     result = sm2_weights(matrix, alpha, target_mean=0.9)
-    signed = matrix.labels[:, None] * matrix.entries
-    sse_alpha = float(np.sum((signed @ alpha - 0.9) ** 2))
+    signed = matrix.entries * matrix.labels
+    sse_alpha = float(np.sum((alpha @ signed - 0.9) ** 2))
     assert result.objective <= sse_alpha * (1 + 1e-9)
 
 

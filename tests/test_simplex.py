@@ -263,18 +263,18 @@ def test_phase1_cost_row_sums_artificial_rows_in_row_order():
 
 
 def _margin_problem(matrix, emphasis, floors, form="primal", eq_rows=1):
-    # the margin LP, max c.w s.t. S w >= floors, 1.w = 1, w >= 0, in primal
-    # form (eq_rows > 1 repeats the simplex row) or as the dual that
-    # reweight._margin_lp solves: max floors.u - v s.t. -S'u + v 1 >= c,
-    # u >= 0, with v = max(c) + v+ - v-, so its rhs is c - max(c) and only
-    # the rows tied at the maximum start on an artificial
-    signed = matrix.labels[:, None] * matrix.entries
-    c = emphasis @ signed
+    # the margin LP, max c.w s.t. S'w >= floors, 1.w = 1, w >= 0 with S the
+    # (T, n) signed votes, in primal form (eq_rows > 1 repeats the simplex
+    # row) or as the dual that reweight._margin_lp solves: max floors.u - v
+    # s.t. -S u + v 1 >= c, u >= 0, with v = max(c) + v+ - v-, so its rhs is
+    # c - max(c) and only the rows tied at the maximum start on an artificial
+    signed = matrix.entries * matrix.labels
+    c = signed @ emphasis
     if form == "dual":
         ones = np.ones((matrix.n_learners, 1))
         return LpProblem(np.concatenate([floors, [-1.0, 1.0]]),
-                         a_ge=np.hstack([-signed.T, ones, -ones]), b_ge=c - c.max())
-    return LpProblem(c, a_ge=signed, b_ge=floors,
+                         a_ge=np.hstack([-signed, ones, -ones]), b_ge=c - c.max())
+    return LpProblem(c, a_ge=signed.T, b_ge=floors,
                      a_eq=np.ones((eq_rows, matrix.n_learners)), b_eq=np.ones(eq_rows))
 
 
