@@ -31,6 +31,7 @@ from .harness import (
     render_table,
     report_lines,
     run_experiment,
+    simulation_rows,
 )
 from .margins import compute_margins, margin_improvement
 from .reweight import apply_scheme, parse_spec
@@ -282,8 +283,9 @@ def _cmd_experiment(args) -> int:
                                     encoding="utf-8")
         print(f"wrote {cfg['out']}")
     if "cmd_out" in cfg:
-        model = fit_baseline(config, config.dataset, config.seed)
-        series = export_cmd_series(model, config.dataset, **checkpoints)
+        data = simulation_rows(config)
+        model = fit_baseline(config, data, config.seed)
+        series = export_cmd_series(model, data, **checkpoints)
         for count, rows in sorted(series.items()):
             path = Path(f"{cfg['cmd_out']}.T{count}.tsv")
             path.write_text("\n".join(f"{t:.17g}\t{f:.17g}" for t, f in rows) + "\n",

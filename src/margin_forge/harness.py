@@ -230,10 +230,12 @@ def derived_seed(master: int, sim: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _desk_scale(data: Dataset, limit: int | None, master: int) -> Dataset:
+def simulation_rows(config: ExperimentConfig) -> Dataset:
+    """The rows every simulation draws from: the data set, subsampled to max_rows."""
+    data, limit = config.dataset, config.max_rows
     if limit is None or data.n_rows <= limit:
         return data
-    rng = np.random.default_rng(np.random.SeedSequence([master, _SUBSAMPLE_STREAM]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SUBSAMPLE_STREAM]))
     keep = np.sort(rng.permutation(data.n_rows)[:limit])
     return data.take(keep, name=f"{data.name}/sub{limit}")
 
@@ -274,7 +276,7 @@ def run_one_simulation(config: ExperimentConfig, sim: int) -> SimulationRecord:
     """Run a single simulation; data, ensemble and LP errors become a failure record."""
     sim_seed = derived_seed(config.seed, sim)
     try:
-        data = _desk_scale(config.dataset, config.max_rows, config.seed)
+        data = simulation_rows(config)
         if config.test_dataset is not None:
             train, test = data, config.test_dataset
         else:

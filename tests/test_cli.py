@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from margin_forge import cli
 from margin_forge.cli import main
 from margin_forge.dataset_io import generate_synthetic, load_dataset, write_dataset
 from margin_forge.ensemble import adaboost, save_model
@@ -210,6 +211,30 @@ cmd_checkpoints = 3, 6
         assert path.exists()
         first = path.read_text().splitlines()[0].split("\t")
         float(first[0]), float(first[1])
+
+
+def test_experiment_cmd_series_uses_the_simulation_rows(tmp_path, monkeypatch):
+    # with max_rows set, the cmd_out ensemble trains on the rows the
+    # simulations draw from, not on the whole data set
+    trained = []
+    fit = cli.fit_baseline
+
+    def spy(config, train, seed):
+        trained.append(train.n_rows)
+        return fit(config, train, seed)
+
+    monkeypatch.setattr(cli, "fit_baseline", spy)
+    cfg = write_config(tmp_path, f"""
+dataset = synthetic:two-gaussians:600:0.8:3
+T = 6
+schemes = uws
+sims = 2
+max_rows = 100
+cmd_out = {tmp_path / "cmd"}
+cmd_checkpoints = 3, 6
+""")
+    assert main(["experiment", "--config", cfg]) == 0
+    assert trained == [100]
 
 
 @pytest.mark.parametrize("checkpoints", ["3,x", "0,3"], ids=["not-a-number", "zero"])

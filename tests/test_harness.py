@@ -278,33 +278,25 @@ def test_package_bug_is_not_a_failure_row(monkeypatch):
         run_one_simulation(tiny_config(), 0)
 
 
-def test_desk_scale_subsamples_large_datasets():
-    data = generate_synthetic("two-gaussians", 600, 0.8, 3)
-    config = tiny_config(dataset=data, max_rows=100, simulations=2)
-    report = run_experiment(config)
-    assert report.successes == 2
-    # 100 kept rows split 70/30 leave exactly 30 test rows
-    for rec in report.records:
-        assert abs(rec.baseline_error * 30 - round(rec.baseline_error * 30)) < 1e-9
-
-
 def test_rows_are_subsampled_only_on_request(monkeypatch):
     data = generate_synthetic("two-gaussians", 600, 0.8, 3)
-    trained = []
-    fit = harness.fit_baseline
+    sizes = []
+    split = harness.stratified_split
 
-    def spy(config, train, seed):
-        trained.append(train.n_rows)
-        return fit(config, train, seed)
+    def spy(rows, spec):
+        train, test = split(rows, spec)
+        sizes.append((train.n_rows, test.n_rows))
+        return train, test
 
-    monkeypatch.setattr(harness, "fit_baseline", spy)
+    monkeypatch.setattr(harness, "stratified_split", spy)
     whole = run_experiment(tiny_config(dataset=data, simulations=2))
-    assert trained == [420, 420]  # the stratified 70% of all 600 rows
+    assert sizes == [(420, 180)] * 2  # the stratified 70/30 split of all 600 rows
     assert whole.resampling == ("split resampled per simulation; "
                                 "ensemble randomness resampled per simulation")
-    trained.clear()
+    sizes.clear()
     sub = run_experiment(tiny_config(dataset=data, max_rows=100, simulations=2))
-    assert trained == [71, 71]  # the stratified 70% of 100 rows
+    assert sub.successes == 2
+    assert sizes == [(71, 29)] * 2  # the stratified 70/30 split of 100 rows
     assert sub.resampling.endswith("; subsampled to 100 of 600 rows")
     # a limit at or above the row count keeps every row and says nothing
     assert run_experiment(tiny_config(dataset=data, max_rows=600)).resampling == whole.resampling
