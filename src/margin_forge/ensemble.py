@@ -66,14 +66,11 @@ class EnsembleModel:
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Every learner's vote on every row; row t holds learner t's votes."""
-
-    entries: np.ndarray   # (T, n) of +-1
+    entries: np.ndarray   # (T, n) of +-1: row t holds learner t's votes
     labels: np.ndarray    # (n,) of +-1
 
     def __post_init__(self):
-        # w @ entries sums in the order of the layout, so margins are the same
-        # bit for bit only if every matrix is C-order; C float input is kept
+        # C order fixes the summation order of w @ entries; C float input is kept
         h = np.asarray(self.entries, dtype=float, order="C")
         y = np.array(self.labels, dtype=float)
         if h.ndim != 2 or y.shape != (h.shape[1],):

@@ -69,10 +69,9 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
     w = np.asarray(weights, dtype=float)
     if w.shape != (matrix.n_learners,):
         raise ValueError("one weight per learner required")
-    if np.all(w == w[0]):
-        # an integer vote count scaled once: a tied vote is exactly 0
-        return MarginProfile(matrix.labels * (matrix.entries.sum(axis=0) * w[0]))
-    return MarginProfile(matrix.labels * (w @ matrix.entries))
+    # equal weights scale the integer vote count once: a tied vote is exactly 0
+    votes = matrix.entries.sum(axis=0) * w[0] if np.all(w == w[0]) else w @ matrix.entries
+    return MarginProfile(matrix.labels * votes)
 
 
 def cmd(profile: MarginProfile) -> list[tuple[float, float]]:
