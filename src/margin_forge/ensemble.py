@@ -73,8 +73,8 @@ class PredictionMatrix:
         # C order fixes the summation order of w @ entries; C float input is kept
         h = np.asarray(self.entries, dtype=float, order="C")
         y = np.array(self.labels, dtype=float)
-        if h.ndim != 2 or y.shape != (h.shape[1],):
-            raise ValueError("entries must be (T, n) with one label per row")
+        if h.ndim != 2 or h.shape[0] < 1 or y.shape != (h.shape[1],):
+            raise ValueError("entries must be (T, n), T >= 1, with one label per row")
         if not np.all(np.isin(h, (-1.0, 1.0))) or not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("entries and labels must be -1 or +1")
         h.flags.writeable = False

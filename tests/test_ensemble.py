@@ -156,6 +156,18 @@ def test_model_validation():
         EnsembleModel("bagging", (), np.array([]), np.array([]), TreeParams())
 
 
+def test_prediction_matrix_validation():
+    labels = np.array([1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="T >= 1"):
+        PredictionMatrix(np.empty((0, 3)), labels)
+    with pytest.raises(ValueError, match="one label per row"):
+        PredictionMatrix(np.ones((3, 2)), labels)   # one row per observation
+    with pytest.raises(ValueError, match="-1 or"):
+        PredictionMatrix(np.zeros((2, 3)), labels)
+    matrix = PredictionMatrix(np.ones((2, 3)), labels)
+    assert (matrix.n_learners, matrix.n_rows) == (2, 3)
+
+
 def test_snapshot_roundtrip(tmp_path):
     data = spiral_like(n=30, seed=9)
     model = adaboost(data, T=8)
