@@ -278,8 +278,8 @@ def test_package_bug_is_not_a_failure_row(monkeypatch):
         run_one_simulation(tiny_config(), 0)
 
 
-def test_rows_are_subsampled_only_on_request(monkeypatch):
-    data = generate_synthetic("two-gaussians", 600, 0.8, 3)
+def spy_split_sizes(monkeypatch):
+    """Record the (train, test) row counts of every split the harness draws."""
     sizes = []
     split = harness.stratified_split
 
@@ -289,17 +289,30 @@ def test_rows_are_subsampled_only_on_request(monkeypatch):
         return train, test
 
     monkeypatch.setattr(harness, "stratified_split", spy)
+    return sizes
+
+
+def test_desk_scale_subsamples_large_datasets(monkeypatch):
+    data = generate_synthetic("two-gaussians", 600, 0.8, 3)
+    sizes = spy_split_sizes(monkeypatch)
+    report = run_experiment(tiny_config(dataset=data, max_rows=100, simulations=2))
+    assert report.successes == 2
+    assert sizes == [(71, 29)] * 2  # the stratified 70/30 split of 100 rows
+    assert report.resampling.endswith("; subsampled to 100 of 600 rows")
+
+
+def test_rows_are_subsampled_only_on_request(monkeypatch):
+    data = generate_synthetic("two-gaussians", 600, 0.8, 3)
+    sizes = spy_split_sizes(monkeypatch)
     whole = run_experiment(tiny_config(dataset=data, simulations=2))
     assert sizes == [(420, 180)] * 2  # the stratified 70/30 split of all 600 rows
     assert whole.resampling == ("split resampled per simulation; "
                                 "ensemble randomness resampled per simulation")
-    sizes.clear()
-    sub = run_experiment(tiny_config(dataset=data, max_rows=100, simulations=2))
-    assert sub.successes == 2
-    assert sizes == [(71, 29)] * 2  # the stratified 70/30 split of 100 rows
-    assert sub.resampling.endswith("; subsampled to 100 of 600 rows")
     # a limit at or above the row count keeps every row and says nothing
-    assert run_experiment(tiny_config(dataset=data, max_rows=600)).resampling == whole.resampling
+    sizes.clear()
+    at_limit = run_experiment(tiny_config(dataset=data, max_rows=600, simulations=2))
+    assert sizes == [(420, 180)] * 2
+    assert at_limit.resampling == whole.resampling
 
 
 # ----------------------------------------------------- prefixes and the CMD
