@@ -93,8 +93,7 @@ def breiman_bound(theta0: float, hspace: float, n: int, delta: float) -> BoundRe
 def gibbs_risk(matrix: PredictionMatrix, weights) -> float:
     """Vote-weighted average of the individual learner error rates."""
     w = np.asarray(weights, dtype=float)
-    wrong = matrix.entries != matrix.labels
-    return float(w @ wrong.mean(axis=1))
+    return float(w @ (matrix.entries < 0).mean(axis=1))
 
 
 def germain_bound(matrix: PredictionMatrix, weights) -> BoundReport:

@@ -33,7 +33,7 @@ from .harness import (
     run_experiment,
     simulation_rows,
 )
-from .margins import compute_margins, margin_improvement
+from .margins import compute_margins, margin_improvement, write_cmd
 from .reweight import apply_scheme, parse_spec
 
 class CliError(Exception):
@@ -287,9 +287,8 @@ def _cmd_experiment(args) -> int:
         model = fit_baseline(config, data, config.seed)
         series = export_cmd_series(model, data, **checkpoints)
         for count, rows in sorted(series.items()):
-            path = Path(f"{cfg['cmd_out']}.T{count}.tsv")
-            path.write_text("\n".join(f"{t:.17g}\t{f:.17g}" for t, f in rows) + "\n",
-                            encoding="utf-8")
+            path = f"{cfg['cmd_out']}.T{count}.tsv"
+            write_cmd(rows, path)
             print(f"wrote {path}")
     return 0
 
@@ -327,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rew.add_argument("--model", required=True, help="model snapshot path")
     rew.add_argument("--data", required=True, help="dataset used for the margins")
     rew.add_argument("--scheme", required=True,
-                     help="uws | ews:k | pws:xi | sm1:xi | sm2[:mean]")
+                     help="uws | ews:k | pws:xi | sm1:xi | sm2")
     _add_format_flags(rew)
     rew.set_defaults(handler=_cmd_reweight)
 

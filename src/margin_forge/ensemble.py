@@ -66,7 +66,7 @@ class EnsembleModel:
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    entries: np.ndarray   # (T, n) of +-1: row t holds learner t's votes
+    entries: np.ndarray   # (T, n) of +-1: y_i h_t(x_i), +1 where learner t is right on row i
     labels: np.ndarray    # (n,) of +-1
 
     def __post_init__(self):
@@ -182,16 +182,17 @@ def bagging(train: Dataset, T: int, params: TreeParams | None = None,
 
 
 def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
-    """The (T, n) matrix of every learner's vote on every row of data.
+    """The (T, n) matrix of every learner's signed vote y_i h_t(x_i) on
+    every row of data.
 
     The features are put in Fortran order once, so every node test of
-    every tree reads a contiguous column, and each tree's votes fill one
-    contiguous row of the matrix.
+    every tree reads a contiguous column, and each tree's signed votes
+    fill one contiguous row of the matrix.
     """
     x = np.asfortranarray(data.features)
     entries = np.empty((model.n_learners, data.n_rows))
     for t, tree in enumerate(model.trees):
-        entries[t] = tree.predict(x)
+        np.multiply(tree.predict(x), data.labels, out=entries[t])
     return PredictionMatrix(entries, data.labels)
 
 

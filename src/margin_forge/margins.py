@@ -69,9 +69,10 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
     w = np.asarray(weights, dtype=float)
     if w.shape != (matrix.n_learners,):
         raise ValueError("one weight per learner required")
+    # the entries are signed votes, so w @ entries is the margin itself;
     # equal weights scale the integer vote count once: a tied vote is exactly 0
-    votes = matrix.entries.sum(axis=0) * w[0] if np.all(w == w[0]) else w @ matrix.entries
-    return MarginProfile(matrix.labels * votes)
+    s = matrix.entries
+    return MarginProfile(s.sum(axis=0) * w[0] if np.all(w == w[0]) else w @ s)
 
 
 def cmd(profile: MarginProfile) -> list[tuple[float, float]]:
@@ -83,25 +84,29 @@ def cmd(profile: MarginProfile) -> list[tuple[float, float]]:
     return [(float(t), float(c) / profile.n) for t, c in zip(grid, counts)]
 
 
+def write_cmd(rows, path) -> None:
+    """Write (theta, fraction) rows as a tab-separated two-column series."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for theta, frac in rows:
+            fh.write(f"{theta:.17g}\t{frac:.17g}\n")
+
+
 def export_cmd(profile: MarginProfile, path) -> None:
     """Tab-separated two-column series (theta, fraction) for plotting."""
-    with Path(path).open("w") as fh:
-        for theta, frac in cmd(profile):
-            fh.write(f"{theta:.17g}\t{frac:.17g}\n")
+    write_cmd(cmd(profile), path)
 
 
 @dataclass(frozen=True)
 class MarginImprovement:
     mean: float
     min: float
-    deltas: np.ndarray
 
 
 def margin_improvement(old: MarginProfile, new: MarginProfile) -> MarginImprovement:
     if old.n != new.n:
         raise ValueError("profiles must cover the same observations")
     deltas = new.margins - old.margins
-    return MarginImprovement(float(deltas.mean()), float(deltas.min()), deltas)
+    return MarginImprovement(float(deltas.mean()), float(deltas.min()))
 
 
 def training_error_from_margins(profile: MarginProfile, labels) -> float:

@@ -12,8 +12,8 @@ Three families:
   mean; this one can genuinely be infeasible, which is reported, not
   raised.
 * variance flattening: least squares through the origin that pulls all
-  margins toward a common target, then renormalizes the coefficients
-  to sum 1 (they may go negative).
+  margins toward their old mean, then renormalizes the coefficients to
+  sum 1 (they may go negative).
 
 The two LP families share one margin LP.  It is solved through its dual,
 which has one row per learner and is always feasible, and the weights
@@ -45,7 +45,6 @@ class RewSpec:
     scheme: str
     k: int = 5
     xi: float = 0.05
-    target_mean: float | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -61,18 +60,16 @@ class RewSpec:
             return f"ews:{self.k}"
         if self.scheme in ("pws", "sm1"):
             return f"{self.scheme}:{self.xi:g}"
-        if self.scheme == "sm2" and self.target_mean is not None:
-            return f"sm2:{self.target_mean:g}"
         return self.scheme
 
 
 def parse_spec(text: str) -> RewSpec:
-    """Accepts uws | ews[:k] | pws:xi | sm1[:xi] | sm2[:target_mean]."""
+    """Accepts uws | ews[:k] | pws:xi | sm1[:xi] | sm2."""
     head, _, arg = text.strip().lower().partition(":")
-    if head == "uws":
+    if head in ("uws", "sm2"):
         if arg:
-            raise ValueError("uws takes no parameter")
-        return RewSpec("uws")
+            raise ValueError(f"{head} takes no parameter")
+        return RewSpec(head)
     if head == "ews":
         return RewSpec("ews", k=int(arg) if arg else 5)
     if head == "pws":
@@ -81,8 +78,6 @@ def parse_spec(text: str) -> RewSpec:
         return RewSpec("pws", xi=float(arg))
     if head == "sm1":
         return RewSpec("sm1", xi=float(arg) if arg else 0.05)
-    if head == "sm2":
-        return RewSpec("sm2", target_mean=float(arg) if arg else None)
     raise ValueError(f"unknown scheme {text!r}")
 
 
@@ -96,7 +91,6 @@ class RewResult:
     objective: float | None = None
     variance_reduction: float | None = None
     range_reduction: float | None = None
-    raw_coefficients: np.ndarray | None = None
 
 
 def uws_r(n: int) -> np.ndarray:
@@ -142,13 +136,12 @@ def _check_alpha(alpha, T: int) -> np.ndarray:
     return a
 
 
-def _finish(scheme: str, w, old: MarginProfile, new: MarginProfile, objective: float,
-            raw_coefficients=None) -> RewResult:
+def _finish(scheme: str, w, old: MarginProfile, new: MarginProfile,
+            objective: float) -> RewResult:
     return RewResult(scheme=scheme, feasible=True, weights=w, old_profile=old,
                      new_profile=new, objective=objective,
                      variance_reduction=old.variance - new.variance,
-                     range_reduction=old.spread - new.spread,
-                     raw_coefficients=raw_coefficients)
+                     range_reduction=old.spread - new.spread)
 
 
 def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
@@ -157,16 +150,16 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     constraints and its duality gap; None when no weights reach the floors.
 
     The LP, max c.w s.t. S'w >= floors, 1.w = 1, w >= 0 with S the (T, n)
-    signed votes and c = S @ emphasis, is solved through its dual: max
-    floors.u - v s.t. -S u + v 1 >= c, u >= 0, v free.  The dual has one
-    row per learner and is always feasible; the weights are its row
-    prices.  It is stated with v = top + v+ - v-, top = max(c), so its rhs
-    is c - top <= 0 and every row but those tied at the maximum starts on
-    its slack (u = 0, v = top is feasible): phase 1 takes one pivot per
-    tied row.  The shift moves the dual objective by the constant -top
-    and leaves the prices as they are.
+    signed votes (the stored entries) and c = S @ emphasis, is solved
+    through its dual: max floors.u - v s.t. -S u + v 1 >= c, u >= 0, v
+    free.  The dual has one row per learner and is always feasible; the
+    weights are its row prices.  It is stated with v = top + v+ - v-,
+    top = max(c), so its rhs is c - top <= 0 and every row but those tied
+    at the maximum starts on its slack (u = 0, v = top is feasible):
+    phase 1 takes one pivot per tied row.  The shift moves the dual
+    objective by the constant -top and leaves the prices as they are.
     """
-    signed = matrix.entries * matrix.labels
+    signed = matrix.entries
     c = signed @ emphasis
     top = c.max()
     ones = np.ones((matrix.n_learners, 1))
@@ -235,20 +228,19 @@ def sm1_weights(matrix: PredictionMatrix, alpha, xi: float = 0.05) -> RewResult:
     return _finish("sm1", w, old, new, float((new.margins - old.margins).sum()))
 
 
-def sm2_weights(matrix: PredictionMatrix, alpha, target_mean: float | None = None) -> RewResult:
-    """Regress a constant target on the signed predictions through the
-    origin, then scale the coefficients to sum 1.
+def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
+    """Regress the old mean margin, as a constant, on the signed votes
+    through the origin, then scale the coefficients to sum 1.
 
     The objective field reports the residual sum of squares of the
-    unnormalized fit; raw_coefficients carries that fit.  Normalized
-    weights may be negative, and the resulting margins may leave
-    [-1, +1].
+    unnormalized fit.  Another constant would scale the fit, and the
+    normalization would divide that back out of the weights.  Normalized
+    weights may be negative, and the resulting margins may leave [-1, +1].
     """
     a = _check_alpha(alpha, matrix.n_learners)
     old = compute_margins(matrix, a)
-    target = old.mean if target_mean is None else float(target_mean)
-    signed = matrix.entries * matrix.labels
-    response = np.full(matrix.n_rows, target)
+    signed = matrix.entries
+    response = np.full(matrix.n_rows, old.mean)
     coef, *_ = np.linalg.lstsq(signed.T, response, rcond=None)
     total = coef.sum()
     if abs(total) < 1e-9:
@@ -256,7 +248,7 @@ def sm2_weights(matrix: PredictionMatrix, alpha, target_mean: float | None = Non
     w = coef / total
     new = compute_margins(matrix, w)
     sse = float(np.sum((coef @ signed - response) ** 2))
-    return _finish("sm2", w, old, new, sse, raw_coefficients=coef)
+    return _finish("sm2", w, old, new, sse)
 
 
 def apply_scheme(spec: RewSpec, matrix: PredictionMatrix, alpha) -> RewResult:
@@ -264,7 +256,7 @@ def apply_scheme(spec: RewSpec, matrix: PredictionMatrix, alpha) -> RewResult:
     if spec.scheme == "sm1":
         result = sm1_weights(matrix, alpha, spec.xi)
     elif spec.scheme == "sm2":
-        result = sm2_weights(matrix, alpha, spec.target_mean)
+        result = sm2_weights(matrix, alpha)
     else:
         a = _check_alpha(alpha, matrix.n_learners)
         old = compute_margins(matrix, a)

@@ -44,8 +44,10 @@ def _check(num: int, name: str, fn, cap) -> None:
 
 
 def _matrix_of(entries, labels) -> PredictionMatrix:
-    # one literal row per observation; the matrix stores one row per learner
-    return PredictionMatrix(np.array(entries, dtype=float).T, np.array(labels, dtype=float))
+    # one literal row of raw votes per observation; the matrix stores one
+    # row of signed votes per learner
+    y = np.array(labels, dtype=float)
+    return PredictionMatrix(np.array(entries, dtype=float).T * y, y)
 
 
 TREES = TreeParams(max_depth=2, max_leaves=4)
@@ -186,7 +188,7 @@ def test_tiny_instance_optima_match_grid_search(capsys):
         for entries, labels, alpha in HAND_INSTANCES:
             matrix = _matrix_of(entries, labels)
             a = np.array(alpha)
-            signed = (matrix.entries * matrix.labels).T
+            signed = matrix.entries.T
             old = compute_margins(matrix, a).margins
             n = len(labels)
             for r in (uws_r(n), ews_r(old, 3)):
@@ -265,7 +267,8 @@ def test_paired_t_tail_matches_quadrature(capsys):
 
 
 def _pairwise_vote_bound(matrix: PredictionMatrix, w: np.ndarray) -> float:
-    h, y = matrix.entries.T, matrix.labels
+    # raw votes back from the signed ones, since y * y = 1
+    h, y = (matrix.entries * matrix.labels).T, matrix.labels
     n, T = h.shape
     risk = 0.0
     for t in range(T):
@@ -290,7 +293,7 @@ def test_vote_bound_identities(capsys):
             h = np.where(correct, y[:, None], -y[:, None])
             w = rng.random(T) + 0.2
             w /= w.sum()
-            matrix = PredictionMatrix(h.T, y)
+            matrix = PredictionMatrix(h.T * y, y)
             report = germain_bound(matrix, w)
             assert report.applicable
             assert abs(report.value - _pairwise_vote_bound(matrix, w)) <= 1e-10

@@ -13,8 +13,10 @@ from disagreement_oracle import expected_disagreement
 
 
 def matrix_of(entries, labels):
-    # one literal row per observation; the matrix stores one row per learner
-    return PredictionMatrix(np.array(entries, dtype=float).T, np.array(labels, dtype=float))
+    # one literal row of raw votes per observation; the matrix stores one
+    # row of signed votes per learner
+    y = np.array(labels, dtype=float)
+    return PredictionMatrix(np.array(entries, dtype=float).T * y, y)
 
 
 def random_matrix(rng, n, T):

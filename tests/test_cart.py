@@ -282,8 +282,9 @@ def test_prediction_matrix_matches_reference_columns(fit):
     model = fit(data)
     full = prediction_matrix(model, data)
     entries = full.entries
+    # the matrix stores signed votes: each oracle row times the labels
     want = np.stack([predict_oracle.predict(tree, data.features) for tree in model.trees])
-    assert np.array_equal(entries, want)
+    assert np.array_equal(entries, want * data.labels)
     assert entries.flags.c_contiguous and not entries.flags.writeable
     # a prefix ensemble's matrix is a view of the leading rows, not a copy
     prefix = PredictionMatrix(full.entries[:5], data.labels)

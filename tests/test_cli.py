@@ -5,8 +5,10 @@ import pytest
 
 from margin_forge import cli
 from margin_forge.cli import main
+from margin_forge import harness
 from margin_forge.dataset_io import generate_synthetic, load_dataset, write_dataset
-from margin_forge.ensemble import adaboost, save_model
+from margin_forge.ensemble import adaboost, prediction_matrix, save_model
+from margin_forge.margins import compute_margins, export_cmd
 
 
 @pytest.fixture()
@@ -77,6 +79,19 @@ def test_reweight_report(model_and_data, capsys):
     assert "feasible\tyes" in out
     weights_line = next(ln for ln in out.splitlines() if ln.startswith("weights"))
     assert len(weights_line.split("\t")) == 1 + model.n_learners
+
+
+def test_reweight_reports_an_infeasible_scheme(model_and_data, capsys):
+    # no simplex weights lift this model's low margins to their floors
+    model_path, data_path, model = model_and_data
+    rc = main(["reweight", "--model", model_path, "--data", data_path,
+               "--scheme", "sm1"])
+    assert rc == 0
+    old = compute_margins(prediction_matrix(model, load_dataset(data_path)),
+                          model.vote_weights)
+    assert capsys.readouterr().out.splitlines() == [
+        "scheme\tsm1:0.05", "feasible\tno",
+        f"old_mean\t{old.mean:.17g}", f"old_min\t{old.min:.17g}"]
 
 
 def test_reweight_bad_scheme(model_and_data, capsys):
@@ -237,6 +252,34 @@ cmd_checkpoints = 3, 6
     assert trained == [100]
 
 
+def test_experiment_cmd_series_matches_export_cmd(tmp_path, monkeypatch):
+    # a checkpoint at or past the learner count is the full model, whose
+    # series export_cmd writes byte for byte
+    fitted = []
+    fit = cli.fit_baseline
+
+    def spy(config, train, seed):
+        fitted.append((fit(config, train, seed), train))
+        return fitted[-1][0]
+
+    monkeypatch.setattr(cli, "fit_baseline", spy)
+    cfg = write_config(tmp_path, f"""
+dataset = synthetic:two-gaussians:60:0.8:3
+T = 6
+schemes = uws
+sims = 2
+cmd_out = {tmp_path / "cmd"}
+cmd_checkpoints = 3, 6, 50
+""")
+    assert main(["experiment", "--config", cfg]) == 0
+    (model, data), = fitted
+    export_cmd(compute_margins(prediction_matrix(model, data), model.vote_weights),
+               tmp_path / "full.tsv")
+    want = (tmp_path / "full.tsv").read_bytes()
+    for count in (6, 50):
+        assert (tmp_path / f"cmd.T{count}.tsv").read_bytes() == want
+
+
 @pytest.mark.parametrize("checkpoints", ["3,x", "0,3"], ids=["not-a-number", "zero"])
 def test_experiment_bad_checkpoints_exit_before_the_run(tmp_path, capsys, checkpoints):
     cfg = write_config(tmp_path, f"""
@@ -330,3 +373,41 @@ def test_vc_key_is_accepted(tmp_path):
     cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:40:0.5:1\n"
                                  "schemes = uws\nsims = 2\nT = 3\nvc = 5\n")
     assert main(["experiment", "--config", cfg]) == 0
+
+
+def test_experiment_yes_no_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:40:0.5:1\n"
+                                 "schemes = uws\nsims = 2\nT = 3\n"
+                                 "freeze_split = yes\nfreeze_ensemble = off\n")
+    assert main(["experiment", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "# split frozen across simulations; ensemble randomness resampled per simulation")
+
+
+def test_experiment_bad_yes_no_value_exits_before_the_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:40:0.5:1\n"
+                                 "schemes = uws\nsims = 2\nT = 3\nfreeze_split = maybe\n")
+    assert main(["experiment", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "freeze_split: must be a yes/no value, got 'maybe'" in captured.err
+
+
+def test_experiment_bagging(tmp_path, capsys, monkeypatch):
+    fitted = []
+    bagging = harness.bagging
+
+    def spy(train, T, params=None, seed=0):
+        fitted.append(seed)
+        return bagging(train, T, params=params, seed=seed)
+
+    monkeypatch.setattr(harness, "bagging", spy)
+    cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:40:0.5:1\n"
+                                 "schemes = uws\nsims = 2\nT = 3\nmethod = bagging\n"
+                                 "table = improve\n")
+    assert main(["experiment", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "method\tbagging\ttrees\t3\tsimulations\t2\tsuccesses\t2" in out
+    assert "Bagging" in out
+    # one ensemble per simulation, each on its own derived seed
+    assert fitted == [harness.derived_seed(0, s) for s in range(2)]

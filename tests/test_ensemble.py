@@ -84,7 +84,8 @@ def test_boosting_drives_training_error_to_zero():
     data = spiral_like(n=40, seed=3, noise=1.2)
     model = adaboost(data, T=60)
     matrix = prediction_matrix(model, data)
-    scores = np.cumsum(matrix.entries * model.raw_alphas[:, None], axis=0)
+    raw = matrix.entries * matrix.labels   # raw votes, since y * y = 1
+    scores = np.cumsum(raw * model.raw_alphas[:, None], axis=0)
     votes = np.where(scores >= 0, 1.0, -1.0)
     prefix_errors = np.mean(votes != data.labels, axis=1)
     assert prefix_errors[-1] == 0.0
@@ -126,7 +127,8 @@ def test_prediction_matrix_hand_built():
                           np.array([0.5, 0.5]), np.array([0.5, 0.5]), TreeParams())
     data = Dataset("two", np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]))
     matrix = prediction_matrix(model, data)
-    assert matrix.entries.tolist() == [[-1.0, 1.0], [1.0, 1.0]]
+    # signed votes: the stump is right on both rows, always-plus errs on row 0
+    assert matrix.entries.tolist() == [[1.0, 1.0], [-1.0, 1.0]]
     assert matrix.n_rows == 2 and matrix.n_learners == 2
 
 
@@ -142,7 +144,8 @@ def test_error_matches_matrix_route():
     model = random_forest(data, T=9, seed=5)
     direct = error_rate(model, data)
     matrix = prediction_matrix(model, data)
-    votes = np.where(model.vote_weights @ matrix.entries >= 0, 1.0, -1.0)
+    raw = matrix.entries * matrix.labels   # raw votes, since y * y = 1
+    votes = np.where(model.vote_weights @ raw >= 0, 1.0, -1.0)
     assert direct == float(np.mean(votes != data.labels))
 
 

@@ -12,8 +12,10 @@ from vote_oracle import test_error as error_rate
 
 
 def matrix_of(entries, labels):
-    # one literal row per observation; the matrix stores one row per learner
-    return PredictionMatrix(np.array(entries, dtype=float).T, np.array(labels, dtype=float))
+    # one literal row of raw votes per observation; the matrix stores one
+    # row of signed votes per learner
+    y = np.array(labels, dtype=float)
+    return PredictionMatrix(np.array(entries, dtype=float).T * y, y)
 
 
 def test_margin_hand_values():

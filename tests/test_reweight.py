@@ -19,8 +19,10 @@ from simplex_grid_oracle import grid_best
 
 
 def matrix_of(entries, labels):
-    # one literal row per observation; the matrix stores one row per learner
-    return PredictionMatrix(np.array(entries, dtype=float).T, np.array(labels, dtype=float))
+    # one literal row of raw votes per observation; the matrix stores one
+    # row of signed votes per learner
+    y = np.array(labels, dtype=float)
+    return PredictionMatrix(np.array(entries, dtype=float).T * y, y)
 
 
 def small_forest(n=40, T=10, seed=3):
@@ -45,12 +47,13 @@ def test_parse_spec_forms():
     assert parse_spec("sm1") == RewSpec("sm1", xi=0.05)
     assert parse_spec("sm1:0.5") == RewSpec("sm1", xi=0.5)
     assert parse_spec("sm2") == RewSpec("sm2")
-    assert parse_spec("sm2:0.9") == RewSpec("sm2", target_mean=0.9)
     assert parse_spec("ews:3").label == "ews:3"
     assert parse_spec("pws:0.05").label == "pws:0.05"
     for bad in ("uws:1", "pws", "mystery", "ews:0", "pws:1.5", "sm1:0"):
         with pytest.raises(ValueError):
             parse_spec(bad)
+    with pytest.raises(ValueError, match="sm2 takes no parameter"):
+        parse_spec("sm2:0.9")
 
 
 def test_emphasis_vectors():
@@ -111,7 +114,7 @@ def test_mm_keeps_alpha_when_the_lp_does_not_beat_it(monkeypatch):
     matrix, alpha = small_forest(n=30, T=8, seed=5)
     r = uws_r(matrix.n_rows)
     worse = np.zeros(matrix.n_learners)
-    worse[np.argmin((matrix.entries * matrix.labels) @ r)] = 1.0
+    worse[np.argmin(matrix.entries @ r)] = 1.0
     old = compute_margins(matrix, alpha)
     assert r @ (compute_margins(matrix, worse).margins - old.margins) < 0
     monkeypatch.setattr(reweight, "_margin_lp", lambda *args: worse)
@@ -153,7 +156,7 @@ def test_mm_matches_grid_oracle():
         scaled = r / r.max()
         result = mm_weights(matrix, alpha, r)
         lp_value = float(scaled @ (result.new_profile.margins - old.margins))
-        signed = (matrix.entries * matrix.labels).T
+        signed = matrix.entries.T
         best, _ = grid_best(signed, old.margins, scaled, old.margins)
         if best is None:
             continue
@@ -207,7 +210,7 @@ def test_sm1_matches_grid_oracle_on_feasibility():
         old = compute_margins(matrix, alpha)
         theta = old.percentile(0.3)
         floors = np.where(old.margins <= old.mean, theta, old.mean)
-        signed = (matrix.entries * matrix.labels).T
+        signed = matrix.entries.T
         best, _ = grid_best(signed, floors, np.ones(n), old.margins)
         result = sm1_weights(matrix, alpha, xi=0.3)
         if best is not None:
@@ -316,25 +319,16 @@ def test_sm2_beats_alpha_at_its_own_game():
     matrix, alpha = small_forest(n=40, T=10, seed=2)
     result = sm2_weights(matrix, alpha)
     target = result.old_profile.mean
-    signed = matrix.entries * matrix.labels
-    sse_alpha = float(np.sum((alpha @ signed - target) ** 2))
+    sse_alpha = float(np.sum((alpha @ matrix.entries - target) ** 2))
     assert result.objective <= sse_alpha * (1 + 1e-9)
     assert result.weights.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_sm2_accepts_explicit_target():
-    matrix, alpha = small_forest(n=30, T=8, seed=4)
-    result = sm2_weights(matrix, alpha, target_mean=0.9)
-    signed = matrix.entries * matrix.labels
-    sse_alpha = float(np.sum((alpha @ signed - 0.9) ** 2))
-    assert result.objective <= sse_alpha * (1 + 1e-9)
 
 
 def test_sm2_non_normalizable_raises():
     # second learner is the first negated: coefficient mass cancels
     m = matrix_of([[1, -1], [1, -1], [-1, 1]], [1, 1, -1])
     with pytest.raises(EnsembleError, match="non-normalizable"):
-        sm2_weights(m, [0.5, 0.5], target_mean=0.5)
+        sm2_weights(m, [0.5, 0.5])
 
 
 def test_sm2_reductions_are_consistent():

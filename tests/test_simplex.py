@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +178,55 @@ def test_iteration_limit_names_phase_and_pivots():
         simplex._run_simplex(tableau, simplex._work(tableau), [1], 0, phase=2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bland_rules_match_their_definitions(seed):
+    # small integer tableaus, so costs sit on both sides of the threshold
+    # and minimum ratios tie exactly
+    rng = np.random.default_rng(seed)
+    m, width = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+    tableau = np.asfortranarray(rng.integers(-2, 3, size=(m + 1, width + 1)).astype(float))
+    tableau[:-1, -1] = rng.integers(0, 4, size=m)
+    tol = simplex.COST_TOL
+    tableau[-1, :-1] = rng.choice([-1.0, -2 * tol, -tol, 0.0, 1.0], size=width)
+    basis = rng.permutation(width + m)[:m].tolist()
+    costs = tableau[-1, :-1]
+    # entering: the lowest column whose reduced cost is below -COST_TOL
+    want_col = next((j for j in range(width) if costs[j] < -tol), -1)
+    assert simplex._bland_entering(costs) == want_col
+    for col in range(width):
+        # leaving: among the rows of minimum ratio, in exact arithmetic, the
+        # one whose basic variable has the lowest index
+        ratios = {i: Fraction(int(tableau[i, -1]), int(tableau[i, col]))
+                  for i in range(m) if tableau[i, col] > 0}
+        want_row = -1
+        if ratios:
+            best = min(ratios.values())
+            want_row = min((i for i, r in ratios.items() if r == best),
+                           key=lambda i: basis[i])
+        assert simplex._bland_leaving(tableau, basis, col) == want_row
+
+
+def test_a_cycling_lp_switches_to_bland():
+    # Hall & McKinnon's 2 x 4 example, max c.x s.t. A x <= 0, cycles under
+    # the largest-coefficient rule with a unique ratio test at every pivot.
+    # A first pivot, z entering on its bound z <= 1, puts the solver at its
+    # degenerate origin on the slack basis: A x + g z <= g becomes A x <= 0
+    c = np.array([2.3, 2.15, -13.55, -0.4])
+    a = np.array([[0.4, 0.2, -1.4, -0.2], [-7.8, -1.4, 7.8, 0.4]])
+    g = np.array([0.5, 0.5])
+    problem = LpProblem(np.append(c, 10.0), a_ge=-np.hstack([a, g[:, None]]), b_ge=-g,
+                        upper=[4.0, 4.0, 4.0, 4.0, 1.0])
+    sol = solve(problem)
+    assert sol.optimal and sol.bland
+    # the stall limit, 200 + 2 per row, passes before Bland's rule ends it
+    assert sol.pivots[0] == 0 and sol.pivots[1] > 200 + 2 * 7
+    status, value = oracle_solve(problem)
+    assert status == "optimal"
+    assert sol.objective_value == pytest.approx(value, abs=1e-9)
+    assert _outcome(solve, problem) == _outcome(pivot_oracle.solve, problem)
+
+
 def _outcome(solver, problem):
     # everything a solve reports, in bytes where it is a vector
     try:
@@ -268,7 +319,7 @@ def _margin_problem(matrix, emphasis, floors, form="primal", eq_rows=1):
     # row) or as the dual that reweight._margin_lp solves: max floors.u - v
     # s.t. -S u + v 1 >= c, u >= 0, with v = max(c) + v+ - v-, so its rhs is
     # c - max(c) and only the rows tied at the maximum start on an artificial
-    signed = matrix.entries * matrix.labels
+    signed = matrix.entries
     c = signed @ emphasis
     if form == "dual":
         ones = np.ones((matrix.n_learners, 1))
