@@ -8,7 +8,7 @@ from .bounds import (
 )
 from .cart import Tree, TreeParams, fit_tree
 from .dataset_io import (
-    Dataset, DatasetError, SplitSpec, check_paired, generate_synthetic, load_dataset,
+    Dataset, DatasetError, check_paired, generate_synthetic, load_dataset,
     split_indices, stratified_split, write_dataset,
 )
 from .ensemble import (
@@ -38,7 +38,7 @@ __all__ = [
     "EnsembleModel", "ExperimentConfig", "ExperimentError", "ExperimentReport",
     "LpProblem", "LpSolution", "MarginImprovement", "MarginProfile", "PairedTResult",
     "PredictionMatrix", "RewResult", "RewSpec", "SchemeSummary", "SimplexError",
-    "SimulationRecord", "SplitSpec", "Tree", "TreeParams", "adaboost", "apply_scheme",
+    "SimulationRecord", "Tree", "TreeParams", "adaboost", "apply_scheme",
     "bagging", "breiman_bound", "check_paired", "cmd", "compute_margins",
     "derived_seed", "ews_r", "export_cmd",
     "export_cmd_series", "fit_baseline", "fit_tree", "generate_synthetic",

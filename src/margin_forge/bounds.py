@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import PredictionMatrix
-from .margins import MarginProfile, compute_margins
+from .margins import MarginProfile, compute_margins, simplex_weights
 
 BOUND_NAMES = ("schapire", "breiman", "germain")
 
@@ -102,12 +102,7 @@ def germain_bound(matrix: PredictionMatrix, weights) -> BoundReport:
     R = (1 - mean margin)/2 and d_Q = (1 - mean squared margin)/2; both
     identities hold exactly for simplex weights and +-1 predictions.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (matrix.n_learners,):
-        raise ValueError("one weight per learner required")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    profile = compute_margins(matrix, w)
+    profile = compute_margins(matrix, simplex_weights(weights, matrix.n_learners))
     R = (1.0 - profile.mean) / 2.0
     d_q = (1.0 - profile.second_moment) / 2.0
     inputs = {"gibbs_risk": R, "disagreement": d_q,

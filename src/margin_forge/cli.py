@@ -16,7 +16,6 @@ from .dataset_io import (
     FORMATS,
     Dataset,
     DatasetError,
-    SplitSpec,
     generate_synthetic,
     load_dataset,
     stratified_split,
@@ -96,8 +95,7 @@ def _cmd_data_info(args) -> int:
 def _cmd_data_split(args) -> int:
     data = _load_ref(args.path, args.fmt, args.label_column)
     try:
-        spec = SplitSpec(args.frac, args.seed)
-        train, test = stratified_split(data, spec)
+        train, test = stratified_split(data, args.frac, args.seed)
     except ValueError as exc:
         raise CliError(str(exc))
     base = Path(args.path if not args.path.startswith("synthetic:") else "synthetic.csv")

@@ -63,16 +63,6 @@ class Dataset:
                        self.feature_names)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
-
-
 def _map_labels(raw: list[str], path: Path) -> np.ndarray:
     distinct = sorted(set(raw))
     if len(distinct) > 2:
@@ -212,15 +202,18 @@ def write_dataset(data: Dataset, path) -> None:
             fh.write(",".join(fields) + "\n")
 
 
-def split_indices(data: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+def split_indices(data: Dataset, train_fraction: float,
+                  seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Index sets behind stratified_split; sorted, disjoint, exhaustive."""
-    rng = np.random.default_rng(spec.seed)
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+    rng = np.random.default_rng(seed)
     train_parts = []
     for cls in (-1.0, 1.0):
         idx = np.nonzero(data.labels == cls)[0]
         if idx.size == 0:
             raise DatasetError(f"class {int(cls):+d} has no members to split")
-        n_train = math.ceil(spec.train_fraction * idx.size)
+        n_train = math.ceil(train_fraction * idx.size)
         if n_train == 0:
             raise DatasetError(f"class {int(cls):+d} would receive zero training rows")
         train_parts.append(rng.permutation(idx)[:n_train])
@@ -231,8 +224,9 @@ def split_indices(data: Dataset, spec: SplitSpec) -> tuple[np.ndarray, np.ndarra
     return train, test
 
 
-def stratified_split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    train_idx, test_idx = split_indices(data, spec)
+def stratified_split(data: Dataset, train_fraction: float,
+                     seed: int = 0) -> tuple[Dataset, Dataset]:
+    train_idx, test_idx = split_indices(data, train_fraction, seed)
     if test_idx.size == 0:
         raise DatasetError("train_fraction leaves no test rows")
     return (data.take(train_idx, f"{data.name}/train"),

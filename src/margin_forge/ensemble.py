@@ -1,14 +1,16 @@
 """Voting ensembles of depth-limited trees: boosting, random forest, bagging.
 
-Every model carries its vote weights normalized to sum 1 (margins are
-defined against a convex combination of learners); boosting also keeps
-the raw round coefficients.  sign(0) resolves to +1 everywhere.
+A model stores each learner's unnormalized vote, raw_alphas (AdaBoost's
+round coefficients, 1.0 per forest or bagging tree), and derives its vote
+weights from them as raw_alphas / sum(raw_alphas): margins are defined
+against a convex combination of learners.  sign(0) resolves to +1
+everywhere.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -30,11 +32,12 @@ class EnsembleError(RuntimeError):
 class EnsembleModel:
     method: str
     trees: tuple[Tree, ...]
-    vote_weights: np.ndarray          # normalized, sums to 1
-    raw_alphas: np.ndarray            # boosting round coefficients, pre-normalization
+    raw_alphas: np.ndarray            # each learner's unnormalized vote
     tree_params: TreeParams
+    _: KW_ONLY
     seed: int | None = None
     break_reason: str | None = None
+    vote_weights: np.ndarray = field(init=False)   # raw_alphas / their sum
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -43,21 +46,18 @@ class EnsembleModel:
             raise ValueError("need at least one learner")
         if len({tree.n_features for tree in self.trees}) != 1:
             raise ValueError("all learners must take the same number of features")
-        w = np.asarray(self.vote_weights, dtype=float)
-        a = np.asarray(self.raw_alphas, dtype=float)
-        if w.shape != (len(self.trees),) or a.shape != w.shape:
-            raise ValueError("weights must align with the learner list")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
-            raise ValueError("vote_weights and raw_alphas must be finite")
-        if np.any(w < 0) or np.any(w > 1) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("vote_weights must lie in [0,1] and sum to 1")
-        w = w.copy()
-        a = a.copy()
-        w.flags.writeable = False
+        a = np.array(self.raw_alphas, dtype=float)
+        if a.shape != (len(self.trees),):
+            raise ValueError("raw_alphas must align with the learner list")
+        # NaN fails a >= 0; an infinite alpha or sum fails the upper bound
+        if not (np.all(a >= 0) and 0.0 < a.sum() < math.inf):
+            raise ValueError("raw_alphas must be finite and nonnegative with a positive sum")
+        w = a / a.sum()
         a.flags.writeable = False
+        w.flags.writeable = False
         object.__setattr__(self, "trees", tuple(self.trees))
-        object.__setattr__(self, "vote_weights", w)
         object.__setattr__(self, "raw_alphas", a)
+        object.__setattr__(self, "vote_weights", w)
 
     @property
     def n_learners(self) -> int:
@@ -137,8 +137,7 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
         dist = _reweight(dist, alpha, wrong)
     if not trees:
         raise EnsembleError(f"no usable learners: {break_reason}")
-    raw = np.array(alphas)
-    return EnsembleModel("adaboost", tuple(trees), raw / raw.sum(), raw, params,
+    return EnsembleModel("adaboost", tuple(trees), np.array(alphas), params,
                          break_reason=break_reason)
 
 
@@ -168,17 +167,15 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
         subset = np.sort(rng.choice(p, size=m_try, replace=False))
         trees.append(fit_tree(x, y, weights=weights, params=params,
                               feature_subset=subset, order=order))
-    uniform = np.full(T, 1.0 / T)
-    return EnsembleModel("random-forest", tuple(trees), uniform, uniform.copy(),
-                         params, seed=seed)
+    return EnsembleModel("random-forest", tuple(trees), np.ones(T), params, seed=seed)
 
 
 def bagging(train: Dataset, T: int, params: TreeParams | None = None,
             seed: int = 0) -> EnsembleModel:
     """Random forest with every feature available to every tree."""
     model = random_forest(train, T, m_try=train.n_features, params=params, seed=seed)
-    return EnsembleModel("bagging", model.trees, model.vote_weights,
-                         model.raw_alphas, model.tree_params, seed=seed)
+    return EnsembleModel("bagging", model.trees, model.raw_alphas, model.tree_params,
+                         seed=seed)
 
 
 def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
@@ -199,7 +196,6 @@ def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
 def save_model(model: EnsembleModel, path) -> None:
     blob = {
         "method": model.method,
-        "vote_weights": model.vote_weights.tolist(),
         "raw_alphas": model.raw_alphas.tolist(),
         "seed": model.seed,
         "break_reason": model.break_reason,
@@ -217,8 +213,6 @@ def load_model(path) -> EnsembleModel:
         blob = json.load(fh)
     params = TreeParams(**blob["tree_params"])
     trees = tuple(Tree.from_dict(t) for t in blob["trees"])
-    return EnsembleModel(blob["method"], trees,
-                         np.array(blob["vote_weights"]),
-                         np.array(blob["raw_alphas"]),
-                         params, seed=blob.get("seed"),
-                         break_reason=blob.get("break_reason"))
+    # an older snapshot's vote_weights key is ignored: the weights derive from raw_alphas
+    return EnsembleModel(blob["method"], trees, np.array(blob["raw_alphas"]), params,
+                         seed=blob.get("seed"), break_reason=blob.get("break_reason"))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cart import TreeParams
-from .dataset_io import Dataset, DatasetError, SplitSpec, check_paired, stratified_split
+from .dataset_io import Dataset, DatasetError, check_paired, stratified_split
 from .ensemble import (
     METHODS,
     EnsembleError,
@@ -281,8 +281,7 @@ def run_one_simulation(config: ExperimentConfig, sim: int) -> SimulationRecord:
             train, test = data, config.test_dataset
         else:
             split_seed = config.seed if config.freeze_split else sim_seed
-            spec = SplitSpec(config.train_fraction, split_seed)
-            train, test = stratified_split(data, spec)
+            train, test = stratified_split(data, config.train_fraction, split_seed)
         ens_seed = config.seed if config.freeze_ensemble else sim_seed
         model = fit_baseline(config, train, ens_seed)
         alpha = model.vote_weights
@@ -374,13 +373,8 @@ def truncate_model(model: EnsembleModel, count: int) -> EnsembleModel:
         raise ValueError("count must lie in [1, n_learners]")
     if count == model.n_learners:
         return model
-    alphas = model.raw_alphas[:count]
-    total = float(alphas.sum())
-    if total <= 0.0:
-        raise ValueError("leading learners carry no vote weight")
-    return EnsembleModel(method=model.method, trees=model.trees[:count],
-                         vote_weights=alphas / total, raw_alphas=alphas,
-                         tree_params=model.tree_params, seed=model.seed)
+    return EnsembleModel(model.method, model.trees[:count], model.raw_alphas[:count],
+                         model.tree_params, seed=model.seed)
 
 
 def export_cmd_series(model: EnsembleModel, data: Dataset,

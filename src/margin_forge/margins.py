@@ -65,6 +65,19 @@ class MarginProfile:
         return float(np.sort(self.margins)[k - 1])
 
 
+def simplex_weights(w, n_learners: int) -> np.ndarray:
+    """Vote weights passed in by a caller, as a float vector: one finite,
+    nonnegative weight per learner, summing to 1."""
+    a = np.asarray(w, dtype=float)
+    if a.shape != (n_learners,):
+        raise ValueError("one vote weight per learner required")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("vote weights must be finite")
+    if np.any(a < 0) or abs(a.sum() - 1.0) > 1e-9:
+        raise ValueError("vote weights must be nonnegative and sum to 1")
+    return a
+
+
 def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
     w = np.asarray(weights, dtype=float)
     if w.shape != (matrix.n_learners,):

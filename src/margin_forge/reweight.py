@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import EnsembleError, PredictionMatrix
-from .margins import MarginProfile, compute_margins
+from .margins import MarginProfile, compute_margins, simplex_weights
 from .simplex import FEAS_TOL, LpProblem, SimplexError, residuals, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
@@ -127,15 +127,6 @@ def pws_r(margins, xi: float) -> np.ndarray:
     return r
 
 
-def _check_alpha(alpha, T: int) -> np.ndarray:
-    a = np.asarray(alpha, dtype=float)
-    if a.shape != (T,):
-        raise ValueError("one vote weight per learner required")
-    if np.any(a < 0) or abs(a.sum() - 1.0) > 1e-9:
-        raise ValueError("vote weights must be nonnegative and sum to 1")
-    return a
-
-
 def _finish(scheme: str, w, old: MarginProfile, new: MarginProfile,
             objective: float) -> RewResult:
     return RewResult(scheme=scheme, feasible=True, weights=w, old_profile=old,
@@ -194,7 +185,7 @@ def mm_weights(matrix: PredictionMatrix, alpha, r) -> RewResult:
     The r vector is rescaled by its maximum before entering the solver;
     positive scaling cannot change the set of optimal weight vectors.
     """
-    a = _check_alpha(alpha, matrix.n_learners)
+    a = simplex_weights(alpha, matrix.n_learners)
     r = np.asarray(r, dtype=float)
     if r.shape != (matrix.n_rows,):
         raise ValueError("one emphasis value per observation required")
@@ -218,7 +209,7 @@ def sm1_weights(matrix: PredictionMatrix, alpha, xi: float = 0.05) -> RewResult:
     rest at the mean; infeasibility is a reported outcome."""
     if not 0.0 < xi < 1.0:
         raise ValueError("xi must lie in (0, 1)")
-    a = _check_alpha(alpha, matrix.n_learners)
+    a = simplex_weights(alpha, matrix.n_learners)
     old = compute_margins(matrix, a)
     floors = np.where(old.margins <= old.mean, old.percentile(xi), old.mean)
     w = _margin_lp(matrix, np.ones(matrix.n_rows), floors)
@@ -237,7 +228,7 @@ def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
     normalization would divide that back out of the weights.  Normalized
     weights may be negative, and the resulting margins may leave [-1, +1].
     """
-    a = _check_alpha(alpha, matrix.n_learners)
+    a = simplex_weights(alpha, matrix.n_learners)
     old = compute_margins(matrix, a)
     signed = matrix.entries
     response = np.full(matrix.n_rows, old.mean)
@@ -258,7 +249,7 @@ def apply_scheme(spec: RewSpec, matrix: PredictionMatrix, alpha) -> RewResult:
     elif spec.scheme == "sm2":
         result = sm2_weights(matrix, alpha)
     else:
-        a = _check_alpha(alpha, matrix.n_learners)
+        a = simplex_weights(alpha, matrix.n_learners)
         old = compute_margins(matrix, a)
         if spec.scheme == "uws":
             r = uws_r(matrix.n_rows)

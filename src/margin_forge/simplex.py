@@ -219,13 +219,6 @@ def solve(problem: LpProblem) -> LpSolution:
     k_ge, k_eq = problem.a_ge.shape[0], problem.a_eq.shape[0]
     k_up = 0 if upper is None else n
     m = k_ge + k_eq + k_up
-    if m == 0:
-        # no constraints beyond x >= 0
-        c = problem.objective
-        if np.any(c > 0):
-            return LpSolution("unbounded", None, None)
-        x = np.zeros(n)
-        return LpSolution("optimal", x, float(c @ x), prices=np.zeros(0))
     A = np.vstack([problem.a_ge, problem.a_eq] + ([np.eye(n)] if k_up else []))
     b = np.concatenate([problem.b_ge, problem.b_eq] + ([upper] if k_up else []))
     slack_sign = np.concatenate([np.full(k_ge, -1.0), np.zeros(k_eq), np.ones(k_up)])

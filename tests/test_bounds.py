@@ -164,6 +164,9 @@ def test_germain_weight_validation():
         germain_bound(m, [0.7])
     with pytest.raises(ValueError):
         germain_bound(m, [1.5, -0.5])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="vote weights must be finite"):
+            germain_bound(m, [bad, 0.5])
 
 
 def test_report_rows_render():

@@ -169,9 +169,9 @@ def _nested(blob):
 @pytest.mark.parametrize("corrupt", [
     _edit("feature", 0, 99), _edit("feature", 0, -1), _edit("threshold", 0, float("nan")),
     _edit("value", -1, 0.5), _nested, _five_features,
-    _edit_model("vote_weights", 0, float("nan")), _edit_model("raw_alphas", 0, float("inf")),
+    _edit_model("raw_alphas", 0, float("nan")), _edit_model("raw_alphas", 0, float("inf")),
 ], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested",
-        "mixed-n-features", "nan-vote-weight", "inf-raw-alpha"])
+        "mixed-n-features", "nan-raw-alpha", "inf-raw-alpha"])
 def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt):
     model_path, data_path, _ = model_and_data
     blob = json.loads(Path(model_path).read_text())

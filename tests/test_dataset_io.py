@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from margin_forge.dataset_io import (
-    Dataset, DatasetError, SplitSpec, check_paired, generate_synthetic,
+    Dataset, DatasetError, check_paired, generate_synthetic,
     load_dataset, split_indices, stratified_split, write_dataset,
 )
 
@@ -29,6 +29,29 @@ def test_load_tab_with_header(tmp_path):
     assert data.feature_names == ("a", "b")
     # lexicographic fallback: neg < pos
     assert list(data.labels) == [1.0, -1.0]
+
+
+@pytest.mark.parametrize("raw, want", [("1", 1.0), ("-1", -1.0)])
+def test_single_label_value_keeps_its_sign(tmp_path, raw, want):
+    data = load_dataset(make_csv(tmp_path, f"0.5,{raw}\n1.5,{raw}\n"))
+    assert data.labels.tolist() == [want, want]
+
+
+def test_single_label_value_without_a_sign_rejected(tmp_path):
+    with pytest.raises(DatasetError, match="single label value 'yes'"):
+        load_dataset(make_csv(tmp_path, "0.5,yes\n1.5,yes\n"))
+
+
+def test_header_survives_write_and_reload(tmp_path):
+    data = load_dataset(make_csv(tmp_path, "a,b,y\n1.5,2,0\n-3,4.25,1\n"))
+    assert data.feature_names == ("a", "b")
+    out = tmp_path / "back.csv"
+    write_dataset(data, out)
+    assert out.read_text().splitlines()[0] == "a,b,label"
+    back = load_dataset(out)
+    assert back.feature_names == data.feature_names
+    assert np.array_equal(back.features, data.features)
+    assert np.array_equal(back.labels, data.labels)
 
 
 def test_label_column_flag(tmp_path):
@@ -166,34 +189,34 @@ def test_split_ceil_per_class():
     x = np.arange(20, dtype=float).reshape(10, 2)
     y = np.array([-1.0] * 5 + [1.0] * 5)
     data = Dataset("s", x, y)
-    train, test = stratified_split(data, SplitSpec(0.7, seed=3))
+    train, test = stratified_split(data, 0.7, seed=3)
     assert train.class_counts() == {-1: 4, +1: 4}
     assert test.class_counts() == {-1: 1, +1: 1}
 
 
 def test_split_disjoint_exhaustive_deterministic():
     data = generate_synthetic("two-gaussians", 31, 0.5, seed=9)
-    spec = SplitSpec(0.6, seed=11)
-    a_train, a_test = split_indices(data, spec)
-    b_train, b_test = split_indices(data, spec)
+    a_train, a_test = split_indices(data, 0.6, seed=11)
+    b_train, b_test = split_indices(data, 0.6, seed=11)
     assert np.array_equal(a_train, b_train) and np.array_equal(a_test, b_test)
     merged = np.sort(np.concatenate([a_train, a_test]))
     assert np.array_equal(merged, np.arange(data.n_rows))
-    c_train, _ = split_indices(data, SplitSpec(0.6, seed=12))
+    c_train, _ = split_indices(data, 0.6, seed=12)
     assert not np.array_equal(a_train, c_train)
 
 
 def test_split_single_class_side_errors():
     data = Dataset("one", np.zeros((4, 1)), np.full(4, 1.0))
     with pytest.raises(ValueError, match="no members"):
-        stratified_split(data, SplitSpec(0.5))
+        stratified_split(data, 0.5)
 
 
 def test_split_fraction_validated():
+    data = generate_synthetic("two-gaussians", 20, 0.5, seed=1)
     with pytest.raises(ValueError):
-        SplitSpec(0.0)
+        split_indices(data, 0.0)
     with pytest.raises(ValueError):
-        SplitSpec(1.0)
+        stratified_split(data, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,7 +230,7 @@ def test_split_class_proportions(n, frac, seed, imbalance):
     want = {-1: math.ceil(frac * n_neg), +1: math.ceil(frac * (n - n_neg))}
     assume(want[-1] + want[+1] < n)
     data = Dataset("p", np.arange(n, dtype=float)[:, None], y)
-    train, test = stratified_split(data, SplitSpec(frac, seed=seed))
+    train, test = stratified_split(data, frac, seed=seed)
     for cls, total in ((-1, n_neg), (+1, n - n_neg)):
         assert train.class_counts()[cls] == want[cls]
         assert train.class_counts()[cls] + test.class_counts()[cls] == total

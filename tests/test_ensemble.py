@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -123,8 +124,7 @@ def test_bagging_equals_full_mtry_forest():
 
 
 def test_prediction_matrix_hand_built():
-    model = EnsembleModel("bagging", (stump(0.5), always_plus()),
-                          np.array([0.5, 0.5]), np.array([0.5, 0.5]), TreeParams())
+    model = EnsembleModel("bagging", (stump(0.5), always_plus()), np.ones(2), TreeParams())
     data = Dataset("two", np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]))
     matrix = prediction_matrix(model, data)
     # signed votes: the stump is right on both rows, always-plus errs on row 0
@@ -133,8 +133,7 @@ def test_prediction_matrix_hand_built():
 
 
 def test_tie_vote_resolves_positive():
-    model = EnsembleModel("bagging", (stump(0.5), always_plus()),
-                          np.array([0.5, 0.5]), np.array([0.5, 0.5]), TreeParams())
+    model = EnsembleModel("bagging", (stump(0.5), always_plus()), np.ones(2), TreeParams())
     # row 0 scores 0.5*(-1) + 0.5*(+1) = 0, the tie goes to +1
     assert predict(model, np.array([[0.0]]))[0] == 1.0
 
@@ -152,11 +151,23 @@ def test_error_matches_matrix_route():
 def test_model_validation():
     tree = always_plus()
     with pytest.raises(ValueError, match="method"):
-        EnsembleModel("mystery", (tree,), np.array([1.0]), np.array([1.0]), TreeParams())
-    with pytest.raises(ValueError, match="sum to 1"):
-        EnsembleModel("bagging", (tree,), np.array([0.5]), np.array([0.5]), TreeParams())
+        EnsembleModel("mystery", (tree,), np.array([1.0]), TreeParams())
     with pytest.raises(ValueError, match="at least one"):
-        EnsembleModel("bagging", (), np.array([]), np.array([]), TreeParams())
+        EnsembleModel("bagging", (), np.array([]), TreeParams())
+    with pytest.raises(ValueError, match="nonnegative"):
+        EnsembleModel("bagging", (tree, tree), np.array([1.0, -0.5]), TreeParams())
+    with pytest.raises(ValueError, match="positive sum"):
+        EnsembleModel("bagging", (tree, tree), np.zeros(2), TreeParams())
+    # the old call passed vote_weights before raw_alphas: it cannot bind
+    # raw_alphas to the tree parameters
+    with pytest.raises(TypeError):
+        EnsembleModel("bagging", (tree,), np.array([1.0]), np.array([1.0]), TreeParams())
+    model = EnsembleModel("bagging", (tree, tree), np.array([3.0, 1.0]), TreeParams())
+    assert model.vote_weights.tolist() == [0.75, 0.25]
+    with pytest.raises(ValueError):
+        model.vote_weights[0] = 0.5
+    with pytest.raises(AttributeError):
+        model.vote_weights = np.array([0.5, 0.5])
 
 
 def test_prediction_matrix_validation():
@@ -182,3 +193,10 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.array_equal(clone.raw_alphas, model.raw_alphas)
     assert [t.to_dict() for t in clone.trees] == [t.to_dict() for t in model.trees]
     assert error_rate(clone, data) == error_rate(model, data)
+    blob = json.loads(path.read_text())
+    assert "vote_weights" not in blob
+    # an older snapshot also wrote vote_weights; the weights derive from raw_alphas
+    blob["vote_weights"] = np.full(model.n_learners, 1.0 / model.n_learners).tolist()
+    path.write_text(json.dumps(blob))
+    old = load_model(path)
+    assert np.array_equal(old.vote_weights, model.raw_alphas / model.raw_alphas.sum())

@@ -5,7 +5,7 @@ import pytest
 
 from margin_forge import harness
 from margin_forge.cart import TreeParams
-from margin_forge.dataset_io import Dataset, SplitSpec, generate_synthetic, stratified_split
+from margin_forge.dataset_io import Dataset, generate_synthetic, stratified_split
 from margin_forge.ensemble import adaboost, prediction_matrix, random_forest
 from margin_forge.harness import (
     ExperimentConfig,
@@ -226,8 +226,7 @@ def test_record_recomputable_from_seed():
     sim = 1
     rec = report.records[sim]
     assert rec.seed == derived_seed(config.seed, sim)
-    split = SplitSpec(config.train_fraction, rec.seed)
-    train, test = stratified_split(config.dataset, split)
+    train, test = stratified_split(config.dataset, config.train_fraction, rec.seed)
     model = adaboost(train, config.n_trees, config.tree_params)
     assert error_rate(model, test) == rec.baseline_error
     result = apply_scheme(config.schemes[0], prediction_matrix(model, train),
@@ -283,8 +282,8 @@ def spy_split_sizes(monkeypatch):
     sizes = []
     split = harness.stratified_split
 
-    def spy(rows, spec):
-        train, test = split(rows, spec)
+    def spy(rows, train_fraction, seed):
+        train, test = split(rows, train_fraction, seed)
         sizes.append((train.n_rows, test.n_rows))
         return train, test
 
@@ -396,6 +395,25 @@ def summary(label, winner="none", error=0.0847, **overrides):
                   t_statistic=2.0, p_value=0.04, winner=winner)
     fields.update(overrides)
     return SchemeSummary(**fields)
+
+
+def test_summary_names_a_scheme_that_beats_the_baseline():
+    config = tiny_config(simulations=4)
+    # the scheme errs less than the baseline in every simulation
+    records = tuple(
+        SimulationRecord(seed=s, failure=None, baseline_error=0.3 + 0.01 * s,
+                         scheme_errors={"uws": 0.1 + 0.02 * s},
+                         mean_improvements={"uws": 0.05}, min_improvements={"uws": 0.0},
+                         variance_reductions={"uws": 0.01}, range_reductions={"uws": 0.1},
+                         feasible={"uws": True})
+        for s in range(4))
+    baseline, (uws,) = harness._summarize(config, records)
+    assert uws.winner == "uws"
+    assert uws.t_statistic < 0 and uws.p_value < config.alpha_level
+    report = ExperimentReport(config=config, records=records, baseline_error=baseline,
+                              summaries=(uws,), resampling="stub")
+    body = render_table(report, "improve").splitlines()[1].split()
+    assert body[1:3] == ["0.3150", "0.1300*"]
 
 
 def test_render_improve_table_columns():

@@ -352,6 +352,20 @@ def test_apply_scheme_dispch_and_labels():
                           >= result.old_profile.margins - 1e-7)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda m, a: mm_weights(m, a, uws_r(2)),
+    lambda m, a: sm1_weights(m, a),
+    lambda m, a: sm2_weights(m, a),
+    lambda m, a: apply_scheme(parse_spec("uws"), m, a),
+    lambda m, a: apply_scheme(parse_spec("sm2"), m, a),
+], ids=["mm", "sm1", "sm2", "apply-uws", "apply-sm2"])
+def test_nonfinite_vote_weights_rejected(call, bad):
+    m = matrix_of([[1, -1], [1, 1]], [1, -1])
+    with pytest.raises(ValueError, match="vote weights must be finite"):
+        call(m, [bad, 0.5])
+
+
 def test_alpha_validation():
     m = matrix_of([[1, 1]], [1])
     with pytest.raises(ValueError, match="sum to 1"):

@@ -36,6 +36,22 @@ def test_unbounded():
     assert sol.status == "unbounded"
 
 
+@pytest.mark.parametrize("costs", [
+    [5e-10], [-1.0, 5e-10], [1e-9], [-1.0, 1e-9], [2e-9], [0.0, -3.0, 1.5e-9], [1.0],
+    [0.0], [-2.0, -1e-12],
+])
+def test_constraint_free_lps_match_the_oracle(costs):
+    # x >= 0 only: optimal at x = 0 unless some cost exceeds COST_TOL
+    problem = LpProblem(costs)
+    status, value = oracle_solve(problem)
+    sol = solve(problem)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective_value == value == 0.0
+        assert np.array_equal(sol.x, np.zeros(len(costs)))
+        assert sol.prices.size == 0 and sol.pivots == (0, 0)
+
+
 def test_negative_rhs_rows():
     # -x1 - x2 >= -4 (i.e. x1 + x2 <= 4), maximize x1 + 2 x2
     sol = solve(LpProblem([1.0, 2.0], a_ge=[[-1.0, -1.0]], b_ge=[-4.0], upper=[3.0, 3.0]))
