@@ -26,8 +26,8 @@ from .margins import (
     margin_improvement, training_error_from_margins,
 )
 from .reweight import (
-    RewResult, RewSpec, apply_scheme, ews_r, mm_weights, parse_spec, pws_r,
-    sm1_weights, sm2_weights, uws_r,
+    RewResult, RewSpec, SelfCheckError, apply_scheme, ews_r, mm_weights, parse_spec,
+    pws_r, sm1_weights, sm2_weights, uws_r,
 )
 from .simplex import LpProblem, LpSolution, SimplexError, residuals, solve
 
@@ -37,8 +37,8 @@ __all__ = [
     "BOUND_NAMES", "BoundReport", "Dataset", "DatasetError", "EnsembleError",
     "EnsembleModel", "ExperimentConfig", "ExperimentError", "ExperimentReport",
     "LpProblem", "LpSolution", "MarginImprovement", "MarginProfile", "PairedTResult",
-    "PredictionMatrix", "RewResult", "RewSpec", "SchemeSummary", "SimplexError",
-    "SimulationRecord", "Tree", "TreeParams", "adaboost", "apply_scheme",
+    "PredictionMatrix", "RewResult", "RewSpec", "SchemeSummary", "SelfCheckError",
+    "SimplexError", "SimulationRecord", "Tree", "TreeParams", "adaboost", "apply_scheme",
     "bagging", "breiman_bound", "check_paired", "cmd", "compute_margins",
     "derived_seed", "ews_r", "export_cmd",
     "export_cmd_series", "fit_baseline", "fit_tree", "generate_synthetic",

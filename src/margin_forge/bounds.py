@@ -91,8 +91,9 @@ def breiman_bound(theta0: float, hspace: float, n: int, delta: float) -> BoundRe
 
 
 def gibbs_risk(matrix: PredictionMatrix, weights) -> float:
-    """Vote-weighted average of the individual learner error rates."""
-    w = np.asarray(weights, dtype=float)
+    """Vote-weighted average of the individual learner error rates, over
+    simplex weights (checked as germain_bound checks them)."""
+    w = simplex_weights(weights, matrix.n_learners)
     return float(w @ (matrix.entries < 0).mean(axis=1))
 
 

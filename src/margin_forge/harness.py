@@ -38,7 +38,8 @@ TABLE_FAMILIES = ("improve", "pws", "reduction")
 _METHOD_LABELS = {"adaboost": "AdaBoost", "random-forest": "RF", "bagging": "Bagging"}
 
 # data, training and LP problems abort a single simulation; any other
-# exception is a bug and ends the run
+# exception, a failed self-check of a margin LP among them, is a bug and
+# ends the run
 _SIM_ERRORS = (DatasetError, EnsembleError, SimplexError)
 
 _SUBSAMPLE_STREAM = 977

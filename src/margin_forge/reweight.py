@@ -21,7 +21,9 @@ are the dual's row prices.  The dual's free variable is shifted by the
 largest entry of its rhs, so every row but those tied at that maximum
 starts on its slack and phase 1 takes one pivot per tied row.  The
 answer is checked against the primal's constraints and against the
-duality gap; one that breaks a floor or leaves a gap raises SimplexError.
+duality gap; one that breaks a floor or leaves a gap raises
+SelfCheckError, which is a fault of the package, not of the data, so it
+ends an experiment instead of failing one simulation.
 Margin maximization keeps alpha when the LP's answer does not score above
 it under the caller's emphasis.
 """
@@ -34,10 +36,15 @@ import numpy as np
 
 from .ensemble import EnsembleError, PredictionMatrix
 from .margins import MarginProfile, compute_margins, simplex_weights
-from .simplex import FEAS_TOL, LpProblem, SimplexError, residuals, solve
+from .simplex import FEAS_TOL, LpProblem, residuals, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
 GAP_TOL = 1e-9       # relative duality gap allowed on a margin LP's answer
+
+
+class SelfCheckError(RuntimeError):
+    """A margin LP answer failed the package's own check.  Unlike
+    SimplexError, this is a bug and never a per-simulation failure."""
 
 
 @dataclass(frozen=True)
@@ -160,19 +167,19 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     if solution.status == "unbounded":
         return None
     if not solution.optimal:
-        raise SimplexError(f"margin LP dual ended {solution.status}, expected optimal")
+        raise SelfCheckError(f"margin LP dual ended {solution.status}, expected optimal")
     w = np.clip(solution.prices, 0.0, None)
     primal = LpProblem(c, a_ge=signed.T, b_ge=floors,
                        a_eq=ones.T, b_eq=np.ones(1))
     violations = residuals(primal, w)
     worst = max(violations, key=violations.get)
     if not violations[worst] <= FEAS_TOL:
-        raise SimplexError(f"margin LP answer breaks its {worst} constraints by "
+        raise SelfCheckError(f"margin LP answer breaks its {worst} constraints by "
                            f"{violations[worst]:.3e}")
     value = solution.objective_value - top
     gap = abs(c @ w + value)
     if not gap <= GAP_TOL * (1.0 + abs(value)):
-        raise SimplexError(f"margin LP duality gap {gap:.3e} at objective {-value:.6g}")
+        raise SelfCheckError(f"margin LP duality gap {gap:.3e} at objective {-value:.6g}")
     return w / w.sum()
 
 
@@ -194,7 +201,7 @@ def mm_weights(matrix: PredictionMatrix, alpha, r) -> RewResult:
     old = compute_margins(matrix, a)
     w = _margin_lp(matrix, r / r.max(), old.margins)
     if w is None:
-        raise SimplexError("margin LP ended infeasible, expected optimal")
+        raise SelfCheckError("margin LP ended infeasible, expected optimal")
     new = compute_margins(matrix, w)
     # judge the answer under the caller's r, not the rescaled one; alpha
     # meets every floor, so an answer that does not beat it is rounding noise
@@ -219,26 +226,54 @@ def sm1_weights(matrix: PredictionMatrix, alpha, xi: float = 0.05) -> RewResult:
     return _finish("sm1", w, old, new, float((new.margins - old.margins).sum()))
 
 
+def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
+    """Minimum-norm least-squares coefficients of the constant `target` on
+    the rows of `design` (one ±1 row per learner), through the origin.
+
+    Solved on the normal equations G coef = b, G = design @ design.T and
+    b = target * design.sum(axis=1), with G's symmetric eigendecomposition
+    (Golub & Van Loan, Matrix Computations, 5.3 and 5.5): coef is the sum of
+    v (v.b / lam) over the kept eigenpairs, which is the pseudo-inverse
+    solution.  G's entries are sums of ±1 products, exact in any summation
+    order.  Eigenvalues at or below lam_max * T * eps are the null space and
+    are dropped; the rest must lie above lam_max * sqrt(eps), where the
+    squared conditioning costs no more than half the digits.  An eigenvalue
+    between the two leaves no clear gap, so the fit falls back to an SVD of
+    the (n, T) design.
+    """
+    eps = np.finfo(float).eps
+    lam, vecs = np.linalg.eigh(design @ design.T)
+    top = lam[-1]
+    null = lam <= top * design.shape[0] * eps
+    if np.any(~null & (lam <= top * math.sqrt(eps))):
+        coef, *_ = np.linalg.lstsq(design.T, np.full(design.shape[1], target), rcond=None)
+        return coef
+    kept = vecs[:, ~null]
+    return kept @ ((kept.T @ (target * design.sum(axis=1))) / lam[~null])
+
+
 def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
     """Regress the old mean margin, as a constant, on the signed votes
     through the origin, then scale the coefficients to sum 1.
 
+    The fit is the minimum-norm least-squares solution, found through the
+    T x T Gram matrix of the learners' signed votes (see _min_norm_fit).
     The objective field reports the residual sum of squares of the
-    unnormalized fit.  Another constant would scale the fit, and the
-    normalization would divide that back out of the weights.  Normalized
-    weights may be negative, and the resulting margins may leave [-1, +1].
+    unnormalized fit, computed from the residuals themselves.  Another
+    constant would scale the fit, and the normalization would divide that
+    back out of the weights.  Normalized weights may be negative, and the
+    resulting margins may leave [-1, +1].
     """
     a = simplex_weights(alpha, matrix.n_learners)
     old = compute_margins(matrix, a)
     signed = matrix.entries
-    response = np.full(matrix.n_rows, old.mean)
-    coef, *_ = np.linalg.lstsq(signed.T, response, rcond=None)
+    coef = _min_norm_fit(signed, old.mean)
     total = coef.sum()
     if abs(total) < 1e-9:
         raise EnsembleError("non-normalizable solution: coefficients sum to zero")
     w = coef / total
     new = compute_margins(matrix, w)
-    sse = float(np.sum((coef @ signed - response) ** 2))
+    sse = float(np.sum((coef @ signed - old.mean) ** 2))
     return _finish("sm2", w, old, new, sse)
 
 

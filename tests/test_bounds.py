@@ -169,6 +169,16 @@ def test_germain_weight_validation():
             germain_bound(m, [bad, 0.5])
 
 
+def test_gibbs_risk_weight_validation():
+    # learner 0 errs on one row of two, learner 1 on none
+    m = matrix_of([[1, 1], [-1, 1]], [1, 1])
+    assert gibbs_risk(m, [0.5, 0.5]) == 0.25
+    with pytest.raises(ValueError, match="vote weights must be finite"):
+        gibbs_risk(m, [math.nan, 0.5])
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        gibbs_risk(m, [2.0, -3.0])
+
+
 def test_report_rows_render():
     report = breiman_bound(0.5, 1000.0, n=500, delta=0.05)
     rows = report_rows(report)

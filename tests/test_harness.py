@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from margin_forge import harness
+from margin_forge import harness, reweight
 from margin_forge.cart import TreeParams
 from margin_forge.dataset_io import Dataset, generate_synthetic, stratified_split
 from margin_forge.ensemble import adaboost, prediction_matrix, random_forest
@@ -24,7 +24,7 @@ from margin_forge.harness import (
     truncate_model,
 )
 from margin_forge.margins import cmd, compute_margins, training_error_from_margins
-from margin_forge.reweight import apply_scheme, parse_spec
+from margin_forge.reweight import SelfCheckError, apply_scheme, parse_spec
 from vote_oracle import test_error as error_rate
 
 
@@ -275,6 +275,23 @@ def test_package_bug_is_not_a_failure_row(monkeypatch):
     monkeypatch.setattr(harness, "compute_margins", broken)
     with pytest.raises(ValueError, match="shape bug"):
         run_one_simulation(tiny_config(), 0)
+
+
+def test_failed_margin_lp_check_ends_the_run(monkeypatch):
+    # the second margin LP's answer is made to break a floor: that is a
+    # fault of the package, so the run stops instead of losing one row
+    calls = []
+    real = reweight.residuals
+
+    def spy(problem, x):
+        calls.append(1)
+        violations = real(problem, x)
+        return {**violations, "ge": 1.0} if len(calls) == 2 else violations
+
+    monkeypatch.setattr(reweight, "residuals", spy)
+    with pytest.raises(SelfCheckError, match="breaks its ge constraints by 1.000e"):
+        run_experiment(tiny_config())
+    assert len(calls) == 2
 
 
 def spy_split_sizes(monkeypatch):

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from margin_forge import reweight
-from margin_forge.dataset_io import generate_synthetic
+from margin_forge.dataset_io import generate_synthetic, stratified_split
 from margin_forge.ensemble import (
     EnsembleError, PredictionMatrix, adaboost, prediction_matrix, random_forest,
 )
 from margin_forge.margins import compute_margins
 from margin_forge.reweight import (
-    RewSpec, apply_scheme, ews_r, mm_weights, parse_spec, pws_r, sm1_weights,
-    sm2_weights, uws_r,
+    RewSpec, SelfCheckError, apply_scheme, ews_r, mm_weights, parse_spec, pws_r,
+    sm1_weights, sm2_weights, uws_r,
 )
 from margin_forge.cart import TreeParams
 from margin_forge.harness import ExperimentConfig, run_experiment
-from margin_forge.simplex import LpSolution, SimplexError
+from margin_forge.simplex import LpSolution
 from bench_data import pima_like
 from simplex_grid_oracle import grid_best
 
@@ -246,7 +247,7 @@ def test_margin_lp_rejects_an_answer_below_a_floor(monkeypatch, scheme):
     # learner 0 drops row 0's margin from 0 to -1, below its floor in both LPs
     matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
     monkeypatch.setattr(reweight, "solve", _dual_answer([1.0, 0.0]))
-    with pytest.raises(SimplexError, match="ge constraints"):
+    with pytest.raises(SelfCheckError, match="ge constraints"):
         scheme(matrix, np.array([0.5, 0.5]))
 
 
@@ -256,7 +257,7 @@ def test_margin_lp_rejects_an_answer_with_a_duality_gap(monkeypatch, scheme):
     # floor, but the reported dual objective is off by 1e-6
     matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
     monkeypatch.setattr(reweight, "solve", _dual_answer([0.0, 1.0], 1e-6))
-    with pytest.raises(SimplexError, match="duality gap"):
+    with pytest.raises(SelfCheckError, match="duality gap"):
         scheme(matrix, np.array([0.5, 0.5]))
     monkeypatch.setattr(reweight, "solve", _dual_answer([0.0, 1.0]))
     assert scheme(matrix, np.array([0.5, 0.5])).weights.tolist() == [0.0, 1.0]
@@ -264,8 +265,16 @@ def test_margin_lp_rejects_an_answer_with_a_duality_gap(monkeypatch, scheme):
 
 def test_margin_lp_reports_a_dual_failure(monkeypatch):
     monkeypatch.setattr(reweight, "solve", lambda problem: LpSolution("infeasible", None, None))
-    with pytest.raises(SimplexError, match="dual ended infeasible"):
+    with pytest.raises(SelfCheckError, match="dual ended infeasible"):
         sm1_weights(matrix_of([[-1, 1], [1, 1]], [1, 1]), [0.5, 0.5])
+
+
+def test_mm_lp_found_infeasible_is_a_self_check_failure(monkeypatch):
+    # alpha meets every floor of the mm LP, so a dual that reports the
+    # primal infeasible is wrong
+    monkeypatch.setattr(reweight, "solve", lambda problem: LpSolution("unbounded", None, None))
+    with pytest.raises(SelfCheckError, match="margin LP ended infeasible"):
+        mm_weights(matrix_of([[-1, 1], [1, 1]], [1, 1]), [0.5, 0.5], uws_r(2))
 
 
 def test_margin_lps_of_a_drifting_seed_finish():
@@ -309,6 +318,56 @@ def test_margin_lp_dual_starts_on_a_feasible_basis(monkeypatch):
         assert solution.pivots[0] <= tied
 
 
+@pytest.fixture(scope="module")
+def pima_lps():
+    # benchmark-sized margin LPs: AdaBoost T=100 on the 538 training rows of
+    # a 70/30 pima-like split; sm1 is infeasible there at xi = 0.05 and
+    # feasible at xi = 0.001
+    train, _ = stratified_split(pima_like(), 0.7, 1)
+    model = adaboost(train, 100, TreeParams(max_depth=2, max_leaves=4))
+    matrix, alpha = prediction_matrix(model, train), model.vote_weights
+    return matrix, alpha, {text: apply_scheme(parse_spec(text), matrix, alpha)
+                           for text in ("uws", "sm1", "sm1:0.001")}
+
+
+def _permute_learners(matrix, alpha, rng):
+    order = rng.permutation(matrix.n_learners)
+    return PredictionMatrix(matrix.entries[order], matrix.labels), alpha[order]
+
+
+def _permute_rows(matrix, alpha, rng):
+    order = rng.permutation(matrix.n_rows)
+    return PredictionMatrix(matrix.entries[:, order], matrix.labels[order]), alpha
+
+
+def _split_a_learner(matrix, alpha, rng):
+    # a copy of learner t that takes 30% of its vote spans the same margins
+    t = int(rng.integers(matrix.n_learners))
+    entries = np.vstack([matrix.entries, matrix.entries[t]])
+    split = np.append(alpha, 0.3 * alpha[t])
+    split[t] *= 0.7
+    return PredictionMatrix(entries, matrix.labels), split
+
+
+@pytest.mark.parametrize("transform", [_permute_learners, _permute_rows, _split_a_learner],
+                         ids=["learners", "rows", "split"])
+def test_margin_lp_optimum_is_invariant(pima_lps, transform):
+    # each transform leaves the set of reachable margin vectors as it was,
+    # up to the order of its rows, so it keeps the LP's optimum and its
+    # feasibility; the optimal vertex may move, so weights are not
+    # compared.  The objectives differ only through summation order in the
+    # margins (about 1e-13 relative); 1e-10 stays far from that and well
+    # inside the 1e-9 duality gap the LP's answer is allowed
+    matrix, alpha, before = pima_lps
+    moved, moved_alpha = transform(matrix, alpha, np.random.default_rng(5))
+    assert before["uws"].feasible and before["sm1:0.001"].feasible
+    for text, result in before.items():
+        after = apply_scheme(parse_spec(text), moved, moved_alpha)
+        assert after.feasible == result.feasible
+        if result.feasible:
+            assert after.objective == pytest.approx(result.objective, rel=1e-10)
+
+
 def test_sm2_single_learner():
     m = matrix_of([[1], [-1], [1]], [1, 1, -1])
     result = sm2_weights(m, [1.0])
@@ -337,6 +396,56 @@ def test_sm2_reductions_are_consistent():
     old, new = result.old_profile, result.new_profile
     assert result.variance_reduction == pytest.approx(old.variance - new.variance, abs=1e-12)
     assert result.range_reduction == pytest.approx(old.spread - new.spread, abs=1e-12)
+
+
+def lstsq_reference(matrix, target):
+    coef, *_ = np.linalg.lstsq(matrix.entries.T, np.full(matrix.n_rows, target), rcond=None)
+    return coef
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), T=st.integers(1, 8),
+       copies=st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=5))
+def test_sm2_matches_the_svd_least_squares_fit(seed, n, T, copies):
+    # duplicated and negated learners put exact null vectors in the Gram
+    # matrix, and T + copies > n leaves it rank deficient too; both routes
+    # must give the minimum-norm solution
+    rng = np.random.default_rng(seed)
+    votes = [np.where(rng.random(n) < 0.5, -1.0, 1.0) for _ in range(T)]
+    for source, negate in copies:
+        votes.append(-votes[source % len(votes)] if negate else votes[source % len(votes)])
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    matrix = PredictionMatrix(np.array(votes) * y, y)
+    alpha = rng.random(len(votes)) + 0.1
+    alpha /= alpha.sum()
+    target = compute_margins(matrix, alpha).mean
+    coef = lstsq_reference(matrix, target)
+    # normalizing divides by the coefficient sum; near zero it amplifies
+    # rounding in either route past any fixed tolerance
+    assume(abs(coef.sum()) > 1e-6)
+    result = sm2_weights(matrix, alpha)
+    assert np.abs(result.weights - coef / coef.sum()).max() <= 1e-9
+    # a consistent system leaves only rounding in the SSE, hence the floor
+    sse = float(np.sum((coef @ matrix.entries - target) ** 2))
+    assert result.objective == pytest.approx(sse, rel=1e-9, abs=1e-20 * n)
+
+
+def test_sm2_falls_back_to_the_svd_without_a_spectral_gap(monkeypatch):
+    # one eigenvalue moved between the null-space cut and lam_max * sqrt(eps)
+    # leaves no clear gap: the fit must be lstsq's, not a solve through it
+    matrix, alpha = small_forest(n=50, T=15, seed=6)
+    real = np.linalg.eigh
+
+    def blurred(gram):
+        lam, vecs = real(gram)
+        lam = lam.copy()
+        lam[-2] = lam[-1] * 1e-10
+        return np.sort(lam), vecs[:, np.argsort(lam)]
+
+    expected = lstsq_reference(matrix, compute_margins(matrix, alpha).mean)
+    monkeypatch.setattr(np.linalg, "eigh", blurred)
+    result = sm2_weights(matrix, alpha)
+    assert result.weights.tolist() == (expected / expected.sum()).tolist()
 
 
 def test_apply_scheme_dispch_and_labels():
