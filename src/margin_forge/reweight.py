@@ -175,7 +175,7 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     worst = max(violations, key=violations.get)
     if not violations[worst] <= FEAS_TOL:
         raise SelfCheckError(f"margin LP answer breaks its {worst} constraints by "
-                           f"{violations[worst]:.3e}")
+                             f"{violations[worst]:.3e}")
     value = solution.objective_value - top
     gap = abs(c @ w + value)
     if not gap <= GAP_TOL * (1.0 + abs(value)):
