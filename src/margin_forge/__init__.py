@@ -26,8 +26,7 @@ from .margins import (
     margin_improvement, training_error_from_margins,
 )
 from .reweight import (
-    RewResult, RewSpec, SelfCheckError, apply_scheme, ews_r, mm_weights, parse_spec,
-    pws_r, sm1_weights, sm2_weights, uws_r,
+    RewResult, RewSpec, SelfCheckError, apply_scheme, parse_spec, sm2_weights,
 )
 from .simplex import LpProblem, LpSolution, SimplexError, residuals, solve
 
@@ -38,15 +37,13 @@ __all__ = [
     "EnsembleModel", "ExperimentConfig", "ExperimentError", "ExperimentReport",
     "LpProblem", "LpSolution", "MarginImprovement", "MarginProfile", "PairedTResult",
     "PredictionMatrix", "RewResult", "RewSpec", "SchemeSummary", "SelfCheckError",
-    "SimplexError", "SimulationRecord", "Tree", "TreeParams", "adaboost", "apply_scheme",
-    "bagging", "breiman_bound", "check_paired", "cmd", "compute_margins",
-    "derived_seed", "ews_r", "export_cmd",
-    "export_cmd_series", "fit_baseline", "fit_tree", "generate_synthetic",
-    "germain_bound", "gibbs_risk", "load_dataset", "load_model", "margin_improvement",
-    "mm_weights", "paired_t_test", "parse_spec", "prediction_matrix", "pws_r",
-    "random_forest", "render_table", "report_lines",
-    "report_rows", "residuals", "run_experiment", "run_one_simulation", "save_model",
-    "schapire_terms", "sm1_weights", "sm2_weights", "solve", "split_indices",
-    "stratified_split", "t_two_sided_p", "training_error_from_margins",
-    "truncate_model", "uws_r", "write_dataset",
+    "SimplexError", "SimulationRecord", "Tree", "TreeParams", "adaboost",
+    "apply_scheme", "bagging", "breiman_bound", "check_paired", "cmd",
+    "compute_margins", "derived_seed", "export_cmd", "export_cmd_series",
+    "fit_baseline", "fit_tree", "generate_synthetic", "germain_bound", "gibbs_risk",
+    "load_dataset", "load_model", "margin_improvement", "paired_t_test", "parse_spec",
+    "prediction_matrix", "random_forest", "render_table", "report_lines", "report_rows",
+    "residuals", "run_experiment", "run_one_simulation", "save_model", "schapire_terms",
+    "sm2_weights", "solve", "split_indices", "stratified_split", "t_two_sided_p",
+    "training_error_from_margins", "truncate_model", "write_dataset",
 ]

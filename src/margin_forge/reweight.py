@@ -1,19 +1,20 @@
 """Post-hoc vote reweighting that lifts training margins.
 
-Three families:
+parse_spec reads a scheme (uws | ews[:k] | pws:xi | sm1[:xi] | sm2) into
+a RewSpec, and apply_scheme reweights a prediction matrix's votes under
+it.  The schemes fall in three families:
 
-* margin maximization: a linear program that maximizes the r-weighted
-  total margin improvement subject to every margin staying at least as
-  large as before, over simplex weights.  The r vector encodes the
-  emphasis: all-ones, rank-powered, or an indicator of the smallest
-  margins.
-* targeted lifting: the same linear program with unit emphasis, but the
-  floors push low margins up to the xi-quantile and the rest to the
-  mean; this one can genuinely be infeasible, which is reported, not
+* margin maximization (uws, ews, pws): a linear program that maximizes
+  the emphasis-weighted total margin gain, with every margin at least as
+  large as before, over simplex weights.  The emphasis is all ones,
+  rank-powered, or an indicator of the smallest margins.
+* targeted lifting (sm1): the same linear program with unit emphasis,
+  but the floors push low margins up to the xi-quantile and the rest to
+  the mean; this one can genuinely be infeasible, which is reported, not
   raised.
-* variance flattening: least squares through the origin that pulls all
-  margins toward their old mean, then renormalizes the coefficients to
-  sum 1 (they may go negative).
+* variance flattening (sm2): least squares through the origin that pulls
+  all margins toward their old mean, then renormalizes the coefficients
+  to sum 1 (they may go negative).
 
 The two LP families share one margin LP.  It is solved through its dual,
 which has one row per learner and is always feasible, and the weights
@@ -24,13 +25,11 @@ answer is checked against the primal's constraints and against the
 duality gap; one that breaks a floor or leaves a gap raises
 SelfCheckError, which is a fault of the package, not of the data, so it
 ends an experiment instead of failing one simulation.
-Margin maximization keeps alpha when the LP's answer does not score above
-it under the caller's emphasis.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,50 +95,35 @@ class RewResult:
     old_profile: MarginProfile | None = None
     new_profile: MarginProfile | None = None
     objective: float | None = None
-    variance_reduction: float | None = None
-    range_reduction: float | None = None
+
+    @property
+    def variance_reduction(self) -> float | None:
+        if self.new_profile is None:
+            return None
+        return self.old_profile.variance - self.new_profile.variance
+
+    @property
+    def range_reduction(self) -> float | None:
+        if self.new_profile is None:
+            return None
+        return self.old_profile.spread - self.new_profile.spread
 
 
-def uws_r(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return np.ones(n)
-
-
-def _ascending_ranks(margins) -> np.ndarray:
-    # rank 1 = smallest margin; equal margins ranked by observation index
-    m = np.asarray(margins, dtype=float)
-    order = np.argsort(m, kind="stable")
-    ranks = np.empty(m.size, dtype=int)
-    ranks[order] = np.arange(1, m.size + 1)
-    return ranks
-
-
-def ews_r(margins, k: int = 5) -> np.ndarray:
-    if int(k) != k or k < 1:
-        raise ValueError("k must be a positive integer")
-    m = np.asarray(margins, dtype=float)
-    n = m.size
-    return ((n + 1) - _ascending_ranks(m)).astype(float) ** k
-
-
-def pws_r(margins, xi: float) -> np.ndarray:
-    if not 0.0 < xi < 1.0:
-        raise ValueError("xi must lie in (0, 1)")
-    m = np.asarray(margins, dtype=float)
-    n = m.size
-    k = math.ceil(n * xi)
+def _emphasis(spec: RewSpec, margins: np.ndarray) -> np.ndarray:
+    """The row emphasis of a margin-maximizing scheme: all ones (uws),
+    n**k down to 1**k from the smallest margin up (ews), or 1 on the
+    ceil(n*xi) smallest margins and 0 elsewhere (pws).  Equal margins are
+    ordered by row index."""
+    n = margins.size
+    if spec.scheme == "uws":
+        return np.ones(n)
+    order = np.argsort(margins, kind="stable")
     r = np.zeros(n)
-    r[np.argsort(m, kind="stable")[:k]] = 1.0
+    if spec.scheme == "ews":
+        r[order] = np.arange(n, 0, -1, dtype=float) ** spec.k
+    else:
+        r[order[:math.ceil(n * spec.xi)]] = 1.0
     return r
-
-
-def _finish(scheme: str, w, old: MarginProfile, new: MarginProfile,
-            objective: float) -> RewResult:
-    return RewResult(scheme=scheme, feasible=True, weights=w, old_profile=old,
-                     new_profile=new, objective=objective,
-                     variance_reduction=old.variance - new.variance,
-                     range_reduction=old.spread - new.spread)
 
 
 def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
@@ -181,49 +165,6 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     if not gap <= GAP_TOL * (1.0 + abs(value)):
         raise SelfCheckError(f"margin LP duality gap {gap:.3e} at objective {-value:.6g}")
     return w / w.sum()
-
-
-def mm_weights(matrix: PredictionMatrix, alpha, r) -> RewResult:
-    """Maximize the r-weighted margin gain, never letting a margin drop.
-
-    Feasible by construction (alpha itself satisfies every constraint).
-    When the LP's answer does not score above alpha under r, alpha is
-    kept with objective 0, so the reported objective is never negative.
-    The r vector is rescaled by its maximum before entering the solver;
-    positive scaling cannot change the set of optimal weight vectors.
-    """
-    a = simplex_weights(alpha, matrix.n_learners)
-    r = np.asarray(r, dtype=float)
-    if r.shape != (matrix.n_rows,):
-        raise ValueError("one emphasis value per observation required")
-    if np.any(r < 0) or not np.any(r > 0):
-        raise ValueError("emphasis must be nonnegative and not all zero")
-    old = compute_margins(matrix, a)
-    w = _margin_lp(matrix, r / r.max(), old.margins)
-    if w is None:
-        raise SelfCheckError("margin LP ended infeasible, expected optimal")
-    new = compute_margins(matrix, w)
-    # judge the answer under the caller's r, not the rescaled one; alpha
-    # meets every floor, so an answer that does not beat it is rounding noise
-    gain = float(r @ (new.margins - old.margins))
-    if not gain > 0:
-        return _finish("mm", a.copy(), old, old, 0.0)
-    return _finish("mm", w, old, new, gain)
-
-
-def sm1_weights(matrix: PredictionMatrix, alpha, xi: float = 0.05) -> RewResult:
-    """Lift the low half of the margins to the xi-quantile and hold the
-    rest at the mean; infeasibility is a reported outcome."""
-    if not 0.0 < xi < 1.0:
-        raise ValueError("xi must lie in (0, 1)")
-    a = simplex_weights(alpha, matrix.n_learners)
-    old = compute_margins(matrix, a)
-    floors = np.where(old.margins <= old.mean, old.percentile(xi), old.mean)
-    w = _margin_lp(matrix, np.ones(matrix.n_rows), floors)
-    if w is None:
-        return RewResult(scheme="sm1", feasible=False, old_profile=old)
-    new = compute_margins(matrix, w)
-    return _finish("sm1", w, old, new, float((new.margins - old.margins).sum()))
 
 
 def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
@@ -274,23 +215,40 @@ def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
     w = coef / total
     new = compute_margins(matrix, w)
     sse = float(np.sum((coef @ signed - old.mean) ** 2))
-    return _finish("sm2", w, old, new, sse)
+    return RewResult("sm2", True, w, old, new, sse)
 
 
 def apply_scheme(spec: RewSpec, matrix: PredictionMatrix, alpha) -> RewResult:
-    """Dispatch a parsed scheme against a prediction matrix."""
+    """Reweight the votes `alpha` of a prediction matrix under a parsed scheme.
+
+    sm2 is sm2_weights.  The others solve the margin LP from the margins
+    under alpha.  uws, ews and pws floor every margin at its old value
+    and maximize the emphasis-weighted gain; the emphasis is rescaled by
+    its maximum for the solver, which cannot change the optimal weights.
+    alpha meets every floor, so an LP found infeasible there is a fault;
+    and an answer that does not score above alpha under the emphasis is
+    rounding noise, so alpha is kept with objective 0.  sm1 floors the
+    margins at or below the mean at the xi-quantile and the rest at the
+    mean, maximizes the total gain, and reports no weights reaching those
+    floors as infeasible.
+    """
+    if spec.scheme == "sm2":
+        return sm2_weights(matrix, alpha)
+    a = simplex_weights(alpha, matrix.n_learners)
+    old = compute_margins(matrix, a)
     if spec.scheme == "sm1":
-        result = sm1_weights(matrix, alpha, spec.xi)
-    elif spec.scheme == "sm2":
-        result = sm2_weights(matrix, alpha)
-    else:
-        a = simplex_weights(alpha, matrix.n_learners)
-        old = compute_margins(matrix, a)
-        if spec.scheme == "uws":
-            r = uws_r(matrix.n_rows)
-        elif spec.scheme == "ews":
-            r = ews_r(old.margins, spec.k)
-        else:
-            r = pws_r(old.margins, spec.xi)
-        result = mm_weights(matrix, alpha, r)
-    return replace(result, scheme=spec.label)
+        floors = np.where(old.margins <= old.mean, old.percentile(spec.xi), old.mean)
+        w = _margin_lp(matrix, np.ones(matrix.n_rows), floors)
+        if w is None:
+            return RewResult(spec.label, False, old_profile=old)
+        new = compute_margins(matrix, w)
+        return RewResult(spec.label, True, w, old, new, float((new.margins - old.margins).sum()))
+    r = _emphasis(spec, old.margins)
+    w = _margin_lp(matrix, r / r.max(), old.margins)
+    if w is None:
+        raise SelfCheckError("margin LP ended infeasible, expected optimal")
+    new = compute_margins(matrix, w)
+    gain = float(r @ (new.margins - old.margins))
+    if not gain > 0:
+        return RewResult(spec.label, True, a.copy(), old, old, 0.0)
+    return RewResult(spec.label, True, w, old, new, gain)

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 
 from bench_data import ionosphere_like, pima_like, sonar_like
+from emphasis_oracle import emphasis
 from lp_oracle import oracle_solve, random_lp
 from replay_oracle import replay_distributions
 from simplex_grid_oracle import grid_best
@@ -25,9 +26,7 @@ from margin_forge.harness import (
     ExperimentConfig, paired_t_test, run_experiment, t_two_sided_p, truncate_model,
 )
 from margin_forge.margins import compute_margins
-from margin_forge.reweight import (
-    ews_r, mm_weights, parse_spec, pws_r, sm1_weights, sm2_weights, uws_r,
-)
+from margin_forge.reweight import RewSpec, apply_scheme, parse_spec, sm2_weights
 from margin_forge.simplex import solve
 
 
@@ -86,9 +85,8 @@ def test_margin_lp_improves_margins_on_every_combination(tmp_path, capsys):
                 matrix = prediction_matrix(model, data)
                 alpha = model.vote_weights
                 old = compute_margins(matrix, alpha).margins
-                emphases = [uws_r(matrix.n_rows), ews_r(old, 5), pws_r(old, 0.05)]
-                for r in emphases:
-                    result = mm_weights(matrix, alpha, r)
+                for text in ("uws", "ews:5", "pws:0.05"):
+                    result = apply_scheme(parse_spec(text), matrix, alpha)
                     assert result.feasible
                     assert np.all(result.new_profile.margins >= old - 1e-7)
                     w = result.weights
@@ -124,7 +122,7 @@ def test_group_floors_hold_and_infeasibility_is_reported(capsys):
         data = generate_synthetic("two-gaussians", 50, 1.6, 2)
         model = random_forest(data, 20, seed=2)
         matrix = prediction_matrix(model, data)
-        result = sm1_weights(matrix, model.vote_weights, xi=0.1)
+        result = apply_scheme(RewSpec("sm1", xi=0.1), matrix, model.vote_weights)
         assert result.feasible
         old = result.old_profile
         theta = old.percentile(0.1)
@@ -135,7 +133,7 @@ def test_group_floors_hold_and_infeasibility_is_reported(capsys):
 
         # one row is wrong under every learner, so no simplex point lifts it
         stuck = _matrix_of([[-1, -1], [1, 1], [1, 1], [1, 1]], [1, 1, 1, 1])
-        blocked = sm1_weights(stuck, [0.5, 0.5], xi=0.5)
+        blocked = apply_scheme(RewSpec("sm1", xi=0.5), stuck, [0.5, 0.5])
         assert blocked.feasible is False
 
     _check(4, "group floors hold when feasible and infeasibility is reported", run, capsys)
@@ -191,13 +189,14 @@ def test_tiny_instance_optima_match_grid_search(capsys):
             signed = matrix.entries.T
             old = compute_margins(matrix, a).margins
             n = len(labels)
-            for r in (uws_r(n), ews_r(old, 3)):
-                result = mm_weights(matrix, a, r)
+            for spec in (RewSpec("uws"), RewSpec("ews", k=3)):
+                r = np.array(emphasis(spec.scheme, old, spec.k))
+                result = apply_scheme(spec, matrix, a)
                 best, _ = grid_best(signed, old, r, old)
                 assert best is not None
                 assert abs(result.objective - best) <= 2e-3
 
-            result = sm1_weights(matrix, a, xi=0.3)
+            result = apply_scheme(RewSpec("sm1", xi=0.3), matrix, a)
             profile = compute_margins(matrix, a)
             floors = np.where(old <= profile.mean, profile.percentile(0.3), profile.mean)
             best, _ = grid_best(signed, floors, np.ones(n), old)

@@ -24,3 +24,12 @@ def test_package_imports_only_numpy_and_the_standard_library():
     foreign = [name for name in loaded if name not in sys.stdlib_module_names
                and name not in ("numpy", "margin_forge")]
     assert foreign == []
+
+
+def test_public_names_resolve():
+    import margin_forge
+    missing = [name for name in margin_forge.__all__ if not hasattr(margin_forge, name)]
+    assert missing == []
+    # the reweighting helpers that apply_scheme replaced stay gone
+    for name in ("mm_weights", "sm1_weights", "uws_r", "ews_r", "pws_r"):
+        assert not hasattr(margin_forge, name)

@@ -9,13 +9,13 @@ from margin_forge.ensemble import (
 )
 from margin_forge.margins import compute_margins
 from margin_forge.reweight import (
-    RewSpec, SelfCheckError, apply_scheme, ews_r, mm_weights, parse_spec, pws_r,
-    sm1_weights, sm2_weights, uws_r,
+    RewSpec, SelfCheckError, apply_scheme, parse_spec, sm2_weights,
 )
 from margin_forge.cart import TreeParams
 from margin_forge.harness import ExperimentConfig, run_experiment
 from margin_forge.simplex import LpSolution
 from bench_data import pima_like
+from emphasis_oracle import emphasis
 from simplex_grid_oracle import grid_best
 
 
@@ -57,41 +57,59 @@ def test_parse_spec_forms():
         parse_spec("sm2:0.9")
 
 
+def emphasis_of(text, margins):
+    # the package's emphasis for a scheme, checked against the oracle's
+    spec = parse_spec(text)
+    m = np.asarray(margins, dtype=float)
+    r = reweight._emphasis(spec, m)
+    assert r.tolist() == emphasis(spec.scheme, m, spec.k, spec.xi)
+    return r
+
+
 def test_emphasis_vectors():
-    assert uws_r(3).tolist() == [1.0, 1.0, 1.0]
-    assert ews_r([0.1, 0.5, 0.9], k=1).tolist() == [3.0, 2.0, 1.0]
-    assert ews_r([0.1, 0.5, 0.9], k=2).tolist() == [9.0, 4.0, 1.0]
+    assert emphasis_of("uws", [0.3, -0.2, 0.1]).tolist() == [1.0, 1.0, 1.0]
+    assert emphasis_of("ews:1", [0.1, 0.5, 0.9]).tolist() == [3.0, 2.0, 1.0]
+    assert emphasis_of("ews:2", [0.1, 0.5, 0.9]).tolist() == [9.0, 4.0, 1.0]
     # smallest margin of n rows gets n^k
-    r = ews_r(np.linspace(-1, 1, 208), k=5)
+    r = emphasis_of("ews:5", np.linspace(-1, 1, 208))
     assert r.max() == 208.0 ** 5
-    assert pws_r(np.linspace(0, 1, 10), 0.10).sum() == 1.0
-    assert pws_r(np.linspace(0, 1, 10), 0.10)[0] == 1.0
+    assert emphasis_of("pws:0.1", np.linspace(0, 1, 10)).sum() == 1.0
+    assert emphasis_of("pws:0.1", np.linspace(0, 1, 10))[0] == 1.0
 
 
 def test_pws_full_proportion_equals_uws():
     m = np.array([0.3, -0.1, 0.5, 0.2])
-    assert np.array_equal(pws_r(m, 0.9999), uws_r(4))
+    assert np.array_equal(emphasis_of("pws:0.9999", m), emphasis_of("uws", m))
 
 
 def test_rank_ties_resolve_by_index():
-    r = ews_r([0.5, 0.5, 0.1], k=1)
+    r = emphasis_of("ews:1", [0.5, 0.5, 0.1])
     # ranks: the 0.1 gets 1; the tied 0.5s get 2 then 3 by position
     assert r.tolist() == [2.0, 1.0, 3.0]
-    ind = pws_r([0.2, 0.2, 0.2, 0.9], 0.5)  # k=2, tie at 0.2
+    ind = emphasis_of("pws:0.5", [0.2, 0.2, 0.2, 0.9])  # k=2, tie at 0.2
     assert ind.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(margins=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]), min_size=1,
+                        max_size=40),
+       text=st.sampled_from(["uws", "ews:1", "ews:3", "pws:0.05", "pws:0.5", "pws:0.9"]))
+def test_emphasis_matches_the_oracle_on_tied_margins(margins, text):
+    # few distinct values, so most rows share a margin with another row
+    emphasis_of(text, margins)
 
 
 def test_ews_strictly_decreasing_over_distinct_ranks():
     rng = np.random.default_rng(0)
     m = rng.uniform(-1, 1, 12)
-    r = ews_r(m, k=5)
+    r = emphasis_of("ews:5", m)
     order = np.argsort(m, kind="stable")
     assert np.all(np.diff(r[order]) < 0)
 
 
 def test_mm_single_learner_is_identity():
     m = matrix_of([[1], [-1], [1]], [1, 1, -1])
-    result = mm_weights(m, [1.0], uws_r(3))
+    result = apply_scheme(RewSpec("uws"), m, [1.0])
     assert result.weights.tolist() == [1.0]
     assert result.objective == pytest.approx(0.0, abs=1e-9)
     assert np.array_equal(result.new_profile.margins, result.old_profile.margins)
@@ -99,9 +117,8 @@ def test_mm_single_learner_is_identity():
 
 def test_mm_never_lowers_a_margin():
     matrix, alpha = small_forest()
-    for r in (uws_r(matrix.n_rows), ews_r(compute_margins(matrix, alpha).margins, 5),
-              pws_r(compute_margins(matrix, alpha).margins, 0.2)):
-        result = mm_weights(matrix, alpha, r)
+    for text in ("uws", "ews:5", "pws:0.2"):
+        result = apply_scheme(parse_spec(text), matrix, alpha)
         assert result.feasible
         assert np.all(result.new_profile.margins >= result.old_profile.margins - 1e-7)
         assert result.objective >= -1e-9
@@ -110,16 +127,17 @@ def test_mm_never_lowers_a_margin():
 
 
 def test_mm_keeps_alpha_when_the_lp_does_not_beat_it(monkeypatch):
-    # an answer that scores below alpha under r is rounding noise: alpha,
-    # which meets every floor, is kept and the objective is exactly 0
+    # an answer that scores below alpha under uws's all-ones emphasis is
+    # rounding noise: alpha, which meets every floor, is kept and the
+    # objective is exactly 0
     matrix, alpha = small_forest(n=30, T=8, seed=5)
-    r = uws_r(matrix.n_rows)
+    r = np.ones(matrix.n_rows)
     worse = np.zeros(matrix.n_learners)
     worse[np.argmin(matrix.entries @ r)] = 1.0
     old = compute_margins(matrix, alpha)
     assert r @ (compute_margins(matrix, worse).margins - old.margins) < 0
     monkeypatch.setattr(reweight, "_margin_lp", lambda *args: worse)
-    result = mm_weights(matrix, alpha, r)
+    result = apply_scheme(RewSpec("uws"), matrix, alpha)
     assert np.array_equal(result.weights, alpha)
     assert result.objective == 0.0
     assert np.array_equal(result.new_profile.margins, old.margins)
@@ -128,19 +146,10 @@ def test_mm_keeps_alpha_when_the_lp_does_not_beat_it(monkeypatch):
 def test_mm_objective_identity():
     matrix, alpha = small_forest(n=30, T=8, seed=5)
     old = compute_margins(matrix, alpha)
-    r = ews_r(old.margins, 3)
-    result = mm_weights(matrix, alpha, r)
+    r = np.array(emphasis("ews", old.margins, k=3))
+    result = apply_scheme(RewSpec("ews", k=3), matrix, alpha)
     by_hand = float(r @ (result.new_profile.margins - old.margins))
     assert result.objective == pytest.approx(by_hand, abs=1e-7)
-
-
-def test_mm_emphasis_scale_invariance():
-    matrix, alpha = small_forest(n=25, T=6, seed=8)
-    r = uws_r(matrix.n_rows)
-    a = mm_weights(matrix, alpha, r)
-    b = mm_weights(matrix, alpha, 10.0 * r)
-    assert np.allclose(a.new_profile.margins, b.new_profile.margins, atol=1e-7)
-    assert b.objective == pytest.approx(10.0 * a.objective, abs=1e-6)
 
 
 def test_mm_matches_grid_oracle():
@@ -153,9 +162,10 @@ def test_mm_matches_grid_oracle():
         T = int(rng.integers(2, 4))
         matrix, alpha = random_instance(rng, n, T)
         old = compute_margins(matrix, alpha)
-        r = [uws_r(n), ews_r(old.margins, 2), pws_r(old.margins, 0.4)][usable % 3]
+        spec = [RewSpec("uws"), RewSpec("ews", k=2), RewSpec("pws", xi=0.4)][usable % 3]
+        r = np.array(emphasis(spec.scheme, old.margins, spec.k, spec.xi))
         scaled = r / r.max()
-        result = mm_weights(matrix, alpha, r)
+        result = apply_scheme(spec, matrix, alpha)
         lp_value = float(scaled @ (result.new_profile.margins - old.margins))
         signed = matrix.entries.T
         best, _ = grid_best(signed, old.margins, scaled, old.margins)
@@ -171,14 +181,14 @@ def test_sm1_uniform_margins_trivially_feasible():
     # every learner wrong on the same single point: all margins equal
     m = matrix_of([[1, 1], [1, 1], [-1, -1]], [1, 1, -1])
     # margins all +1 except the last which is... h=-1,y=-1 -> correct, +1 too
-    result = sm1_weights(m, [0.5, 0.5], xi=0.5)
+    result = apply_scheme(RewSpec("sm1", xi=0.5), m, [0.5, 0.5])
     assert result.feasible
     assert np.all(result.new_profile.margins >= result.old_profile.margins - 1e-7)
 
 
 def test_sm1_floor_contract_when_feasible():
     matrix, alpha = small_forest(n=50, T=20, seed=2)
-    result = sm1_weights(matrix, alpha, xi=0.1)
+    result = apply_scheme(RewSpec("sm1", xi=0.1), matrix, alpha)
     assert result.feasible
     old = result.old_profile
     mean = old.mean
@@ -195,9 +205,10 @@ def test_sm1_reports_infeasible_without_raising():
     # one observation every learner gets wrong pins its margin at -1,
     # while the rest sit high; lifting the low half to the median is hopeless
     m = matrix_of([[-1, -1], [1, 1], [1, 1], [1, 1]], [1, 1, 1, 1])
-    result = sm1_weights(m, [0.5, 0.5], xi=0.5)
+    result = apply_scheme(RewSpec("sm1", xi=0.5), m, [0.5, 0.5])
     assert not result.feasible
     assert result.weights is None and result.new_profile is None
+    assert result.variance_reduction is None and result.range_reduction is None
     assert result.old_profile is not None  # diagnostics still available
 
 
@@ -213,7 +224,7 @@ def test_sm1_matches_grid_oracle_on_feasibility():
         floors = np.where(old.margins <= old.mean, theta, old.mean)
         signed = matrix.entries.T
         best, _ = grid_best(signed, floors, np.ones(n), old.margins)
-        result = sm1_weights(matrix, alpha, xi=0.3)
+        result = apply_scheme(RewSpec("sm1", xi=0.3), matrix, alpha)
         if best is not None:
             # a feasible grid point proves the LP is feasible
             assert result.feasible
@@ -223,10 +234,8 @@ def test_sm1_matches_grid_oracle_on_feasibility():
     assert seen_feasible
 
 
-_MARGIN_LP_SCHEMES = pytest.mark.parametrize("scheme", [
-    lambda matrix, alpha: mm_weights(matrix, alpha, uws_r(matrix.n_rows)),
-    lambda matrix, alpha: sm1_weights(matrix, alpha, xi=0.5),
-], ids=["mm", "sm1"])
+_MARGIN_LP_SCHEMES = pytest.mark.parametrize(
+    "spec", [RewSpec("uws"), RewSpec("sm1", xi=0.5)], ids=["mm", "sm1"])
 
 
 def _dual_answer(prices, value_offset=0.0):
@@ -242,31 +251,31 @@ def _dual_answer(prices, value_offset=0.0):
 
 
 @_MARGIN_LP_SCHEMES
-def test_margin_lp_rejects_an_answer_below_a_floor(monkeypatch, scheme):
+def test_margin_lp_rejects_an_answer_below_a_floor(monkeypatch, spec):
     # learner 0 misses row 0 and learner 1 hits both rows; all the weight on
     # learner 0 drops row 0's margin from 0 to -1, below its floor in both LPs
     matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
     monkeypatch.setattr(reweight, "solve", _dual_answer([1.0, 0.0]))
     with pytest.raises(SelfCheckError, match="ge constraints"):
-        scheme(matrix, np.array([0.5, 0.5]))
+        apply_scheme(spec, matrix, np.array([0.5, 0.5]))
 
 
 @_MARGIN_LP_SCHEMES
-def test_margin_lp_rejects_an_answer_with_a_duality_gap(monkeypatch, scheme):
+def test_margin_lp_rejects_an_answer_with_a_duality_gap(monkeypatch, spec):
     # all the weight on learner 1 lifts both margins to 1, above every
     # floor, but the reported dual objective is off by 1e-6
     matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
     monkeypatch.setattr(reweight, "solve", _dual_answer([0.0, 1.0], 1e-6))
     with pytest.raises(SelfCheckError, match="duality gap"):
-        scheme(matrix, np.array([0.5, 0.5]))
+        apply_scheme(spec, matrix, np.array([0.5, 0.5]))
     monkeypatch.setattr(reweight, "solve", _dual_answer([0.0, 1.0]))
-    assert scheme(matrix, np.array([0.5, 0.5])).weights.tolist() == [0.0, 1.0]
+    assert apply_scheme(spec, matrix, np.array([0.5, 0.5])).weights.tolist() == [0.0, 1.0]
 
 
 def test_margin_lp_reports_a_dual_failure(monkeypatch):
     monkeypatch.setattr(reweight, "solve", lambda problem: LpSolution("infeasible", None, None))
     with pytest.raises(SelfCheckError, match="dual ended infeasible"):
-        sm1_weights(matrix_of([[-1, 1], [1, 1]], [1, 1]), [0.5, 0.5])
+        apply_scheme(RewSpec("sm1"), matrix_of([[-1, 1], [1, 1]], [1, 1]), [0.5, 0.5])
 
 
 def test_mm_lp_found_infeasible_is_a_self_check_failure(monkeypatch):
@@ -274,7 +283,7 @@ def test_mm_lp_found_infeasible_is_a_self_check_failure(monkeypatch):
     # primal infeasible is wrong
     monkeypatch.setattr(reweight, "solve", lambda problem: LpSolution("unbounded", None, None))
     with pytest.raises(SelfCheckError, match="margin LP ended infeasible"):
-        mm_weights(matrix_of([[-1, 1], [1, 1]], [1, 1]), [0.5, 0.5], uws_r(2))
+        apply_scheme(RewSpec("uws"), matrix_of([[-1, 1], [1, 1]], [1, 1]), [0.5, 0.5])
 
 
 def test_margin_lps_of_a_drifting_seed_finish():
@@ -448,7 +457,7 @@ def test_sm2_falls_back_to_the_svd_without_a_spectral_gap(monkeypatch):
     assert result.weights.tolist() == (expected / expected.sum()).tolist()
 
 
-def test_apply_scheme_dispch_and_labels():
+def test_apply_scheme_dispatch_and_labels():
     matrix, alpha = small_forest(n=30, T=6, seed=1)
     for text, scheme_label in (("uws", "uws"), ("ews:5", "ews:5"),
                                ("pws:0.2", "pws:0.2"), ("sm1:0.1", "sm1:0.1"),
@@ -463,12 +472,13 @@ def test_apply_scheme_dispch_and_labels():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("call", [
-    lambda m, a: mm_weights(m, a, uws_r(2)),
-    lambda m, a: sm1_weights(m, a),
+    lambda m, a: apply_scheme(parse_spec("sm1"), m, a),
     lambda m, a: sm2_weights(m, a),
     lambda m, a: apply_scheme(parse_spec("uws"), m, a),
+    lambda m, a: apply_scheme(parse_spec("ews"), m, a),
+    lambda m, a: apply_scheme(parse_spec("pws:0.5"), m, a),
     lambda m, a: apply_scheme(parse_spec("sm2"), m, a),
-], ids=["mm", "sm1", "sm2", "apply-uws", "apply-sm2"])
+], ids=["sm1", "sm2", "apply-uws", "apply-ews", "apply-pws", "apply-sm2"])
 def test_nonfinite_vote_weights_rejected(call, bad):
     m = matrix_of([[1, -1], [1, 1]], [1, -1])
     with pytest.raises(ValueError, match="vote weights must be finite"):
@@ -477,9 +487,8 @@ def test_nonfinite_vote_weights_rejected(call, bad):
 
 def test_alpha_validation():
     m = matrix_of([[1, 1]], [1])
-    with pytest.raises(ValueError, match="sum to 1"):
-        mm_weights(m, [0.5, 0.2], uws_r(1))
-    with pytest.raises(ValueError, match="nonnegative"):
-        mm_weights(m, [1.5, -0.5], uws_r(1))
-    with pytest.raises(ValueError, match="not all zero"):
-        mm_weights(m, [0.5, 0.5], np.zeros(1))
+    for text in ("uws", "ews", "pws:0.5", "sm1", "sm2"):
+        with pytest.raises(ValueError, match="sum to 1"):
+            apply_scheme(parse_spec(text), m, [0.5, 0.2])
+        with pytest.raises(ValueError, match="nonnegative"):
+            apply_scheme(parse_spec(text), m, [1.5, -0.5])

@@ -8,9 +8,9 @@ from margin_forge import simplex
 from margin_forge.cart import TreeParams
 from margin_forge.ensemble import adaboost, prediction_matrix
 from margin_forge.margins import compute_margins
-from margin_forge.reweight import pws_r, uws_r
 from margin_forge.simplex import LpProblem, LpSolution, SimplexError, residuals, solve
 
+import emphasis_oracle
 import pivot_oracle
 from bench_data import ionosphere_like, pima_like, sonar_like
 from lp_oracle import oracle_solve, random_lp
@@ -357,7 +357,7 @@ def _bench_margin_lp(make, n, T, seed, scheme, form="primal", eq_rows=1):
         emphasis = np.ones(n)
     else:
         floors = old.margins
-        emphasis = uws_r(n) if scheme == "uws" else pws_r(old.margins, 0.2)
+        emphasis = np.array(emphasis_oracle.emphasis(scheme, old.margins, xi=0.2))
     return _margin_problem(matrix, emphasis, floors, form, eq_rows)
 
 
