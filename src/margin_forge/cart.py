@@ -13,7 +13,11 @@ The split search scores every feature of a node at once.  Each column is
 sorted once per training set (a stable argsort, see column_order); a node
 keeps its own rows of those orders, takes cumulative class weights along
 all of them in one pass and picks the best cut with one feature-major
-argmax, so nothing is sorted inside a node.
+argmax, so nothing is sorted inside a node.  Every (F, m) array of a node
+is a view into one SplitScratch that fit_tree allocates once per fit.  On
+sonar-sized data such an array is just under glibc's mmap threshold, so a
+temporary per node would be heap memory that each free hands back to the
+OS and the next node faults in again.
 
 Prediction is one forward pass over the node arrays.  A parent comes
 before its children, so the root starts with every row and each internal
@@ -65,7 +69,29 @@ def column_order(x) -> np.ndarray:
     return np.argsort(np.asarray(x, dtype=float).T, axis=1, kind="stable")
 
 
-def best_split(x, y, w, idx, order, features, min_leaf_weight: float):
+class SplitScratch:
+    """Work arrays for best_split on up to n_features columns of n_rows rows.
+
+    A node's (F, m) arrays are the leading F*m elements of flat buffers,
+    reshaped, so they are contiguous whatever F and m are.  fit_tree makes
+    one scratch per fit and every node of the tree reuses it, so the split
+    search allocates nothing of shape (F, m) and the allocator does not hand
+    those pages back to the OS between nodes.
+    """
+    __slots__ = ("size", "inside", "mask", "ok", "rows", "flat", "floats")
+
+    def __init__(self, n_features: int, n_rows: int):
+        self.size = n_features * n_rows
+        self.inside = np.empty(n_rows, dtype=bool)
+        self.mask = np.empty(self.size, dtype=bool)
+        self.ok = np.empty(self.size, dtype=bool)
+        self.rows = np.empty(self.size, dtype=np.intp)
+        self.flat = np.empty(self.size, dtype=np.intp)
+        self.floats = np.empty((7, self.size))
+
+
+def best_split(x, y, w, idx, order, features, min_leaf_weight: float,
+               scratch: SplitScratch | None = None):
     """Best (decrease, feature, threshold) for the rows in idx, or None.
 
     order[k] is the stable argsort of column features[k] over all rows and
@@ -73,7 +99,12 @@ def best_split(x, y, w, idx, order, features, min_leaf_weight: float):
     by (value, row), as a stable sort of the node's own values would.  All
     features are scored in one (F, m) block; a flat argmax over it is
     feature-major, so ties go to the earlier feature, then the lower
-    threshold.
+    threshold.  Position j cuts between sorted rows j and j + 1; the last
+    position cuts nothing and is masked out.
+
+    Every (F, m) array is a view into scratch (a SplitScratch over at
+    least F features and all rows of x); without one, the call makes its
+    own.  order must hold valid row indices, as column_order gives.
 
     decrease = parent weighted Gini minus the two children's, unnormalized.
     Returns None when the node is already pure (by weight) or no midpoint
@@ -85,22 +116,60 @@ def best_split(x, y, w, idx, order, features, min_leaf_weight: float):
     if min(pos, total - pos) <= 0.0:
         return None  # weighted-pure node: nothing to separate
     parent = _weighted_gini(pos, total - pos)
-    inside = np.zeros(x.shape[0], dtype=bool)
+    x = np.ascontiguousarray(x, dtype=float)
+    n, p = x.shape
+    f, m = len(features), idx.size
+    if scratch is None:
+        scratch = SplitScratch(f, n)
+    elif f * n > scratch.size or scratch.inside.size != n:
+        raise ValueError(f"scratch is too small for {f} features of {n} rows")
+    size = f * m
+
+    def block(buf):
+        return buf[:size].reshape(f, m)
+
+    inside = scratch.inside
+    inside.fill(False)
     inside[idx] = True
-    rows = order[inside[order]].reshape(len(features), idx.size)
-    sv = x[rows, np.asarray(features)[:, None]]
-    # position j cuts between sorted rows j and j+1
-    wl = np.cumsum(w[rows], axis=1)[:, :-1]
-    pl = np.cumsum(np.where(y > 0, w, 0.0)[rows], axis=1)[:, :-1]
-    nl = wl - pl
-    wr = total - wl
-    pr = pos - pl
-    nr = wr - pr
-    ok = (sv[:, :-1] < sv[:, 1:]) & (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
+    mask = scratch.mask[:f * n].reshape(f, n)
+    # mode="clip" skips the bounds pass, which would buffer out= in a copy
+    np.take(inside, order, out=mask, mode="clip")
+    rows = block(scratch.rows)
+    np.compress(mask.ravel(), np.ravel(order), out=rows.ravel())
+    flat = block(scratch.flat)
+    np.multiply(rows, p, out=flat)
+    flat += np.asarray(features, dtype=np.intp)[:, None]
+    sv, wl, pl, nl, wr, pr, nr = (block(buf) for buf in scratch.floats)
+    np.take(x.ravel(), flat, out=sv, mode="clip")
+    np.take(w, rows, out=nl, mode="clip")
+    np.cumsum(nl, axis=1, out=wl)
+    np.take(np.where(y > 0, w, 0.0), rows, out=nl, mode="clip")
+    np.cumsum(nl, axis=1, out=pl)
+    np.subtract(wl, pl, out=nl)
+    np.subtract(total, wl, out=wr)
+    np.subtract(pos, pl, out=pr)
+    np.subtract(wr, pr, out=nr)
+    ok, cut = block(scratch.ok), block(scratch.mask)
+    np.less(sv[:, :-1], sv[:, 1:], out=ok[:, :-1])
+    ok[:, -1] = False
+    ok &= np.greater_equal(wl, min_leaf_weight, out=cut)
+    ok &= np.greater_equal(wr, min_leaf_weight, out=cut)
+    # child = (wl - (pl*pl + nl*nl) / wl) + (wr - (pr*pr + nr*nr) / wr)
     with np.errstate(divide="ignore", invalid="ignore"):
-        child = (wl - (pl * pl + nl * nl) / wl) + (wr - (pr * pr + nr * nr) / wr)
-    dec = np.where(ok, parent - child, -np.inf)
-    k, j = np.unravel_index(np.argmax(dec), dec.shape)
+        pl *= pl
+        nl *= nl
+        pl += nl
+        pl /= wl
+        np.subtract(wl, pl, out=pl)
+        pr *= pr
+        nr *= nr
+        pr += nr
+        pr /= wr
+        np.subtract(wr, pr, out=pr)
+        pl += pr
+    dec = np.subtract(parent, pl, out=pl)
+    np.copyto(dec, -np.inf, where=np.logical_not(ok, out=cut))
+    k, j = divmod(int(np.argmax(dec)), m)
     if dec[k, j] == -np.inf:
         return None
     thr = float((sv[k, j] + sv[k, j + 1]) / 2.0)
@@ -205,9 +274,10 @@ def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
     """Fit one tree on weighted rows.
 
     order is column_order(features); a caller fitting many trees on one
-    training set computes it once and passes it to each fit.
+    training set computes it once and passes it to each fit.  The split
+    search of every node runs in one SplitScratch made here.
     """
-    x = np.asarray(features, dtype=float)
+    x = np.ascontiguousarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("features must be (n, p) with matching labels")
@@ -226,14 +296,18 @@ def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
     if feature_subset is None:
         active = np.arange(p)
     else:
-        active = np.unique(np.asarray(feature_subset, dtype=int))
+        active = np.asarray(feature_subset)
+        if not np.issubdtype(active.dtype, np.integer):  # bool is not an integer dtype
+            raise ValueError("feature_subset must be integer column indices")
+        active = np.unique(active)
         if active.size == 0 or active[0] < 0 or active[-1] >= p:
             raise ValueError("feature_subset must name valid feature columns")
     if order is None:
         order = column_order(x)
     elif np.shape(order) != (p, n):
         raise ValueError(f"order must have shape ({p}, {n})")
-    order = order[active]
+    order = np.ascontiguousarray(order) if feature_subset is None else order[active]
+    scratch = SplitScratch(active.size, n)
 
     feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [_leaf_value(y, w)]
     counter = itertools.count()
@@ -242,7 +316,7 @@ def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
     def enqueue(node, idx, depth):
         if depth >= params.max_depth:
             return
-        found = best_split(x, y, w, idx, order, active, params.min_leaf_weight)
+        found = best_split(x, y, w, idx, order, active, params.min_leaf_weight, scratch)
         if found is not None:
             dec, feat, thr = found
             heapq.heappush(heap, (-dec, feat, thr, next(counter), node, idx, depth))

@@ -58,7 +58,13 @@ class Dataset:
         return {-1: int(np.sum(self.labels == -1)), +1: int(np.sum(self.labels == +1))}
 
     def take(self, indices, name: str | None = None) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        """The rows at the given integer indices, in that order.
+
+        A boolean mask is refused, not read as the indices 0 and 1.
+        """
+        idx = np.asarray(indices)
+        if not np.issubdtype(idx.dtype, np.integer):  # bool is not an integer dtype
+            raise DatasetError("indices must be integer row numbers")
         return Dataset(name or self.name, self.features[idx], self.labels[idx],
                        self.feature_names)
 

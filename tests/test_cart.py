@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import predict_oracle
 import split_oracle
-from margin_forge.cart import Tree, TreeParams, best_split, column_order, fit_tree
-from margin_forge.dataset_io import generate_synthetic
+from bench_data import sonar_like
+from margin_forge.cart import (
+    SplitScratch, Tree, TreeParams, best_split, column_order, fit_tree,
+)
+from margin_forge.dataset_io import generate_synthetic, stratified_split
 from margin_forge.ensemble import PredictionMatrix, adaboost, prediction_matrix, random_forest
 from stump_oracle import all_candidates, best_stump
 
@@ -95,6 +99,16 @@ def test_feature_subset_restricts_splits():
     assert set(tree.feature[tree.feature >= 0].tolist()) <= {3, 4}
 
 
+def test_feature_subset_must_be_integer_indices():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((30, 3))
+    y = np.where(x[:, 0] > 0, 1.0, -1.0)
+    # 2.7 is not read as feature 2, nor a mask as the indices {0, 1}
+    for bad in ([2.7], [False, False, True], np.array([True, False, True])):
+        with pytest.raises(ValueError, match="integer"):
+            fit_tree(x, y, feature_subset=bad)
+
+
 def test_params_validated():
     with pytest.raises(ValueError):
         TreeParams(max_depth=2, max_leaves=5)
@@ -152,6 +166,71 @@ def test_split_matches_per_feature_reference(seed, n, p, levels, twin, min_leaf_
     features = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
     got = best_split(x, y, w, idx, column_order(x)[features], features, min_leaf_weight)
     assert got == split_oracle.best_split(x, y, w, idx, features, min_leaf_weight)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), p=st.integers(2, 5),
+       levels=st.integers(1, 6),
+       min_leaf_weight=st.sampled_from([1e-300, 1e-12, 0.05, 0.3]))
+def test_reused_scratch_keeps_no_state(seed, n, p, levels, min_leaf_weight):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, p)) * 0.5  # few levels: tied values
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    counts = rng.integers(0, 3, size=n)  # bootstrap-like counts give zero weights
+    w = counts / max(counts.sum(), 1)
+    order = column_order(x)
+    root, every = np.arange(n), np.arange(p)
+    child = np.sort(rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False))
+    subset = np.sort(rng.choice(p, size=int(rng.integers(1, p)), replace=False))
+    scratch = SplitScratch(p, n)
+    for idx, features in ((root, every), (child, every), (child, subset), (root, every)):
+        got = best_split(x, y, w, idx, order[features], features, min_leaf_weight, scratch)
+        assert got == best_split(x, y, w, idx, order[features], features, min_leaf_weight)
+        assert got == split_oracle.best_split(x, y, w, idx, features, min_leaf_weight)
+
+
+def test_scratch_too_small_refused():
+    x = np.arange(8.0).reshape(4, 2)
+    y = np.array([-1.0, 1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="scratch"):
+        best_split(x, y, np.full(4, 0.25), np.arange(4), column_order(x), [0, 1], 1e-12,
+                   SplitScratch(1, 4))
+
+
+def sonar_training_rows():
+    train, _ = stratified_split(sonar_like(), 0.7, seed=0)
+    return train.features, train.labels
+
+
+def test_root_split_allocates_no_node_block():
+    x, y = sonar_training_rows()
+    n, p = x.shape
+    assert (n, p) == (147, 60)
+    args = (x, y, np.full(n, 1.0 / n), np.arange(n), column_order(x), np.arange(p), 1e-12,
+            SplitScratch(p, n))
+    want = best_split(*args)
+    tracemalloc.start()
+    try:
+        got = best_split(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # one (F, n) float block is p * n * 8 bytes; without the scratch a
+    # root search allocates about a dozen of them
+    assert peak < 3 * p * n * 8
+
+
+def test_fortran_ordered_features_fit_the_same_tree():
+    x, y = sonar_training_rows()
+    rng = np.random.default_rng(13)
+    for subset in (None, [4, 9, 31, 59]):
+        w = rng.random(y.size)
+        w /= w.sum()
+        a = fit_tree(x, y, weights=w, feature_subset=subset)
+        b = fit_tree(np.asfortranarray(x), y, weights=w, feature_subset=subset)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_order_shape_checked():

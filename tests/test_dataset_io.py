@@ -184,6 +184,15 @@ def test_dataset_validation():
         data.features[0, 0] = 5.0
 
 
+def test_take_refuses_masks_and_non_integer_indices():
+    data = Dataset("d", np.arange(40.0).reshape(20, 2), np.where(np.arange(20) % 2, 1.0, -1.0))
+    picked = data.take(np.array([3, 0, 3]), name="sub")
+    assert picked.name == "sub" and picked.features[:, 0].tolist() == [6.0, 0.0, 6.0]
+    for bad in ([True, False] * 10, np.ones(20, dtype=bool), [1.0, 2.0], [0.5]):
+        with pytest.raises(DatasetError, match="integer"):
+            data.take(bad)
+
+
 def test_split_ceil_per_class():
     # 5 rows per class at 0.7 puts ceil(3.5) = 4 in train for each class
     x = np.arange(20, dtype=float).reshape(10, 2)
