@@ -19,8 +19,8 @@ it.  The schemes fall in three families:
 The two LP families share one margin LP.  It is solved through its dual,
 which has one row per learner and is always feasible, and the weights
 are the dual's row prices.  The dual's free variable is shifted by the
-largest entry of its rhs, so every row but those tied at that maximum
-starts on its slack and phase 1 takes one pivot per tied row.  The
+largest entry of its rhs, so every row, those tied at that maximum
+among them, starts on its surplus and no phase 1 runs.  The
 answer is checked against the primal's constraints and against the
 duality gap; one that breaks a floor or leaves a gap raises
 SelfCheckError, which is a fault of the package, not of the data, so it
@@ -136,10 +136,10 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     through its dual: max floors.u - v s.t. -S u + v 1 >= c, u >= 0, v
     free.  The dual has one row per learner and is always feasible; the
     weights are its row prices.  It is stated with v = top + v+ - v-,
-    top = max(c), so its rhs is c - top <= 0 and every row but those tied
-    at the maximum starts on its slack (u = 0, v = top is feasible):
-    phase 1 takes one pivot per tied row.  The shift moves the dual
-    objective by the constant -top and leaves the prices as they are.
+    top = max(c), so its rhs is c - top <= 0 and every row starts on its
+    surplus (u = 0, v = top is feasible): no phase 1 runs.  The shift
+    moves the dual objective by the constant -top and leaves the prices
+    as they are.
     """
     signed = matrix.entries
     c = signed @ emphasis

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex solver.
+"""Two-phase revised simplex solver.
 
 Problems are stated in a single canonical form: maximize c.x subject to
 inequality rows a_ge x >= b_ge and equality rows a_eq x = b_eq, each
@@ -9,26 +9,36 @@ solution statuses, never exceptions.
 Pivoting uses the largest-coefficient rule for speed; a prolonged
 degenerate stall switches the run to Bland's rule, which cannot cycle.
 Both rules break ties by lowest index, so solves are deterministic.
+The leaving row is chosen by Harris's ratio test, which pivots on the
+largest entry among the rows whose ratio is near the minimum; entries at
+or below max(PIVOT_TOL, 1e-9 times the column's largest entry) never
+serve as pivots.
 
-Each row with a negative bound is negated first.  A row whose slack then
-enters with +1 (an upper bound, or a ge row with a negative bound) starts
-basic on its slack; every other row starts on an artificial variable, and
-phase 1 runs only when there is one.  So a caller that moves a known
-feasible point to x = 0, leaving every ge bound at or below zero, hands
-the solver a feasible start: phase 1 has only the rows with a zero bound
-to move.
+Every row but an equality has a slack column, -e_i for a ge row (its
+surplus) and +e_i for an upper bound.  A row starts basic on its slack
+when the slack's value, its bound times the slack's sign, is at or above
+zero: a ge row with a bound at or below zero, or an upper bound.  Every
+other row starts on an artificial variable, and phase 1 runs only when
+there is one.  So a caller that moves a known feasible point to x = 0,
+leaving every ge bound at or below zero, hands the solver a feasible
+start and runs no phase 1.  An artificial never re-enters once it
+leaves, so its column is never priced.
 
-The tableau is column-major and holds the variable and slack columns and
-the rhs, but no artificial columns: an artificial starts basic and never
-re-enters once it leaves, so its column would never be read.  A pivot is
-one dense update in place: the outer product of the scaled pivot row and
-the pivot column goes into a work block that solve allocates once per
-tableau, and is subtracted from the whole tableau, so that no pivot
-allocates memory the size of what it writes.
+The engine keeps the basis as an explicit m x m inverse (Chvatal, Linear
+Programming, 1983, ch. 7).  A pivot prices every column with one product
+of the contiguous transposed constraint matrix and the row prices, takes
+the entering column through the inverse for the ratio test, and updates
+the inverse by one rank-1 product written into a work block that solve
+allocates once.  The inverse is rebuilt from the basis columns every
+REBUILD_EVERY pivots and before an "optimal" or "unbounded" verdict is
+believed, so rounding that the updates accumulate never decides an
+answer.  A basis whose rebuild fails raises SimplexError.
+
 Each solution reports its pivots per phase, whether Bland's rule took
-over and how many redundant rows were dropped.  An optimal one also
-reports the prices of its ge rows, their dual values in row order: the
-phase-2 reduced costs of their surplus columns.
+over, how many redundant rows were dropped and how many times the basis
+inverse was rebuilt.  An optimal one also reports the prices of its ge
+rows, their dual values in row order: the phase-2 reduced costs of their
+surplus columns.
 """
 from __future__ import annotations
 
@@ -39,6 +49,7 @@ FEAS_TOL = 1e-7      # constraint satisfaction tolerance on reported solutions
 BOUND_TOL = 1e-9     # variable bound tolerance
 PIVOT_TOL = 1e-11    # entries at or below this never serve as pivots
 COST_TOL = 1e-9      # reduced-cost threshold for optimality
+REBUILD_EVERY = 64   # pivots between rebuilds of the basis inverse
 
 
 class SimplexError(RuntimeError):
@@ -102,6 +113,7 @@ class LpSolution:
     bland: bool = False              # a stall switched a phase to Bland's rule
     dropped_rows: int = 0            # redundant equality rows removed after phase 1
     prices: np.ndarray | None = None  # optimal only: one dual value per ge row
+    refactors: int = 0               # times the basis was refactored from its columns
 
     @property
     def optimal(self) -> bool:
@@ -118,25 +130,26 @@ def _dantzig_entering(costs: np.ndarray) -> int:
     return col if costs[col] < -COST_TOL else -1
 
 
-def _bland_leaving(tableau: np.ndarray, basis: list[int], col: int) -> int:
-    column = tableau[:-1, col]
-    rhs = tableau[:-1, -1]
-    rows = np.nonzero(column > PIVOT_TOL)[0]
+def _pivot_tol(column: np.ndarray) -> float:
+    # relative to the column, so a badly scaled column cannot pivot on noise
+    return max(PIVOT_TOL, 1e-9 * float(np.abs(column).max())) if column.size else PIVOT_TOL
+
+
+def _bland_leaving(column: np.ndarray, rhs: np.ndarray, basis: np.ndarray) -> int:
+    rows = np.nonzero(column > _pivot_tol(column))[0]
     if rows.size == 0:
         return -1
     ratios = rhs[rows] / column[rows]
     best = ratios.min()
     tied = rows[ratios <= best + PIVOT_TOL]
     # Bland: among minimum-ratio rows, leave the lowest-indexed basic variable
-    return int(min(tied, key=lambda r: basis[r]))
+    return int(tied[np.argmin(basis[tied])])
 
 
-def _harris_leaving(tableau: np.ndarray, col: int) -> int:
+def _harris_leaving(column: np.ndarray, rhs: np.ndarray) -> int:
     # among rows whose ratio is within a small window of the minimum, pivot
-    # on the largest element; tiny pivots are what blow a dense tableau up
-    column = tableau[:-1, col]
-    rhs = tableau[:-1, -1]
-    rows = np.nonzero(column > PIVOT_TOL)[0]
+    # on the largest element; tiny pivots are what blow a basis inverse up
+    rows = np.nonzero(column > _pivot_tol(column))[0]
     if rows.size == 0:
         return -1
     ratios = rhs[rows] / column[rows]
@@ -145,48 +158,142 @@ def _harris_leaving(tableau: np.ndarray, col: int) -> int:
     return int(cand[np.argmax(column[cand])])
 
 
-def _work(tableau: np.ndarray) -> np.ndarray:
-    # one block the shape of the transposed tableau, written by every pivot
-    # on it, so that no pivot allocates memory of that size
-    return np.empty(tableau.T.shape)
+class _Basis:
+    """The revised simplex state of one solve.
+
+    Columns are numbered structural first (0..n-1), then one slack per ge
+    and upper row, then one artificial per row that starts on one.  `at`
+    is the transposed structural block, C-contiguous, so a row of it is a
+    column of the problem and one product with it prices every column.
+    `binv` is the inverse of the basis matrix, `xb` the basic values and
+    `cost` the current phase's cost of every column (minimized)."""
+
+    def __init__(self, at: np.ndarray, b: np.ndarray, slack_sign: np.ndarray):
+        n, m = at.shape
+        self.at, self.b = at, b
+        self.slack_rows = np.flatnonzero(slack_sign)
+        self.neg_slack_sign = -slack_sign[self.slack_rows]
+        n_slack = self.slack_rows.size
+        # a slack whose value b_i * sign_i is at least zero starts basic;
+        # every other row starts on an artificial of sign(b_i), value |b_i|
+        slack_start = slack_sign[self.slack_rows] * b[self.slack_rows] >= 0.0
+        starts_on_slack = np.zeros(m, dtype=bool)
+        starts_on_slack[self.slack_rows[slack_start]] = True
+        self.art_rows = np.flatnonzero(~starts_on_slack)
+        self.art_start = n + n_slack
+        # the row and sign of every unit column: slacks, then artificials
+        self.unit_row = np.concatenate([self.slack_rows, self.art_rows])
+        self.unit_sign = np.concatenate([slack_sign[self.slack_rows],
+                                         np.where(b[self.art_rows] < 0.0, -1.0, 1.0)])
+        self.basis = np.empty(m, dtype=np.intp)
+        self.basis[self.slack_rows[slack_start]] = n + np.flatnonzero(slack_start)
+        self.basis[self.art_rows] = self.art_start + np.arange(self.art_rows.size)
+        diag = self.unit_sign[self.basis - n]
+        self.binv = np.diag(diag)
+        self.xb = diag * b
+        self.cost = np.zeros(self.art_start + self.art_rows.size)
+        self.reduced = np.empty(self.art_start)    # reduced costs, rewritten per pricing
+        self.work = np.empty((m, m))               # the rank-1 update's block
+        self.dropped = np.zeros(0, dtype=np.intp)  # rows whose artificial stays basic
+        self.since_rebuild = 0
+        self.refactors = 0
+
+    def value(self) -> float:
+        # minus the phase's objective, which rises as the phase progresses
+        return -float(self.cost[self.basis] @ self.xb)
+
+    def price(self) -> np.ndarray:
+        # reduced costs c_j - y.a_j of every structural and slack column
+        n = self.at.shape[0]
+        y = self.cost[self.basis] @ self.binv
+        d = self.reduced
+        np.matmul(self.at, y, out=d[:n])
+        np.subtract(self.cost[:n], d[:n], out=d[:n])
+        np.multiply(self.neg_slack_sign, y[self.slack_rows], out=d[n:])
+        return d
+
+    def column(self, q: int) -> np.ndarray:
+        # the entering column through the basis inverse, B^-1 a_q
+        n = self.at.shape[0]
+        if q < n:
+            alpha = self.binv @ self.at[q]
+        else:
+            alpha = self.unit_sign[q - n] * self.binv[:, self.unit_row[q - n]]
+        alpha[self.dropped] = 0.0
+        return alpha
+
+    def row(self, i: int) -> np.ndarray:
+        # row i of B^-1 A over the structural and slack columns
+        n = self.at.shape[0]
+        out = np.empty(self.art_start)
+        np.matmul(self.at, self.binv[i], out=out[:n])
+        np.multiply(-self.neg_slack_sign, self.binv[i, self.slack_rows], out=out[n:])
+        return out
+
+    def pivot(self, r: int, q: int, alpha: np.ndarray) -> None:
+        piv = alpha[r]
+        theta = self.xb[r] / piv
+        self.xb -= theta * alpha
+        self.xb[r] = theta
+        prow = self.binv[r] / piv
+        # a product with inner dimension 1 is the exact outer product
+        np.dot(alpha[:, None], prow[None, :], out=self.work)
+        np.subtract(self.binv, self.work, out=self.binv)
+        self.binv[r] = prow
+        self.basis[r] = q
+        self.since_rebuild += 1
+
+    def basis_matrix(self) -> np.ndarray:
+        n, m = self.at.shape
+        mat = np.zeros((m, m))
+        structural = np.flatnonzero(self.basis < n)
+        mat[:, structural] = self.at[self.basis[structural]].T
+        units = np.flatnonzero(self.basis >= n)
+        k = self.basis[units] - n
+        mat[self.unit_row[k], units] = self.unit_sign[k]
+        return mat
+
+    def rebuild(self) -> None:
+        self.binv = np.linalg.inv(self.basis_matrix())
+        self.xb = self.binv @ self.b
+        self.since_rebuild = 0
+        self.refactors += 1
 
 
-def _pivot(tableau: np.ndarray, work: np.ndarray, basis: list[int], row: int,
-           col: int) -> None:
-    piv = tableau[row, col]
-    if abs(piv) <= PIVOT_TOL:
-        raise SimplexError(f"pivot magnitude {abs(piv):.3e} below {PIVOT_TOL:g}")
-    tableau[row, :] /= piv
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    # the tableau is column-major, so its transpose is the C-ordered view
-    # whose shape the outer product has; subtracting in place writes every
-    # entry once, and a column where the pivot row holds zero keeps
-    # t - f * 0 == t (a zero may lose its sign)
-    np.multiply.outer(tableau[row, :], factors, out=work)
-    np.subtract(tableau.T, work, out=tableau.T)
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
+def _rebuild(lp: _Basis, phase: int, pivots: int) -> None:
+    try:
+        lp.rebuild()
+    except np.linalg.LinAlgError as exc:
+        raise SimplexError(f"phase {phase} basis could not be refactored after "
+                           f"{pivots} pivots: {exc}") from exc
 
 
-def _run_simplex(tableau, work, basis, max_iter, phase: int) -> tuple[str, int, bool]:
+def _run_simplex(lp: _Basis, max_iter: int, phase: int) -> tuple[str, int, bool]:
     # returns the status, the pivots taken and whether Bland's rule took over
-    stall_limit = 200 + 2 * len(basis)
+    stall_limit = 200 + 2 * (lp.basis.size - lp.dropped.size)
     use_bland = False
     stalled = 0
-    last = tableau[-1, -1]
-    for it in range(max_iter):
-        costs = tableau[-1, :-1]
+    last = lp.value()
+    it = 0
+    while it < max_iter:
+        if lp.since_rebuild >= REBUILD_EVERY:
+            _rebuild(lp, phase, it)
+        costs = lp.price()
         col = _bland_entering(costs) if use_bland else _dantzig_entering(costs)
-        if col < 0:
-            return "optimal", it, use_bland
-        row = _bland_leaving(tableau, basis, col) if use_bland else _harris_leaving(tableau, col)
-        if row < 0:
-            return "unbounded", it, use_bland
-        _pivot(tableau, work, basis, row, col)
+        if col >= 0:
+            alpha = lp.column(col)
+            row = (_bland_leaving(alpha, lp.xb, lp.basis) if use_bland
+                   else _harris_leaving(alpha, lp.xb))
+        if col < 0 or row < 0:
+            # a verdict is believed only from a freshly refactored basis
+            if lp.since_rebuild:
+                _rebuild(lp, phase, it)
+                continue
+            return ("optimal" if col < 0 else "unbounded"), it, use_bland
+        lp.pivot(row, col, alpha)
+        it += 1
         if not use_bland:
-            value = tableau[-1, -1]
+            value = lp.value()
             if value > last + 1e-9 * (1.0 + abs(last)):
                 stalled = 0
             else:
@@ -197,111 +304,77 @@ def _run_simplex(tableau, work, basis, max_iter, phase: int) -> tuple[str, int, 
     raise SimplexError(f"phase {phase} iteration limit exceeded after {max_iter} pivots")
 
 
-def _price_out(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
-    # cost of the leading columns, then cleared on each basic column in
-    # basis-row order; that order fixes the rounding of the cost row
-    tableau[-1, :] = 0.0
-    tableau[-1, :cost.size] = cost
-    for i, bc in enumerate(basis):
-        if tableau[-1, bc] != 0.0:
-            tableau[-1, :] -= tableau[-1, bc] * tableau[i, :]
+def _start(problem: LpProblem) -> _Basis:
+    # rows: inequalities, equalities, then x <= upper; every row but an
+    # equality gets a slack column, with sign -1 (surplus) or +1
+    n = problem.n_vars
+    k_ge, k_eq = problem.a_ge.shape[0], problem.a_eq.shape[0]
+    upper = problem.upper
+    k_up = 0 if upper is None else n
+    at = np.concatenate([problem.a_ge.T, problem.a_eq.T] + ([np.eye(n)] if k_up else []),
+                        axis=1)
+    b = np.concatenate([problem.b_ge, problem.b_eq] + ([upper] if k_up else []))
+    slack_sign = np.concatenate([np.full(k_ge, -1.0), np.zeros(k_eq), np.ones(k_up)])
+    return _Basis(np.ascontiguousarray(at), b, slack_sign)
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Two-phase dense simplex.  Deterministic: ties always break by lowest index."""
+    """Two-phase revised simplex.  Deterministic: ties always break by lowest index."""
     n = problem.n_vars
     upper = problem.upper
     if upper is not None and np.any(upper < -BOUND_TOL):
         return LpSolution("infeasible", None, None)
+    lp = _start(problem)
+    m = lp.basis.size
+    n_art = lp.art_rows.size
+    max_iter = 20000 + 50 * (m + lp.art_start + n_art)
+    phase1, bland1 = 0, False
 
-    # rows: inequalities, equalities, then x <= upper; every row but an
-    # equality gets a slack column, with sign -1 (surplus) or +1
-    k_ge, k_eq = problem.a_ge.shape[0], problem.a_eq.shape[0]
-    k_up = 0 if upper is None else n
-    m = k_ge + k_eq + k_up
-    A = np.vstack([problem.a_ge, problem.a_eq] + ([np.eye(n)] if k_up else []))
-    b = np.concatenate([problem.b_ge, problem.b_eq] + ([upper] if k_up else []))
-    slack_sign = np.concatenate([np.full(k_ge, -1.0), np.zeros(k_eq), np.ones(k_up)])
-    slack_rows = np.flatnonzero(slack_sign)
-
-    # flip rows so rhs >= 0
-    flip = b < 0
-    A = np.where(flip[:, None], -A, A)
-    b = np.where(flip, -b, b)
-    slack_sign = np.where(flip, -slack_sign, slack_sign)
-
-    # rows whose slack enters with +1 start basic; the rest start on an
-    # artificial variable.  An artificial never re-enters once it leaves,
-    # so its column is never read and is not stored: its basis index
-    # art_start + k only marks the row
-    art_rows = np.flatnonzero(slack_sign <= 0)
-    n_slack, n_art = slack_rows.size, art_rows.size
-    art_start = n + n_slack
-    slack_cols = np.arange(n, art_start)
-    tableau = np.zeros((m + 1, art_start + 1), order="F")
-    tableau[:m, :n] = A
-    tableau[:m, -1] = b
-    tableau[slack_rows, slack_cols] = slack_sign[slack_rows]
-    start = np.empty(m, dtype=int)
-    start[slack_rows] = slack_cols
-    start[art_rows] = np.arange(art_start, art_start + n_art)
-    basis: list[int] = start.tolist()
-    work = _work(tableau)
-
-    max_iter = 20000 + 50 * (m + art_start + n_art)
-    phase1, bland1, drop_rows = 0, False, []
-
-    # phase 1: minimize the sum of artificials; its priced-out cost row is
-    # minus the artificial rows, subtracted one at a time in row order
+    # phase 1: minimize the sum of artificials
     if n_art:
-        for i in art_rows:
-            tableau[-1, :] -= tableau[i, :]
-        status, phase1, bland1 = _run_simplex(tableau, work, basis, max_iter, phase=1)
+        lp.cost[lp.art_start:] = 1.0
+        status, phase1, bland1 = _run_simplex(lp, max_iter, phase=1)
         if status != "optimal":
             raise SimplexError("phase 1 terminated " + status)
-        if -tableau[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None, pivots=(phase1, 0), bland=bland1)
+        if -lp.value() > FEAS_TOL:
+            return LpSolution("infeasible", None, None, pivots=(phase1, 0), bland=bland1,
+                              refactors=lp.refactors)
         # drive leftover artificials out of the basis on the largest available
-        # pivot; a row with no usable entry is redundant and gets dropped
+        # pivot; a row with no usable entry is redundant and gets dropped: its
+        # artificial stays basic at zero and its row leaves every ratio test
+        dropped = []
         for i in range(m):
-            if basis[i] >= art_start:
-                row = tableau[i, :art_start]
+            if lp.basis[i] >= lp.art_start:
+                row = lp.row(i)
                 cols = np.nonzero(np.abs(row) > 1e-9)[0]
                 if cols.size:
-                    _pivot(tableau, work, basis, i, int(cols[np.argmax(np.abs(row[cols]))]))
+                    col = int(cols[np.argmax(np.abs(row[cols]))])
+                    lp.pivot(i, col, lp.column(col))
                     phase1 += 1
                 else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tableau = np.asfortranarray(tableau[keep + [m], :])
-            work = _work(tableau)
-            basis = [basis[i] for i in keep]
-            m = len(basis)
-        rhs = tableau[:m, -1]
-        if rhs.size and rhs.min() < -FEAS_TOL:
+                    dropped.append(i)
+        lp.dropped = np.array(dropped, dtype=np.intp)
+        if lp.xb.min() < -FEAS_TOL:
             raise SimplexError("phase 1 left an infeasible basis")
-        np.clip(rhs, 0.0, None, out=rhs)
+        np.clip(lp.xb, 0.0, None, out=lp.xb)
+        lp.cost[lp.art_start:] = 0.0
 
     # phase 2: minimize -objective
-    _price_out(tableau, basis, -problem.objective)
-    status, phase2, bland2 = _run_simplex(tableau, work, basis, max_iter, phase=2)
+    lp.cost[:n] = -problem.objective
+    status, phase2, bland2 = _run_simplex(lp, max_iter, phase=2)
     counters = {"pivots": (phase1, phase2), "bland": bland1 or bland2,
-                "dropped_rows": len(drop_rows)}
+                "dropped_rows": lp.dropped.size, "refactors": lp.refactors}
     if status == "unbounded":
         return LpSolution("unbounded", None, None, **counters)
 
-    z = np.zeros(art_start)
-    rhs = tableau[:m, -1]
-    for i, bc in enumerate(basis):
-        z[bc] = rhs[i]
+    z = np.zeros(lp.cost.size)
+    z[lp.basis] = lp.xb
     x = np.clip(z[:n], 0.0, None)
     if upper is not None:
         x = np.minimum(x, upper)
-    # the phase-2 reduced costs of the surplus columns are the ge rows'
-    # dual values, in row order; a flipped row flips both the sign of its
-    # surplus and of its dual, so no correction is needed
-    prices = tableau[-1, n:n + k_ge].copy()
+    # the reduced costs of the surplus columns, priced on the final basis,
+    # are the ge rows' dual values in row order
+    prices = lp.reduced[n:n + problem.a_ge.shape[0]].copy()
     return LpSolution("optimal", x, float(problem.objective @ x), prices=prices, **counters)
 
 

@@ -14,6 +14,7 @@ from margin_forge.reweight import (
 from margin_forge.cart import TreeParams
 from margin_forge.harness import ExperimentConfig, run_experiment
 from margin_forge.simplex import LpSolution
+import margin_lp_corpus as corpus
 from bench_data import pima_like
 from emphasis_oracle import emphasis
 from simplex_grid_oracle import grid_best
@@ -302,9 +303,9 @@ def test_margin_lps_of_a_drifting_seed_finish():
 
 
 def test_margin_lp_dual_starts_on_a_feasible_basis(monkeypatch):
-    # u = 0, v = max(c) is feasible in the dual, so only the learners tied
-    # at the maximum of c start on an artificial, and phase 1 takes at most
-    # one pivot for each of them
+    # u = 0, v = max(c) is feasible in the dual, so every row starts on its
+    # surplus, those tied at the maximum of c (bound 0) among them, and no
+    # phase 1 runs
     data = pima_like()
     model = adaboost(data, 100, TreeParams(max_depth=2, max_leaves=4))
     matrix = prediction_matrix(model, data)
@@ -313,9 +314,7 @@ def test_margin_lp_dual_starts_on_a_feasible_basis(monkeypatch):
 
     def spy(problem):
         solution = real(problem)
-        # the rhs is c - max(c) here and c at the parent: the same ties
-        rhs = problem.b_ge
-        solved.append((solution, int(np.sum(rhs == rhs.max()))))
+        solved.append((solution, int(np.sum(problem.b_ge == 0.0))))
         return solution
 
     monkeypatch.setattr(reweight, "solve", spy)
@@ -324,7 +323,41 @@ def test_margin_lp_dual_starts_on_a_feasible_basis(monkeypatch):
     assert len(solved) == 3
     for solution, tied in solved:
         assert solution.status in ("optimal", "unbounded")
-        assert solution.pivots[0] <= tied
+        assert tied >= 1
+        assert solution.pivots[0] == 0
+
+
+def test_apply_scheme_is_byte_identical_on_a_repeat():
+    # the benchmark's gate compares two steps on the same input byte for byte
+    train, _ = stratified_split(pima_like(), 0.7, 3)
+    model = adaboost(train, 100, TreeParams(max_depth=2, max_leaves=4))
+    matrix = prediction_matrix(model, train)
+    for text in ("uws", "pws:0.05", "sm1", "sm1:0.001"):
+        first, second = (apply_scheme(parse_spec(text), matrix, model.vote_weights)
+                         for _ in range(2))
+        assert first.feasible == second.feasible
+        if first.feasible:
+            assert first.weights.tobytes() == second.weights.tobytes()
+            assert first.objective == second.objective
+
+
+@pytest.mark.parametrize("master", corpus.master_seeds(0))
+def test_boost_lp_steps_pass_the_bench_gate(master):
+    # the benchmark's per-operation gate on the four steps of boost-lp's
+    # seed 0, on top of the drifting seed's test above: every simulation
+    # succeeds, no mm margin drops, and every feasible result's weights sum
+    # to 1
+    assert master != 2768950738
+    report, problems, results = corpus.run(master)
+    assert [r.failure for r in report.records] == [None, None]
+    assert len(problems) == 6 and len(results) == 2
+    for record, scheme_results in zip(report.records, results):
+        for label in ("uws", "pws:0.05"):
+            assert record.feasible[label]
+            assert record.min_improvements[label] >= -1e-7
+        for result in scheme_results:
+            if result.feasible:
+                assert abs(float(np.sum(result.weights)) - 1.0) <= 1e-9
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from margin_forge import simplex
 from margin_forge.cart import TreeParams
-from margin_forge.ensemble import adaboost, prediction_matrix
+from margin_forge.dataset_io import generate_synthetic
+from margin_forge.ensemble import PredictionMatrix, adaboost, prediction_matrix
 from margin_forge.margins import compute_margins
 from margin_forge.simplex import LpProblem, LpSolution, SimplexError, residuals, solve
 
@@ -163,6 +165,7 @@ def test_lower_residual_measures_nonnegativity():
 def test_solution_counters_default_to_zero():
     sol = LpSolution("optimal", np.zeros(1), 0.0)
     assert sol.pivots == (0, 0) and not sol.bland and sol.dropped_rows == 0
+    assert sol.refactors == 0
     assert sol.prices is None
 
 
@@ -188,39 +191,215 @@ def test_prices_are_optimal_dual_values():
 
 
 def test_iteration_limit_names_phase_and_pivots():
-    # one pivot is needed (x enters), none is allowed
-    tableau = np.asfortranarray([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]])
+    # one pivot is needed (x enters on its bound x <= 1), none is allowed
+    lp = simplex._start(LpProblem([1.0], upper=[1.0]))
+    lp.cost[0] = -1.0
     with pytest.raises(SimplexError, match="phase 2 iteration limit exceeded after 0 pivots"):
-        simplex._run_simplex(tableau, simplex._work(tableau), [1], 0, phase=2)
+        simplex._run_simplex(lp, 0, phase=2)
+
+
+def test_a_failed_refactor_names_phase_and_pivots(monkeypatch):
+    # the basis is refactored before an "optimal" verdict is believed; a
+    # LinAlgError there is a numerical breakdown of this solve
+    def singular(matrix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(SimplexError, match=r"phase 2 basis could not be refactored after 1 "
+                                           r"pivots: Singular matrix"):
+        solve(LpProblem([1.0], upper=[1.0]))
+    with pytest.raises(SimplexError, match=r"phase 1 basis could not be refactored after 1 "
+                                           r"pivots"):
+        solve(LpProblem([1.0, 0.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_bland_rules_match_their_definitions(seed):
-    # small integer tableaus, so costs sit on both sides of the threshold
-    # and minimum ratios tie exactly
+    # small integer columns, so costs sit on both sides of the threshold
+    # and minimum ratios tie exactly; the pivot tolerance, relative to a
+    # column's largest entry, leaves every positive integer entry usable
     rng = np.random.default_rng(seed)
     m, width = int(rng.integers(1, 7)), int(rng.integers(2, 9))
-    tableau = np.asfortranarray(rng.integers(-2, 3, size=(m + 1, width + 1)).astype(float))
-    tableau[:-1, -1] = rng.integers(0, 4, size=m)
+    columns = rng.integers(-2, 3, size=(m, width)).astype(float)
+    rhs = rng.integers(0, 4, size=m).astype(float)
     tol = simplex.COST_TOL
-    tableau[-1, :-1] = rng.choice([-1.0, -2 * tol, -tol, 0.0, 1.0], size=width)
-    basis = rng.permutation(width + m)[:m].tolist()
-    costs = tableau[-1, :-1]
+    costs = rng.choice([-1.0, -2 * tol, -tol, 0.0, 1.0], size=width)
+    basis = rng.permutation(width + m)[:m]
     # entering: the lowest column whose reduced cost is below -COST_TOL
     want_col = next((j for j in range(width) if costs[j] < -tol), -1)
     assert simplex._bland_entering(costs) == want_col
     for col in range(width):
         # leaving: among the rows of minimum ratio, in exact arithmetic, the
         # one whose basic variable has the lowest index
-        ratios = {i: Fraction(int(tableau[i, -1]), int(tableau[i, col]))
-                  for i in range(m) if tableau[i, col] > 0}
+        ratios = {i: Fraction(int(rhs[i]), int(columns[i, col]))
+                  for i in range(m) if columns[i, col] > 0}
         want_row = -1
         if ratios:
             best = min(ratios.values())
             want_row = min((i for i, r in ratios.items() if r == best),
                            key=lambda i: basis[i])
-        assert simplex._bland_leaving(tableau, basis, col) == want_row
+        assert simplex._bland_leaving(columns[:, col], rhs, basis) == want_row
+
+
+@settings(max_examples=100, deadline=None)
+@given(costs=st.lists(st.sampled_from([-2.0, -1.0, -2e-9, -1e-9, 0.0, 1.0]), min_size=1,
+                      max_size=9))
+def test_dantzig_rule_takes_the_lowest_index_on_ties(costs):
+    # the most negative reduced cost below -COST_TOL, the first of equals
+    costs = np.array(costs)
+    best = min(costs)
+    want = costs.tolist().index(best) if best < -simplex.COST_TOL else -1
+    assert simplex._dantzig_entering(costs) == want
+
+
+def test_pivot_tolerance_is_relative_to_the_column():
+    # 1e-10 clears the absolute PIVOT_TOL but not 1e-9 of the column's
+    # largest entry, so neither rule pivots on it however small its ratio
+    column = np.array([1e-10, 1e3])
+    rhs = np.array([0.0, 5.0])
+    assert simplex._harris_leaving(column, rhs) == 1
+    assert simplex._bland_leaving(column, rhs, np.array([0, 1])) == 1
+    assert simplex._harris_leaving(np.array([1e-10, 0.0]), rhs) == 0
+    assert simplex._harris_leaving(np.array([1e-12, -1.0]), rhs) == -1
+
+
+def _identity_error(lp):
+    # ||B^-1 B - I|| in the infinity norm, B from the basis columns
+    mat = lp.basis_matrix()
+    if not mat.size:
+        return 0.0
+    return float(np.linalg.norm(lp.binv @ mat - np.eye(mat.shape[0]), np.inf))
+
+
+def _revised_trace(problem, every_pivot=True):
+    # the solution, each pivot's (row, entering column) and the worst
+    # ||B^-1 B - I|| seen after any pivot (or, if not every_pivot, just
+    # before each refactor, where the updates have drifted most) and after
+    # any refactor
+    steps, worst = [], [0.0]
+    pivot, rebuild = simplex._Basis.pivot, simplex._Basis.rebuild
+
+    def traced_pivot(lp, r, q, alpha):
+        steps.append((r, q))
+        pivot(lp, r, q, alpha)
+        if every_pivot:
+            worst[0] = max(worst[0], _identity_error(lp))
+
+    def traced_rebuild(lp):
+        worst[0] = max(worst[0], _identity_error(lp))
+        rebuild(lp)
+        worst[0] = max(worst[0], _identity_error(lp))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex._Basis, "pivot", traced_pivot)
+        mp.setattr(simplex._Basis, "rebuild", traced_rebuild)
+        sol = solve(problem)
+    return sol, steps, worst[0]
+
+
+def _dense_trace(problem):
+    # the reference's solution, its pivots and whether every choice it
+    # made cleared its rule's threshold and its runner-up by a margin far
+    # above rounding: those choices the revised engine must repeat
+    steps, clear = [], [True]
+
+    def near(value, edge):
+        return abs(value - edge) <= 1e-7 * (1.0 + abs(edge))
+
+    def entering(rule):
+        def spy(costs):
+            col = rule(costs)
+            if np.any((costs < -1e-11) & (costs > -1e-7)):
+                clear[0] = False
+            if col >= 0 and costs.size > 1 and near(np.partition(costs, 1)[1], costs[col]):
+                clear[0] = False
+            return col
+        return spy
+
+    def leaving(tableau, col):
+        column, rhs = tableau[:-1, col], tableau[:-1, -1]
+        if np.any((np.abs(column) > 1e-13) & (np.abs(column) < 1e-7)):
+            clear[0] = False
+        row = harris(tableau, col)
+        usable = column > simplex.PIVOT_TOL
+        if row >= 0:
+            ratios = rhs[usable] / column[usable]
+            best = ratios.min()
+            window = ratios <= best + 1e-9 * (1.0 + abs(best))
+            # candidates tie exactly, the rest sit well outside the window,
+            # and the largest candidate entry has no runner-up close by
+            if np.any(window & (ratios > best + 1e-12 * (1.0 + abs(best)))):
+                clear[0] = False
+            if np.any(~window & near(ratios, best)):
+                clear[0] = False
+            entries = np.sort(column[usable][window])
+            if entries.size > 1 and near(entries[-2], entries[-1]):
+                clear[0] = False
+        return row
+
+    def pivot(tableau, work, basis, row, col):
+        steps.append((row, col))
+        dense_pivot(tableau, work, basis, row, col)
+
+    def run(tableau, work, basis, max_iter, phase):
+        status, pivots, bland = dense_run(tableau, work, basis, max_iter, phase)
+        if bland:
+            clear[0] = False
+        runs.append(pivots)
+        return status, pivots, bland
+
+    harris, dense_pivot, dense_run = (pivot_oracle._harris_leaving, pivot_oracle._pivot,
+                                      pivot_oracle._run_simplex)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pivot_oracle, "_dantzig_entering", entering(pivot_oracle._dantzig_entering))
+        mp.setattr(pivot_oracle, "_harris_leaving", leaving)
+        mp.setattr(pivot_oracle, "_pivot", pivot)
+        mp.setattr(pivot_oracle, "_run_simplex", run)
+        try:
+            sol = pivot_oracle.solve(problem)
+        except SimplexError:
+            sol = None
+    # drive-out pivots follow another rule, which this check does not cover
+    if sum(runs) != len(steps):
+        clear[0] = False
+    return sol, steps, clear[0]
+
+
+def _same_start(problem):
+    # the reference starts a ge row with a zero bound on an artificial, the
+    # revised engine on its surplus; otherwise both start on one basis
+    return not np.any(problem.b_ge == 0.0)
+
+
+def _assert_agrees(problem):
+    # status and objective as the reference's, B^-1 B = I throughout, and
+    # on a draw both start alike and the reference ran free of near-ties,
+    # its pivots exactly; returns whether the pivots were compared
+    sol, steps, worst = _revised_trace(problem)
+    want, want_steps, clear = _dense_trace(problem)
+    assert want is not None
+    assert sol.status == want.status
+    if want.optimal:
+        assert sol.objective_value == pytest.approx(want.objective_value, rel=1e-9, abs=1e-9)
+        res = residuals(problem, sol.x)
+        assert res["ge"] <= 1e-9 and res["eq"] <= 1e-9
+        assert res["lower"] == 0.0 and res["upper"] == 0.0
+    assert worst <= 1e-9
+    compared = clear and _same_start(problem)
+    if compared:
+        assert steps == want_steps
+        assert sol.pivots == want.pivots and sol.bland == want.bland
+    return compared
+
+
+def _rescaled(problem, rng):
+    # the same feasible set with non-integer rows, so rounding shows
+    scale = rng.uniform(0.3, 3.0, size=problem.b_ge.size)
+    return LpProblem(problem.objective * rng.uniform(0.3, 3.0),
+                     a_ge=problem.a_ge * scale[:, None], b_ge=problem.b_ge * scale,
+                     a_eq=problem.a_eq, b_eq=problem.b_eq, upper=problem.upper)
 
 
 def test_a_cycling_lp_switches_to_bland():
@@ -233,26 +412,18 @@ def test_a_cycling_lp_switches_to_bland():
     g = np.array([0.5, 0.5])
     problem = LpProblem(np.append(c, 10.0), a_ge=-np.hstack([a, g[:, None]]), b_ge=-g,
                         upper=[4.0, 4.0, 4.0, 4.0, 1.0])
-    sol = solve(problem)
+    sol, steps, worst = _revised_trace(problem)
     assert sol.optimal and sol.bland
-    # the stall limit, 200 + 2 per row, passes before Bland's rule ends it
+    # the stall limit, 200 + 2 per row, passes before Bland's rule ends it,
+    # and the basis is refactored along the way
     assert sol.pivots[0] == 0 and sol.pivots[1] > 200 + 2 * 7
+    assert sol.refactors >= sol.pivots[1] // simplex.REBUILD_EVERY
+    assert worst <= 1e-9
     status, value = oracle_solve(problem)
     assert status == "optimal"
     assert sol.objective_value == pytest.approx(value, abs=1e-9)
-    assert _outcome(solve, problem) == _outcome(pivot_oracle.solve, problem)
-
-
-def _outcome(solver, problem):
-    # everything a solve reports, in bytes where it is a vector
-    try:
-        sol = solver(problem)
-    except SimplexError:
-        return "SimplexError"
-    x = None if sol.x is None else sol.x.tobytes()
-    prices = None if sol.prices is None else sol.prices.tobytes()
-    return (sol.status, x, prices, sol.objective_value, sol.pivots, sol.bland,
-            sol.dropped_rows)
+    want, want_steps, _ = _dense_trace(problem)
+    assert steps == want_steps and sol.pivots == want.pivots
 
 
 @settings(max_examples=300, deadline=None)
@@ -261,24 +432,31 @@ def test_pivots_match_dense_reference_on_random_lps(seed, rescale):
     rng = np.random.default_rng(seed)
     problem = random_lp(rng)
     if rescale:
-        # the same feasible set with non-integer rows, so rounding shows
-        scale = rng.uniform(0.3, 3.0, size=problem.b_ge.size)
-        problem = LpProblem(problem.objective * rng.uniform(0.3, 3.0),
-                            a_ge=problem.a_ge * scale[:, None], b_ge=problem.b_ge * scale,
-                            a_eq=problem.a_eq, b_eq=problem.b_eq, upper=problem.upper)
-    assert _outcome(solve, problem) == _outcome(pivot_oracle.solve, problem)
+        problem = _rescaled(problem, rng)
+    _assert_agrees(problem)
 
 
-def _phase1_cost_rows(problem):
-    # the cost row each solver enters phase 1 with, caught on its way into
-    # the pivot loop; the reference's artificial columns are priced to zero
-    # and left out, since the solver stores none
+def test_pivot_comparison_covers_most_random_lps():
+    # the pivot sequences are compared on a draw only when it is free of
+    # near-ties and both engines start alike; that must be most draws
+    rng = np.random.default_rng(2024)
+    compared = 0
+    for k in range(200):
+        problem = random_lp(rng)
+        compared += _assert_agrees(_rescaled(problem, rng) if k % 2 else problem)
+    assert compared >= 100
+
+
+def _phase1_start(problem):
+    # the revised engine's reduced costs as phase 1 begins, and the
+    # reference's phase-1 cost row over the same columns
     rows = {}
 
     def spy(key, run):
-        def wrapped(tableau, *args, **kwargs):
-            rows.setdefault(key, tableau[-1, :].copy())
-            return run(tableau, *args, **kwargs)
+        def wrapped(state, *args, **kwargs):
+            if kwargs.get("phase") == 1:
+                rows[key] = state.price().copy() if key == "solver" else state[-1, :-1].copy()
+            return run(state, *args, **kwargs)
         return wrapped
 
     with pytest.MonkeyPatch.context() as mp:
@@ -289,9 +467,26 @@ def _phase1_cost_rows(problem):
                 solver(problem)
             except SimplexError:
                 pass
-    got, dense = rows["solver"], rows["dense"]
-    assert not np.any(dense[got.size - 1:-1])
-    return got, np.concatenate([dense[:got.size - 1], dense[-1:]])
+    return rows.get("solver"), rows.get("dense")
+
+
+def _exact_phase1_costs(problem):
+    # minus the sum of the rows that start on an artificial, each signed so
+    # its bound is nonnegative, summed exactly (fsum) over every structural
+    # and slack column; also the sum of the terms' magnitudes per column
+    n, k_ge = problem.n_vars, problem.b_ge.size
+    upper = np.zeros(0) if problem.upper is None else problem.upper
+    a = np.vstack([problem.a_ge, problem.a_eq] + ([np.eye(n)] if upper.size else []))
+    b = np.concatenate([problem.b_ge, problem.b_eq, upper])
+    sign = np.concatenate([np.full(k_ge, -1.0), np.zeros(problem.b_eq.size),
+                           np.ones(upper.size)])
+    art = [i for i in range(b.size) if not (sign[i] and sign[i] * b[i] >= 0)]
+    flip = {i: (-1.0 if b[i] < 0 else 1.0) for i in art}
+    slack = np.flatnonzero(sign)
+    exact = [-math.fsum(flip[i] * a[i, j] for i in art) for j in range(n)]
+    exact += [-flip[i] * sign[i] if i in flip else 0.0 for i in slack]
+    scale = [sum(abs(a[i, j]) for i in art) for j in range(n)] + [1.0] * slack.size
+    return np.array(exact), np.array(scale), len(art)
 
 
 def _tying_lp(rng):
@@ -306,27 +501,38 @@ def _tying_lp(rng):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), tying=st.booleans())
 def test_phase1_cost_row_matches_dense_reference(seed, tying):
+    # both engines price phase 1 as minus the sum of the artificial rows,
+    # within the rounding of a sum of that many terms; the revised engine
+    # adds them in the BLAS product's order, the reference in row order
     rng = np.random.default_rng(seed)
-    if tying:
-        problem = _tying_lp(rng)
-    else:
-        problem = random_lp(rng)
-        scale = rng.uniform(0.3, 3.0, size=problem.b_ge.size)
-        problem = LpProblem(problem.objective, a_ge=problem.a_ge * scale[:, None],
-                            b_ge=problem.b_ge * scale, a_eq=problem.a_eq,
-                            b_eq=problem.b_eq, upper=problem.upper)
-    if not np.any(problem.b_ge >= 0) and not problem.b_eq.size:
-        return  # every row starts on its slack: no phase 1
-    got, dense = _phase1_cost_rows(problem)
-    assert got.tobytes() == dense.tobytes()
+    problem = _tying_lp(rng) if tying else _rescaled(random_lp(rng), rng)
+    got, dense = _phase1_start(problem)
+    exact, scale, k = _exact_phase1_costs(problem)
+    if not k:
+        assert got is None  # every row starts on its slack: no phase 1
+        return
+    tol = 2 * k * np.finfo(float).eps * scale
+    assert np.all(np.abs(got - exact) <= tol)
+    if _same_start(problem):
+        assert np.all(np.abs(dense[:got.size] - exact) <= tol)
 
 
 def test_phase1_cost_row_sums_artificial_rows_in_row_order():
-    # column 0 and the rhs sum 0.1, 0.2, 0.3: reversed, the last bit differs
+    # column 0 and the rhs sum 0.1, 0.2, 0.3: reversed, the last bit
+    # differs.  The reference subtracts the artificial rows one at a time
+    # in row order; the revised engine's sum is within rounding of exact
     problem = LpProblem([1.0, 1.0, 1.0], a_ge=[[0.1, 0.3, 0.2], [0.2, 0.2, 0.1], [0.3, 0.1, 0.7]],
                         b_ge=[0.1, 0.2, 0.3])
-    got, dense = _phase1_cost_rows(problem)
-    assert got.tobytes() == dense.tobytes()
+    got, dense = _phase1_start(problem)
+    rows = [[0.1, 0.3, 0.2, -1.0, 0.0, 0.0], [0.2, 0.2, 0.1, 0.0, -1.0, 0.0],
+            [0.3, 0.1, 0.7, 0.0, 0.0, -1.0]]
+    in_order = [0.0] * 6
+    for row in rows:
+        in_order = [v - r for v, r in zip(in_order, row)]
+    assert dense.tobytes() == np.array(in_order).tobytes()
+    exact, scale, k = _exact_phase1_costs(problem)
+    assert k == 3
+    assert np.all(np.abs(got - exact) <= 2 * k * np.finfo(float).eps * scale)
 
 
 def _margin_problem(matrix, emphasis, floors, form="primal", eq_rows=1):
@@ -334,7 +540,7 @@ def _margin_problem(matrix, emphasis, floors, form="primal", eq_rows=1):
     # (T, n) signed votes, in primal form (eq_rows > 1 repeats the simplex
     # row) or as the dual that reweight._margin_lp solves: max floors.u - v
     # s.t. -S u + v 1 >= c, u >= 0, with v = max(c) + v+ - v-, so its rhs is
-    # c - max(c) and only the rows tied at the maximum start on an artificial
+    # c - max(c) <= 0 and every row starts on its surplus
     signed = matrix.entries
     c = signed @ emphasis
     if form == "dual":
@@ -368,7 +574,9 @@ def _bench_margin_lp(make, n, T, seed, scheme, form="primal", eq_rows=1):
        form=st.sampled_from(["primal", "dual"]))
 def test_pivots_match_dense_reference_on_margin_lps(make, n, T, seed, scheme, form):
     problem = _bench_margin_lp(make, n, T, seed, scheme, form)
-    assert _outcome(solve, problem) == _outcome(pivot_oracle.solve, problem)
+    _assert_agrees(problem)
+    if form == "dual":
+        assert solve(problem).pivots[0] == 0
 
 
 @pytest.mark.parametrize("scheme", ["uws", "pws", "sm1"])
@@ -390,6 +598,53 @@ def test_dual_margin_lp_prices_solve_the_primal(scheme):
 
 def test_pivots_match_dense_reference_when_a_row_is_dropped():
     problem = _bench_margin_lp(pima_like, 60, 12, 4, "uws", eq_rows=2)
-    got = _outcome(solve, problem)
-    assert got == _outcome(pivot_oracle.solve, problem)
-    assert got[0] == "optimal" and got[6] == 1
+    _assert_agrees(problem)
+    got, want = solve(problem), pivot_oracle.solve(problem)
+    assert got.optimal and got.dropped_rows == want.dropped_rows == 1
+
+
+def test_margin_lp_solves_are_byte_identical():
+    # the same LP, solved twice and again from operands that sit one
+    # element into a fresh buffer, gives the same bytes
+    problem = _bench_margin_lp(pima_like, 538, 100, 0, "uws", form="dual")
+
+    def shifted(a):
+        buffer = np.empty(a.size + 1)
+        out = buffer[1:].reshape(a.shape)
+        out[...] = a
+        return out
+
+    moved = LpProblem(shifted(problem.objective), a_ge=shifted(problem.a_ge),
+                      b_ge=shifted(problem.b_ge))
+
+    def fingerprint(sol):
+        return (sol.status, sol.x.tobytes(), sol.prices.tobytes(), sol.objective_value,
+                sol.pivots, sol.bland, sol.dropped_rows, sol.refactors)
+
+    first = fingerprint(solve(problem))
+    assert first[0] == "optimal" and first[7] >= 2
+    assert fingerprint(solve(problem)) == first
+    assert fingerprint(solve(moved)) == first
+
+
+def test_refactors_keep_a_large_degenerate_ensemble_exact():
+    # T = 300 learners over 1,200 rows: AdaBoost's 100 depth-3 trees (76
+    # distinct), an exact copy of each and its negation, so the dual has
+    # many equal and opposite rows and runs long enough (235 pivots) to
+    # refactor its basis several times
+    data = generate_synthetic("two-gaussians", 1200, 1.2, 11)
+    model = adaboost(data, 100, TreeParams(max_depth=3, max_leaves=8))
+    base = prediction_matrix(model, data)
+    matrix = PredictionMatrix(np.vstack([base.entries, base.entries, -base.entries]),
+                              base.labels)
+    old = compute_margins(matrix, np.concatenate([model.vote_weights, np.zeros(200)]))
+    emphasis = np.ones(matrix.n_rows)
+    problem = _margin_problem(matrix, emphasis, old.margins, form="dual")
+    sol, _, worst = _revised_trace(problem, every_pivot=False)
+    want = pivot_oracle.solve(problem)
+    assert sol.status == want.status == "optimal"
+    assert sol.objective_value == pytest.approx(want.objective_value, rel=1e-9)
+    assert sol.refactors >= 3 and sol.pivots[0] == 0
+    assert worst <= 1e-9
+    primal = _margin_problem(matrix, emphasis, old.margins)
+    assert max(residuals(primal, np.clip(sol.prices, 0.0, None)).values()) <= 1e-9
