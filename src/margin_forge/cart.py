@@ -9,15 +9,23 @@ only stopping conditions are purity, the depth cap, the leaf cap, and
 running out of candidate thresholds.  All tie-breaks are deterministic:
 lowest feature index, then lowest threshold, then insertion order.
 
-The split search scores every feature of a node at once.  Each column is
-sorted once per training set (a stable argsort, see column_order); a node
-keeps its own rows of those orders, takes cumulative class weights along
-all of them in one pass and picks the best cut with one feature-major
-argmax, so nothing is sorted inside a node.  Every (F, m) array of a node
-is a view into one SplitScratch that fit_tree allocates once per fit.  On
-sonar-sized data such an array is just under glibc's mmap threshold, so a
-temporary per node would be heap memory that each free hands back to the
-OS and the next node faults in again.
+The split search runs on a TreeLayout, built once per training set: each
+column's stable argsort, the column's values in that order and a mask of
+where consecutive sorted values differ.  AdaBoost's rounds and a forest's
+trees share one layout.  Per tree, the weights w and w * (y > 0) are read
+through the order once.  The root takes cumulative class weights along
+every sorted column of those arrays and picks the best cut with one
+feature-major argmax.  When a node splits, both children are searched
+together: the two children's positions in the sorted columns are found with
+one gather of a per-row node number through the order, their weights and
+values are gathered from the tree's sorted arrays by position, and each
+child's (F, m) block follows the other's in one buffer.  Nothing is sorted
+inside a node and nothing of shape (F, n) is allocated per node or per
+tree: on sonar-sized data such an array sits just under glibc's mmap
+threshold, so a temporary would be memory that each free hands back to the
+OS and the next search faults in again.  The fit leaves the tree's vote on
+every training row in the layout, so AdaBoost reads its mistakes without
+predicting.
 
 Prediction is one forward pass over the node arrays.  A parent comes
 before its children, so the root starts with every row and each internal
@@ -64,116 +72,188 @@ def _weighted_gini(w_pos: float, w_neg: float) -> float:
     return total - (w_pos * w_pos + w_neg * w_neg) / total
 
 
-def column_order(x) -> np.ndarray:
-    """Stable argsort of each column of the (n, p) matrix x, as a (p, n) array."""
-    return np.argsort(np.asarray(x, dtype=float).T, axis=1, kind="stable")
+# a child search marks the rows of its node k with k + 1, and all others with 0
+_NODE_NUMBERS = np.arange(1, 3, dtype=np.uint8).reshape(2, 1, 1)
 
 
-class SplitScratch:
-    """Work arrays for best_split on up to n_features columns of n_rows rows.
+class TreeLayout:
+    """One training set presorted for split search, with the work buffers of
+    every tree fitted on it.
 
-    A node's (F, m) arrays are the leading F*m elements of flat buffers,
-    reshaped, so they are contiguous whatever F and m are.  fit_tree makes
-    one scratch per fit and every node of the tree reuses it, so the split
-    search allocates nothing of shape (F, m) and the allocator does not hand
-    those pages back to the OS between nodes.
+    order[j] is the stable argsort of column j, values[j] that column in
+    this order and cuts[j, i] whether a threshold fits between sorted
+    positions i and i + 1 (their values differ; False in the last column).
+    A tree on a feature subset takes those rows of each.  The constructor
+    checks the features and the labels once; votes holds, after each fit,
+    the fitted tree's vote on every training row.
+
+    start_tree reads one tree's weights w and w * (y > 0) through the order
+    once, as the real and imaginary parts of one complex array: a complex
+    cumsum adds each part exactly as a float cumsum of it would, in one pass
+    over both.  Every search then gathers its nodes' sorted weights from
+    that array by position.  The arrays of a search are the leading elements
+    of buffers allocated here, once per training set.
     """
-    __slots__ = ("size", "inside", "mask", "ok", "rows", "flat", "floats")
 
-    def __init__(self, n_features: int, n_rows: int):
-        self.size = n_features * n_rows
-        self.inside = np.empty(n_rows, dtype=bool)
-        self.mask = np.empty(self.size, dtype=bool)
-        self.ok = np.empty(self.size, dtype=bool)
-        self.rows = np.empty(self.size, dtype=np.intp)
-        self.flat = np.empty(self.size, dtype=np.intp)
-        self.floats = np.empty((7, self.size))
+    def __init__(self, features, labels):
+        x = np.ascontiguousarray(features, dtype=float)
+        y = np.asarray(labels, dtype=float)
+        if x.ndim != 2 or x.shape[0] != y.shape[0]:
+            raise ValueError("features must be (n, p) with matching labels")
+        if not np.all(np.isin(y, (-1.0, 1.0))):
+            raise ValueError("labels must be -1 or +1")
+        n, p = x.shape
+        self.features, self.labels, self.positive = x, y, y > 0
+        self.order = np.argsort(x.T, axis=1, kind="stable")
+        self.values = np.take_along_axis(x.T, self.order, axis=1)
+        self.cuts = np.zeros((p, n), dtype=bool)
+        np.less(self.values[:, :-1], self.values[:, 1:], out=self.cuts[:, :-1])
+        self.every = np.arange(p)
+        self.votes = np.empty(n)
+        self.row_weights = np.empty(n, dtype=complex)   # w + 1j * w * (y > 0) by row
+        self.sorted_weights = np.empty(p * n, dtype=complex)   # along each column's order
+        self.node = np.empty(n, dtype=np.uint8)   # which node of a search holds each row
+        self.node_sorted = np.empty(p * n, dtype=np.uint8)
+        self.mask = np.empty(2 * p * n, dtype=bool)
+        # per search, every node's block one after another: the complex prefix
+        # sums, then wl and pl, then sv, nl, wr, pr and nr
+        self.prefix = np.empty(p * n, dtype=complex)
+        self.sums = np.empty(2 * p * n)
+        self.work = np.empty((5, p * n))
+        self.ok, self.cut = np.empty(p * n, dtype=bool), np.empty(p * n, dtype=bool)
+        self.tree = None
 
+    def start_tree(self, w, features=None):
+        """Sort the weights w of one tree along the order of features (all
+        columns when None), in the order given: ties go to the earlier one."""
+        if features is None:
+            features, order, values, cuts = self.every, self.order, self.values, self.cuts
+        else:
+            features = np.asarray(features, dtype=np.intp)
+            order, values, cuts = self.order[features], self.values[features], self.cuts[features]
+        rows = self.row_weights
+        np.copyto(rows.real, w)
+        np.multiply(w, self.positive, out=rows.imag)  # np.where(y > 0, w, 0.0) for w >= 0
+        # mode="clip" skips the bounds pass, which would buffer out= in a copy
+        np.take(rows, order, mode="clip", out=self.sorted_weights[:order.size].reshape(order.shape))
+        self.tree = (w, features, order, values.ravel(), cuts.ravel())
 
-def best_split(x, y, w, idx, order, features, min_leaf_weight: float,
-               scratch: SplitScratch | None = None):
-    """Best (decrease, feature, threshold) for the rows in idx, or None.
+    def _sums(self, idx):
+        # pairwise sums over the node's rows in row order
+        sub_w = self.tree[0][idx]
+        total = float(sub_w.sum())
+        return total, float(sub_w[self.positive[idx]].sum())
 
-    order[k] is the stable argsort of column features[k] over all rows and
-    idx is ascending, so keeping the node's rows of each order lists them
-    by (value, row), as a stable sort of the node's own values would.  All
-    features are scored in one (F, m) block; a flat argmax over it is
-    feature-major, so ties go to the earlier feature, then the lower
-    threshold.  Position j cuts between sorted rows j and j + 1; the last
-    position cuts nothing and is masked out.
+    def root_split(self, min_leaf_weight: float):
+        """Best (decrease, feature, threshold) over all rows, or None."""
+        total, pos = self._sums(slice(None))
+        if min(pos, total - pos) <= 0.0:
+            return None  # weighted-pure node: nothing to separate
+        _, _, order, values, cuts = self.tree
+        f, n = order.shape
+        np.cumsum(self.sorted_weights[:f * n].reshape(f, n), axis=1,
+                  out=self.prefix[:f * n].reshape(f, n))
+        np.copyto(self.ok[:f * n], cuts)
+        return self._best(values, [(0, n, total, pos)], min_leaf_weight)[0]
 
-    Every (F, m) array is a view into scratch (a SplitScratch over at
-    least F features and all rows of x); without one, the call makes its
-    own.  order must hold valid row indices, as column_order gives.
+    def child_splits(self, nodes, min_leaf_weight: float):
+        """Best split of each node (an ascending array of row indices; at most
+        two), searched together: each node's positions in the tree's sorted
+        arrays make its (F, m) block, and the blocks follow one another."""
+        found = [None] * len(nodes)
+        live = []
+        for i, idx in enumerate(nodes):
+            total, pos = self._sums(idx)
+            if min(pos, total - pos) > 0.0:  # else weighted-pure: nothing to separate
+                live.append((i, idx, total, pos))
+        if not live:
+            return found
+        _, _, order, values, _ = self.tree
+        f, n = order.shape
+        c = len(live)
+        self.node.fill(0)
+        for k, (_, idx, _, _) in enumerate(live):
+            self.node[idx] = k + 1
+        node_sorted = self.node_sorted[:f * n].reshape(f, n)
+        np.take(self.node, order, out=node_sorted, mode="clip")
+        mask = self.mask[:c * f * n].reshape(c, f, n)
+        np.equal(node_sorted, _NODE_NUMBERS[:c], out=mask)
+        # node k's positions come offset by k * f * n; mode="wrap" takes them modulo f * n
+        at = np.flatnonzero(mask)
+        size = at.size
+        prefix = self.prefix[:size]
+        np.take(self.sorted_weights[:f * n], at, out=prefix, mode="wrap")
+        sv = self.work[0, :size]
+        np.take(values, at, out=sv, mode="wrap")
+        blocks, start = [], 0
+        for _, idx, total, pos in live:
+            stop = start + f * idx.size
+            block = prefix[start:stop].reshape(f, idx.size)
+            np.cumsum(block, axis=1, out=block)
+            blocks.append((start, idx.size, total, pos))
+            start = stop
+        ok = self.ok[:size]
+        np.less(sv[:-1], sv[1:], out=ok[:-1])
+        for start, m, _, _ in blocks:
+            ok[start + m - 1:start + f * m:m] = False  # a row's last position cuts nothing
+        for (i, *_), best in zip(live, self._best(sv, blocks, min_leaf_weight)):
+            found[i] = best
+        return found
 
-    decrease = parent weighted Gini minus the two children's, unnormalized.
-    Returns None when the node is already pure (by weight) or no midpoint
-    yields two children above min_leaf_weight.
-    """
-    sub_w = w[idx]
-    total = float(sub_w.sum())
-    pos = float(sub_w[y[idx] > 0].sum())
-    if min(pos, total - pos) <= 0.0:
-        return None  # weighted-pure node: nothing to separate
-    parent = _weighted_gini(pos, total - pos)
-    x = np.ascontiguousarray(x, dtype=float)
-    n, p = x.shape
-    f, m = len(features), idx.size
-    if scratch is None:
-        scratch = SplitScratch(f, n)
-    elif f * n > scratch.size or scratch.inside.size != n:
-        raise ValueError(f"scratch is too small for {f} features of {n} rows")
-    size = f * m
+    def _best(self, sv, blocks, min_leaf_weight):
+        """Score the nodes laid out in the leading elements of the work
+        buffers: block (start, m, total, pos) is a node's (F, m) sorted values
+        sv and prefix weights wl + 1j * pl (left-side weight and its positive
+        part), and ok holds its cuts between distinct values.  A flat argmax
+        over a block is feature-major, so ties go to the earlier feature, then
+        the lower threshold.
 
-    def block(buf):
-        return buf[:size].reshape(f, m)
-
-    inside = scratch.inside
-    inside.fill(False)
-    inside[idx] = True
-    mask = scratch.mask[:f * n].reshape(f, n)
-    # mode="clip" skips the bounds pass, which would buffer out= in a copy
-    np.take(inside, order, out=mask, mode="clip")
-    rows = block(scratch.rows)
-    np.compress(mask.ravel(), np.ravel(order), out=rows.ravel())
-    flat = block(scratch.flat)
-    np.multiply(rows, p, out=flat)
-    flat += np.asarray(features, dtype=np.intp)[:, None]
-    sv, wl, pl, nl, wr, pr, nr = (block(buf) for buf in scratch.floats)
-    np.take(x.ravel(), flat, out=sv, mode="clip")
-    np.take(w, rows, out=nl, mode="clip")
-    np.cumsum(nl, axis=1, out=wl)
-    np.take(np.where(y > 0, w, 0.0), rows, out=nl, mode="clip")
-    np.cumsum(nl, axis=1, out=pl)
-    np.subtract(wl, pl, out=nl)
-    np.subtract(total, wl, out=wr)
-    np.subtract(pos, pl, out=pr)
-    np.subtract(wr, pr, out=nr)
-    ok, cut = block(scratch.ok), block(scratch.mask)
-    np.less(sv[:, :-1], sv[:, 1:], out=ok[:, :-1])
-    ok[:, -1] = False
-    ok &= np.greater_equal(wl, min_leaf_weight, out=cut)
-    ok &= np.greater_equal(wr, min_leaf_weight, out=cut)
-    # child = (wl - (pl*pl + nl*nl) / wl) + (wr - (pr*pr + nr*nr) / wr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pl *= pl
-        nl *= nl
-        pl += nl
-        pl /= wl
-        np.subtract(wl, pl, out=pl)
-        pr *= pr
-        nr *= nr
-        pr += nr
-        pr /= wr
-        np.subtract(wr, pr, out=pr)
-        pl += pr
-    dec = np.subtract(parent, pl, out=pl)
-    np.copyto(dec, -np.inf, where=np.logical_not(ok, out=cut))
-    k, j = divmod(int(np.argmax(dec)), m)
-    if dec[k, j] == -np.inf:
-        return None
-    thr = float((sv[k, j] + sv[k, j + 1]) / 2.0)
-    return (float(dec[k, j]), int(features[k]), thr)
+        decrease = parent weighted Gini minus the two children's, unnormalized;
+        a node with no cut leaving min_leaf_weight on both sides gives None.
+        """
+        features = self.tree[1]
+        f = features.size
+        size = f * sum(m for _, m, _, _ in blocks)
+        wl, pl = self.sums[:2 * size].reshape(2, size)
+        prefix = self.prefix[:size]
+        np.copyto(wl, prefix.real)   # contiguous for the passes below
+        np.copyto(pl, prefix.imag)
+        nl, wr, pr, nr = (buf[:size] for buf in self.work[1:])
+        ok, cut = self.ok[:size], self.cut[:size]
+        np.subtract(wl, pl, out=nl)
+        for start, m, total, pos in blocks:
+            stop = start + f * m
+            np.subtract(total, wl[start:stop], out=wr[start:stop])
+            np.subtract(pos, pl[start:stop], out=pr[start:stop])
+        np.subtract(wr, pr, out=nr)
+        ok &= np.greater_equal(wl, min_leaf_weight, out=cut)
+        ok &= np.greater_equal(wr, min_leaf_weight, out=cut)
+        # child = (wl - (pl*pl + nl*nl) / wl) + (wr - (pr*pr + nr*nr) / wr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pl *= pl
+            nl *= nl
+            pl += nl
+            pl /= wl
+            np.subtract(wl, pl, out=pl)
+            pr *= pr
+            nr *= nr
+            pr += nr
+            pr /= wr
+            np.subtract(wr, pr, out=pr)
+            pl += pr
+        for start, m, total, pos in blocks:
+            stop = start + f * m
+            np.subtract(_weighted_gini(pos, total - pos), pl[start:stop], out=pl[start:stop])
+        np.putmask(pl, np.logical_not(ok, out=cut), -np.inf)
+        found = []
+        for start, m, _, _ in blocks:
+            best = start + int(np.argmax(pl[start:start + f * m]))
+            if pl[best] == -np.inf:
+                found.append(None)
+                continue
+            thr = float((sv[best] + sv[best + 1]) / 2.0)
+            found.append((float(pl[best]), int(features[(best - start) // m]), thr))
+        return found
 
 
 _ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -269,71 +349,84 @@ class Tree:
         return cls(feature, threshold, left, right, value, n_features)
 
 
+def _grow(layout: TreeLayout, w, params: TreeParams, features) -> Tree:
+    """Grow one tree best-first on layout's training set with weights w and
+    set layout.votes to its vote on each training row."""
+    x, y = layout.features, layout.labels
+    layout.start_tree(w, features)
+    rows = [np.arange(x.shape[0])]
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [_leaf_value(y, w)]
+    counter = itertools.count()
+    heap = []
+
+    def push(node, found, depth):
+        if found is not None:
+            dec, feat, thr = found
+            heapq.heappush(heap, (-dec, feat, thr, next(counter), node, depth))
+
+    push(0, layout.root_split(params.min_leaf_weight), 0)
+    leaves = 1
+    while heap and leaves < params.max_leaves:
+        _, feat, thr, _, node, depth = heapq.heappop(heap)
+        idx = rows[node]
+        go_left = x[idx, feat] <= thr
+        feature[node], threshold[node] = feat, thr
+        left[node], right[node] = len(value), len(value) + 1
+        leaves += 1
+        children = (idx[go_left], idx[~go_left])
+        for child_idx in children:
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(_leaf_value(y[child_idx], w[child_idx]))
+            rows.append(child_idx)
+        # a full tree splits no more, so its children need no search
+        if depth + 1 < params.max_depth and leaves < params.max_leaves:
+            for child, found in zip((left[node], right[node]),
+                                    layout.child_splits(children, params.min_leaf_weight)):
+                push(child, found, depth + 1)
+    layout.votes.fill(-1.0)
+    for node, idx in enumerate(rows):
+        if feature[node] < 0 and value[node] > 0:
+            layout.votes[idx] = 1.0
+    return Tree(feature, threshold, left, right, value, x.shape[1])
+
+
 def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
              feature_subset=None, order=None) -> Tree:
     """Fit one tree on weighted rows.
 
-    order is column_order(features); a caller fitting many trees on one
-    training set computes it once and passes it to each fit.  The split
-    search of every node runs in one SplitScratch made here.
+    order is TreeLayout(features, labels); a caller fitting many trees on
+    one training set builds it once and passes it to each fit, and fit_tree
+    builds its own when given none.  After the fit, order.votes holds the
+    tree's vote on each training row.
     """
-    x = np.ascontiguousarray(features, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("features must be (n, p) with matching labels")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be -1 or +1")
-    n, p = x.shape
+    if order is None:
+        layout = TreeLayout(features, labels)
+    elif not isinstance(order, TreeLayout):
+        raise ValueError("order must be a TreeLayout")
+    else:
+        layout = order
+        same_x = features is layout.features or np.array_equal(features, layout.features)
+        if not (same_x and (labels is layout.labels or np.array_equal(labels, layout.labels))):
+            raise ValueError("order must be the TreeLayout of these features and labels")
+    n, p = layout.features.shape
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
-        w = np.asarray(weights, dtype=float)
+        w = np.ascontiguousarray(weights, dtype=float)
         if w.shape != (n,) or np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be nonnegative and finite, one per row")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1 (within 1e-9)")
     params = params or TreeParams()
-    if feature_subset is None:
-        active = np.arange(p)
-    else:
+    active = None
+    if feature_subset is not None:
         active = np.asarray(feature_subset)
         if not np.issubdtype(active.dtype, np.integer):  # bool is not an integer dtype
             raise ValueError("feature_subset must be integer column indices")
         active = np.unique(active)
         if active.size == 0 or active[0] < 0 or active[-1] >= p:
             raise ValueError("feature_subset must name valid feature columns")
-    if order is None:
-        order = column_order(x)
-    elif np.shape(order) != (p, n):
-        raise ValueError(f"order must have shape ({p}, {n})")
-    order = np.ascontiguousarray(order) if feature_subset is None else order[active]
-    scratch = SplitScratch(active.size, n)
-
-    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [_leaf_value(y, w)]
-    counter = itertools.count()
-    heap = []
-
-    def enqueue(node, idx, depth):
-        if depth >= params.max_depth:
-            return
-        found = best_split(x, y, w, idx, order, active, params.min_leaf_weight, scratch)
-        if found is not None:
-            dec, feat, thr = found
-            heapq.heappush(heap, (-dec, feat, thr, next(counter), node, idx, depth))
-
-    enqueue(0, np.arange(n), 0)
-    leaves = 1
-    while heap and leaves < params.max_leaves:
-        _, feat, thr, _, node, idx, depth = heapq.heappop(heap)
-        go_left = x[idx, feat] <= thr
-        feature[node], threshold[node] = feat, thr
-        left[node], right[node] = len(value), len(value) + 1
-        leaves += 1
-        for child_idx in (idx[go_left], idx[~go_left]):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(_leaf_value(y[child_idx], w[child_idx]))
-            enqueue(len(value) - 1, child_idx, depth + 1)
-    return Tree(feature, threshold, left, right, value, p)
+    return _grow(layout, w, params, active)

@@ -14,7 +14,7 @@ from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from .cart import Tree, TreeParams, column_order, fit_tree
+from .cart import Tree, TreeLayout, TreeParams, fit_tree
 from .dataset_io import Dataset, DatasetError
 
 # floor keeps the round coefficient finite when a tree fits its
@@ -82,6 +82,19 @@ class PredictionMatrix:
         object.__setattr__(self, "entries", h)
         object.__setattr__(self, "labels", y)
 
+    def leading(self, count: int) -> "PredictionMatrix":
+        """The matrix of the first count learners, a view of these rows.
+
+        The rows were checked when this matrix was built, so they are not
+        scanned again.
+        """
+        if not 1 <= count <= self.n_learners:
+            raise ValueError(f"count must lie in [1, {self.n_learners}]")
+        view = object.__new__(PredictionMatrix)
+        object.__setattr__(view, "entries", self.entries[:count])
+        object.__setattr__(view, "labels", self.labels)
+        return view
+
     @property
     def n_rows(self) -> int:
         return self.entries.shape[1]
@@ -114,16 +127,16 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     if T < 1:
         raise ValueError("T must be >= 1")
     params = params or TreeParams()
-    x, y = train.features, train.labels
+    layout = TreeLayout(train.features, train.labels)
+    x, y = layout.features, layout.labels
     n = train.n_rows
     dist = np.full(n, 1.0 / n)
-    order = column_order(x)
     trees: list[Tree] = []
     alphas: list[float] = []
     break_reason = None
     for _ in range(T):
-        tree = fit_tree(x, y, weights=dist, params=params, order=order)
-        wrong = tree.predict(x) != y
+        tree = fit_tree(x, y, weights=dist, params=params, order=layout)
+        wrong = layout.votes != y  # the tree's training votes, as tree.predict(x) gives them
         eps = float(dist[wrong].sum())
         if eps >= 0.5:
             break_reason = f"round error {eps:.6f} is no better than chance"
@@ -158,15 +171,15 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
         m_try = math.ceil(math.sqrt(p))
     if not 1 <= m_try <= p:
         raise ValueError(f"m_try must lie in [1, {p}]")
-    x, y = train.features, train.labels
-    order = column_order(x)
+    layout = TreeLayout(train.features, train.labels)
+    x, y = layout.features, layout.labels
     trees = []
     for t in range(T):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n) / n
         subset = np.sort(rng.choice(p, size=m_try, replace=False))
         trees.append(fit_tree(x, y, weights=weights, params=params,
-                              feature_subset=subset, order=order))
+                              feature_subset=subset, order=layout))
     return EnsembleModel("random-forest", tuple(trees), np.ones(T), params, seed=seed)
 
 

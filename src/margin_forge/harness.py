@@ -23,7 +23,6 @@ from .ensemble import (
     METHODS,
     EnsembleError,
     EnsembleModel,
-    PredictionMatrix,
     adaboost,
     bagging,
     prediction_matrix,
@@ -397,8 +396,7 @@ def export_cmd_series(model: EnsembleModel, data: Dataset,
     series = {}
     for count in points:
         sub = truncate_model(model, min(count, model.n_learners))
-        matrix = full if sub is model else PredictionMatrix(
-            full.entries[:sub.n_learners], data.labels)
+        matrix = full if sub is model else full.leading(sub.n_learners)
         profile = compute_margins(matrix, sub.vote_weights)
         series[count] = cmd(profile)
     return series

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -7,17 +8,25 @@ from hypothesis import given, settings, strategies as st
 
 import predict_oracle
 import split_oracle
-from bench_data import sonar_like
-from margin_forge.cart import (
-    SplitScratch, Tree, TreeParams, best_split, column_order, fit_tree,
-)
+import tree_oracle
+from bench_data import ionosphere_like, pima_like, sonar_like
+from margin_forge import ensemble
+from margin_forge.cart import Tree, TreeLayout, TreeParams, fit_tree
 from margin_forge.dataset_io import generate_synthetic, stratified_split
-from margin_forge.ensemble import PredictionMatrix, adaboost, prediction_matrix, random_forest
+from margin_forge.ensemble import (
+    PredictionMatrix, adaboost, bagging, prediction_matrix, random_forest,
+)
 from stump_oracle import all_candidates, best_stump
 
 
 def stump_params():
     return TreeParams(max_depth=1, max_leaves=2)
+
+
+def root_split(x, y, w, features=None, min_leaf_weight=1e-12):
+    layout = TreeLayout(x, y)
+    layout.start_tree(w, features)
+    return layout.root_split(min_leaf_weight)
 
 
 def test_one_dimensional_midpoint():
@@ -53,7 +62,7 @@ def test_tie_break_prefers_lowest_threshold():
     # symmetric pattern - + + -: splitting at 0.5 or 2.5 gives equal decrease
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([-1.0, 1.0, 1.0, -1.0])
-    found = best_split(x, y, np.full(4, 0.25), np.arange(4), column_order(x), [0], 1e-12)
+    found = root_split(x, y, np.full(4, 0.25))
     assert found is not None and found[2] == 0.5
 
 
@@ -135,8 +144,12 @@ def test_stump_matches_brute_force_oracle():
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         w = rng.random(n) + 0.01
         w /= w.sum()
-        got = best_split(x, y, w, np.arange(n), column_order(x), np.arange(p), 1e-12)
+        got = root_split(x, y, w)
         want = best_stump(x, y, w)
+        # the root search and a child search over every row find the same cut
+        layout = TreeLayout(x, y)
+        layout.start_tree(w)
+        assert layout.child_splits([np.arange(n)], 1e-12) == [got]
         if want is None:
             assert got is None
             continue
@@ -163,9 +176,17 @@ def test_split_matches_per_feature_reference(seed, n, p, levels, twin, min_leaf_
     counts = rng.integers(0, 3, size=n)  # bootstrap-like counts give zero weights
     w = counts / max(counts.sum(), 1)
     idx = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    rest = np.setdiff1d(np.arange(n), idx)
     features = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
-    got = best_split(x, y, w, idx, column_order(x)[features], features, min_leaf_weight)
-    assert got == split_oracle.best_split(x, y, w, idx, features, min_leaf_weight)
+    want = split_oracle.best_split(x, y, w, idx, features, min_leaf_weight)
+    layout = TreeLayout(x, y)
+    layout.start_tree(w, features)
+    assert layout.child_splits([idx], min_leaf_weight) == [want]
+    # two nodes searched together: each block is scored on its own
+    assert layout.child_splits([rest, idx], min_leaf_weight) == [
+        split_oracle.best_split(x, y, w, rest, features, min_leaf_weight), want]
+    if rest.size == 0:
+        assert layout.root_split(min_leaf_weight) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,28 +194,85 @@ def test_split_matches_per_feature_reference(seed, n, p, levels, twin, min_leaf_
        levels=st.integers(1, 6),
        min_leaf_weight=st.sampled_from([1e-300, 1e-12, 0.05, 0.3]))
 def test_reused_scratch_keeps_no_state(seed, n, p, levels, min_leaf_weight):
+    # one layout serves every tree of a training set: a search must not read
+    # what an earlier tree or node left in its buffers
     rng = np.random.default_rng(seed)
     x = rng.integers(0, levels, size=(n, p)) * 0.5  # few levels: tied values
     y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    counts = rng.integers(0, 3, size=n)  # bootstrap-like counts give zero weights
-    w = counts / max(counts.sum(), 1)
-    order = column_order(x)
-    root, every = np.arange(n), np.arange(p)
+    layout = TreeLayout(x, y)
+    every = np.arange(p)
     child = np.sort(rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False))
+    other = np.setdiff1d(np.arange(n), child)
     subset = np.sort(rng.choice(p, size=int(rng.integers(1, p)), replace=False))
-    scratch = SplitScratch(p, n)
-    for idx, features in ((root, every), (child, every), (child, subset), (root, every)):
-        got = best_split(x, y, w, idx, order[features], features, min_leaf_weight, scratch)
-        assert got == best_split(x, y, w, idx, order[features], features, min_leaf_weight)
-        assert got == split_oracle.best_split(x, y, w, idx, features, min_leaf_weight)
+    for features in (every, subset, every):
+        counts = rng.integers(0, 3, size=n)  # bootstrap-like counts give zero weights
+        w = counts / max(counts.sum(), 1)
+        fresh = TreeLayout(x, y)
+        fresh.start_tree(w, features)
+        layout.start_tree(w, features)
+        want = [split_oracle.best_split(x, y, w, idx, features, min_leaf_weight)
+                for idx in (child, other)]
+        assert layout.root_split(min_leaf_weight) == fresh.root_split(min_leaf_weight)
+        assert layout.child_splits([child, other], min_leaf_weight) == want
+        assert layout.child_splits([other], min_leaf_weight) == want[1:]
+        assert layout.child_splits([child, other], min_leaf_weight) == want
+        assert fresh.child_splits([child, other], min_leaf_weight) == want
 
 
-def test_scratch_too_small_refused():
-    x = np.arange(8.0).reshape(4, 2)
-    y = np.array([-1.0, 1.0, -1.0, 1.0])
-    with pytest.raises(ValueError, match="scratch"):
-        best_split(x, y, np.full(4, 0.25), np.arange(4), column_order(x), [0, 1], 1e-12,
-                   SplitScratch(1, 4))
+def test_no_cut_spans_two_features():
+    # Each feature is constant, so no cut exists.  In the flat buffer one
+    # feature's last sorted value is followed by the next feature's first;
+    # there the right side holds total - wl, the pairwise sum of the node's
+    # weights less their sequential sum, which is a rounding residue that can
+    # be positive and pass a tiny min_leaf_weight.
+    rng = np.random.default_rng(21)
+    n, p = 40, 3
+    x = np.tile(np.arange(p, dtype=float), (n, 1))
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    layout = TreeLayout(x, y)
+    residues = 0
+    for _ in range(50):
+        w = rng.random(n)
+        w /= w.sum()
+        idx = np.sort(rng.choice(n, size=30, replace=False))
+        residues += float(w[idx].sum()) - float(np.cumsum(w[idx])[-1]) > 0.0
+        layout.start_tree(w)
+        assert layout.root_split(1e-300) is None
+        assert layout.child_splits([idx, np.setdiff1d(np.arange(n), idx)], 1e-300) == [None, None]
+    assert residues > 0  # the case the test is about did occur
+
+
+def tree_bytes(tree):
+    return [getattr(tree, name).tobytes() for name in ("feature", "threshold", "left",
+                                                         "right", "value")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), p=st.integers(1, 5),
+       levels=st.integers(1, 8), twin=st.booleans(), subset=st.booleans(),
+       depth_leaves=st.sampled_from([(d, k) for d in (1, 2, 3) for k in range(2, 2**d + 1)]),
+       min_leaf_weight=st.sampled_from([1e-300, 1e-12, 0.05, 0.3]))
+def test_fit_matches_per_node_oracle(seed, n, p, levels, twin, subset, depth_leaves,
+                                     min_leaf_weight):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, levels, size=(n, p)) * 0.5  # few levels: tied values
+    if twin and p > 1:
+        x[:, -1] = x[:, 0]  # equal decreases on two features: the tie rule decides
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    counts = rng.integers(0, 3, size=n)  # bootstrap-like counts give zero weights
+    counts[rng.integers(n)] += 1
+    w = counts / counts.sum()
+    features = (np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+                if subset else None)
+    params = TreeParams(*depth_leaves, min_leaf_weight=min_leaf_weight)
+    want = tree_oracle.fit_tree(x, y, w, params, features)
+    layout = TreeLayout(x, y)
+    for _ in range(2):  # a second fit on the same layout builds the same tree
+        got = fit_tree(x, y, weights=w, params=params, feature_subset=features, order=layout)
+        assert tree_bytes(got) == tree_bytes(want)
+        assert np.array_equal(layout.votes, got.predict(x))
+    assert tree_bytes(fit_tree(x, y, weights=w, params=params,
+                               feature_subset=features)) == tree_bytes(want)
 
 
 def sonar_training_rows():
@@ -206,18 +284,21 @@ def test_root_split_allocates_no_node_block():
     x, y = sonar_training_rows()
     n, p = x.shape
     assert (n, p) == (147, 60)
-    args = (x, y, np.full(n, 1.0 / n), np.arange(n), column_order(x), np.arange(p), 1e-12,
-            SplitScratch(p, n))
-    want = best_split(*args)
+    layout = TreeLayout(x, y)
+    w = np.random.default_rng(4).random(n)
+    w /= w.sum()
+    args = (layout.features, layout.labels, w)
+    want = fit_tree(*args, order=layout)
+    assert np.sum(want.feature >= 0) == 3  # a whole depth-2 tree: root and both children
     tracemalloc.start()
     try:
-        got = best_split(*args)
+        got = fit_tree(*args, order=layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == want
-    # one (F, n) float block is p * n * 8 bytes; without the scratch a
-    # root search allocates about a dozen of them
+    assert tree_bytes(got) == tree_bytes(want)
+    # one (F, n) float block is p * n * 8 bytes; a fit that searched in
+    # temporaries would allocate about a dozen of them per node
     assert peak < 3 * p * n * 8
 
 
@@ -235,8 +316,60 @@ def test_fortran_ordered_features_fit_the_same_tree():
 
 def test_order_shape_checked():
     x = np.zeros((3, 2))
+    y = np.array([-1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="order"):
-        fit_tree(x, np.array([-1.0, 1.0, 1.0]), order=column_order(x[:, :1]))
+        fit_tree(x, y, order=TreeLayout(x[:, :1], y))
+    with pytest.raises(ValueError, match="order"):
+        fit_tree(x, y, order=TreeLayout(x, -y))
+    with pytest.raises(ValueError, match="order"):
+        fit_tree(x, y, order=np.argsort(x.T, axis=1))
+    # an equal copy of the training set is the same training set
+    fit_tree(x.copy(), y.copy(), order=TreeLayout(x, y))
+
+
+# AdaBoost T=100, random forest and bagging (T=100, seed 0) on the training
+# rows (split seed 0) of the three benchmark-shaped sets: sha256 over every
+# tree's five node arrays, then the raw alphas, as the per-node fit built them
+BENCH_DIGESTS = {
+    ("pima_like", "adaboost"): "073ec32d83568220720d7d8467cddc95200af6b18ed406ab16c564d674a6b3fc",
+    ("pima_like", "random_forest"): "2c2d7506f8832d66156ab06dc92f074eb1625462201dbc4c38571177f3255271",
+    ("pima_like", "bagging"): "ce4d50203d2a273cba02d2ce3b44a9cfc29a3f9507639131f6e41f2085231d36",
+    ("sonar_like", "adaboost"): "1227db2693e99e427d0ecd634b248ea529a2496efc2d141ca1a0bde63b6e74c6",
+    ("sonar_like", "random_forest"): "1e613aaaf10e18cf2b395832c46f6c0f5e5dd378df84ed59733c76fc026757af",
+    ("sonar_like", "bagging"): "3992e905240d84f95bca4dc527276901aeced70a6d1d926ba46ad4e7202488a6",
+    ("ionosphere_like", "adaboost"): "38e6bd44da1dfd6b0a308f53edeea297beca7d63e8cb01096ef663c10ede7153",
+    ("ionosphere_like", "random_forest"): "2187a17e6a40beecf1295f0d413e979cc70b14e6344da73f3abdf43c6e11768c",
+    ("ionosphere_like", "bagging"): "3508aae8375759e3aade585f4341c28e99e1dc625b8a5a15372da6ff2814b93f",
+}
+
+
+@pytest.mark.parametrize("make", [pima_like, sonar_like, ionosphere_like])
+def test_bench_sized_fits_keep_their_trees(make, monkeypatch):
+    train, _ = stratified_split(make(), 0.7, seed=0)
+    fits = {"adaboost": lambda: adaboost(train, 100),
+            "random_forest": lambda: random_forest(train, 100, seed=0),
+            "bagging": lambda: bagging(train, 100, seed=0)}
+    for name, fit in fits.items():
+        digest = hashlib.sha256()
+        model = fit()
+        for tree in model.trees:
+            for part in tree_bytes(tree):
+                digest.update(part)
+        digest.update(model.raw_alphas.tobytes())
+        assert digest.hexdigest() == BENCH_DIGESTS[make.__name__, name], name
+
+    # every AdaBoost round reads its mistakes from the votes the fit left on
+    # the layout; they must be the tree's own predictions on the training rows
+    rounds = []
+
+    def fit_and_record(*args, order, **kwargs):
+        tree = fit_tree(*args, order=order, **kwargs)
+        rounds.append(np.array_equal(order.votes, tree.predict(train.features)))
+        return tree
+
+    monkeypatch.setattr(ensemble, "fit_tree", fit_and_record)
+    model = adaboost(train, 100)
+    assert len(rounds) >= model.n_learners and all(rounds)
 
 
 def test_stump_never_worse_than_majority():
@@ -368,3 +501,10 @@ def test_prediction_matrix_matches_reference_columns(fit):
     # a prefix ensemble's matrix is a view of the leading rows, not a copy
     prefix = PredictionMatrix(full.entries[:5], data.labels)
     assert np.shares_memory(prefix.entries, full.entries)
+    leading = full.leading(5)
+    assert np.shares_memory(leading.entries, full.entries)
+    assert np.array_equal(leading.entries, prefix.entries)
+    assert leading.labels is full.labels and not leading.entries.flags.writeable
+    for bad in (0, model.n_learners + 1):
+        with pytest.raises(ValueError, match="count"):
+            full.leading(bad)

@@ -395,6 +395,23 @@ def test_export_cmd_series_equals_per_prefix_route():
     assert export_cmd_series(model, data, checkpoints) == want
 
 
+def test_export_cmd_series_checks_the_full_matrix_once(monkeypatch):
+    data = generate_synthetic("two-gaussians", 150, 1.6, 6)
+    model = adaboost(data, 12)
+    want = export_cmd_series(model, data, (1, 3, 5))
+    scans = []
+
+    def counted_isin(*args, **kwargs):
+        scans.append(args[0].shape)
+        return isin(*args, **kwargs)
+
+    isin = np.isin
+    monkeypatch.setattr(np, "isin", counted_isin)
+    assert export_cmd_series(model, data, (1, 3, 5)) == want
+    # the full matrix's entries and labels; the prefixes are views of rows already checked
+    assert scans == [(model.n_learners, data.n_rows), (data.n_rows,)]
+
+
 # ------------------------------------------------------------------ rendering
 
 
