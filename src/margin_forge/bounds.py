@@ -94,7 +94,7 @@ def gibbs_risk(matrix: PredictionMatrix, weights) -> float:
     """Vote-weighted average of the individual learner error rates, over
     simplex weights (checked as germain_bound checks them)."""
     w = simplex_weights(weights, matrix.n_learners)
-    return float(w @ (matrix.entries < 0).mean(axis=1))
+    return float(w @ (matrix.entries < 0).mean(axis=1, dtype=float))
 
 
 def germain_bound(matrix: PredictionMatrix, weights) -> BoundReport:

@@ -182,7 +182,7 @@ def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not lines:
         raise DatasetError(f"{path}: empty file")
     if fmt == "delimited":
@@ -200,7 +200,7 @@ def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
 def write_dataset(data: Dataset, path) -> None:
     """Comma-delimited dump, label last; %.17g keeps the reload within 1e-12."""
     path = Path(path)
-    with path.open("w") as fh:
+    with path.open("w", encoding="utf-8") as fh:
         if data.feature_names is not None:
             fh.write(",".join([*data.feature_names, "label"]) + "\n")
         for row, label in zip(data.features, data.labels):

@@ -66,17 +66,28 @@ class EnsembleModel:
 
 @dataclass(frozen=True)
 class PredictionMatrix:
+    """A learner-major matrix of signed votes and the labels of its rows.
+
+    The entries are stored as a C-ordered, read-only float32 (T, n) array,
+    half the bytes of float64.  That loses nothing: every entry is -1 or +1,
+    and every integer sum of them below 2**24 (a vote count, a row sum, an
+    entry of the Gram matrix S S') is exact in float32.  Every reader that
+    weights the votes or solves with them computes in float64, so its
+    results are those of float64 entries, bit for bit.
+    """
     entries: np.ndarray   # (T, n) of +-1: y_i h_t(x_i), +1 where learner t is right on row i
     labels: np.ndarray    # (n,) of +-1
 
     def __post_init__(self):
-        # C order fixes the summation order of w @ entries; C float input is kept
-        h = np.asarray(self.entries, dtype=float, order="C")
+        h = np.asarray(self.entries)
         y = np.array(self.labels, dtype=float)
         if h.ndim != 2 or h.shape[0] < 1 or y.shape != (h.shape[1],):
             raise ValueError("entries must be (T, n), T >= 1, with one label per row")
+        # checked before narrowing, where 1 + 1e-9 would round to 1
         if not np.all(np.isin(h, (-1.0, 1.0))) or not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("entries and labels must be -1 or +1")
+        # C order fixes the summation order of w @ entries; C float32 input is kept
+        h = np.asarray(h, dtype=np.float32, order="C")
         h.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "entries", h)
@@ -197,10 +208,10 @@ def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
 
     The features are put in Fortran order once, so every node test of
     every tree reads a contiguous column, and each tree's signed votes
-    fill one contiguous row of the matrix.
+    fill one contiguous float32 row of the matrix.
     """
     x = np.asfortranarray(data.features)
-    entries = np.empty((model.n_learners, data.n_rows))
+    entries = np.empty((model.n_learners, data.n_rows), dtype=np.float32)
     for t, tree in enumerate(model.trees):
         np.multiply(tree.predict(x), data.labels, out=entries[t])
     return PredictionMatrix(entries, data.labels)
@@ -217,12 +228,12 @@ def save_model(model: EnsembleModel, path) -> None:
                         "min_leaf_weight": model.tree_params.min_leaf_weight},
         "trees": [tree.to_dict() for tree in model.trees],
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(blob, fh)
 
 
 def load_model(path) -> EnsembleModel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     params = TreeParams(**blob["tree_params"])
     trees = tuple(Tree.from_dict(t) for t in blob["trees"])

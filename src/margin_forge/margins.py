@@ -83,9 +83,12 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
     if w.shape != (matrix.n_learners,):
         raise ValueError("one weight per learner required")
     # the entries are signed votes, so w @ entries is the margin itself;
-    # equal weights scale the integer vote count once: a tied vote is exactly 0
+    # equal weights scale the integer vote count once: a tied vote is exactly 0.
+    # Both are formed in float64 from the float32 entries
     s = matrix.entries
-    return MarginProfile(s.sum(axis=0) * w[0] if np.all(w == w[0]) else w @ s)
+    if np.all(w == w[0]):
+        return MarginProfile(s.sum(axis=0, dtype=float) * w[0])
+    return MarginProfile(w @ s.astype(float))
 
 
 def cmd(profile: MarginProfile) -> list[tuple[float, float]]:

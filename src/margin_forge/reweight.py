@@ -39,6 +39,8 @@ from .simplex import FEAS_TOL, LpProblem, residuals, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
 GAP_TOL = 1e-9       # relative duality gap allowed on a margin LP's answer
+# float32 holds every integer up to 2**24, so a sum of fewer +-1 products is exact in it
+F32_EXACT_TERMS = 2 ** 24
 
 
 class SelfCheckError(RuntimeError):
@@ -132,16 +134,16 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     constraints and its duality gap; None when no weights reach the floors.
 
     The LP, max c.w s.t. S'w >= floors, 1.w = 1, w >= 0 with S the (T, n)
-    signed votes (the stored entries) and c = S @ emphasis, is solved
-    through its dual: max floors.u - v s.t. -S u + v 1 >= c, u >= 0, v
-    free.  The dual has one row per learner and is always feasible; the
-    weights are its row prices.  It is stated with v = top + v+ - v-,
+    signed votes (the stored entries, cast to float64) and c = S @ emphasis,
+    is solved through its dual: max floors.u - v s.t. -S u + v 1 >= c,
+    u >= 0, v free.  The dual has one row per learner and is always
+    feasible; the weights are its row prices.  It is stated with v = top + v+ - v-,
     top = max(c), so its rhs is c - top <= 0 and every row starts on its
     surplus (u = 0, v = top is feasible): no phase 1 runs.  The shift
     moves the dual objective by the constant -top and leaves the prices
     as they are.
     """
-    signed = matrix.entries
+    signed = matrix.entries.astype(float)
     c = signed @ emphasis
     top = c.max()
     ones = np.ones((matrix.n_learners, 1))
@@ -176,21 +178,27 @@ def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
     (Golub & Van Loan, Matrix Computations, 5.3 and 5.5): coef is the sum of
     v (v.b / lam) over the kept eigenpairs, which is the pseudo-inverse
     solution.  G's entries are sums of ±1 products, exact in any summation
-    order.  Eigenvalues at or below lam_max * T * eps are the null space and
+    order.  The design is stored in float32 (see PredictionMatrix), so G is
+    formed in float32 while there are fewer than F32_EXACT_TERMS columns,
+    where those integer sums are exact, in float64 beyond, and then cast to
+    float64 for eigh; b and the SVD fallback are computed in float64.
+    Eigenvalues at or below lam_max * T * eps are the null space and
     are dropped; the rest must lie above lam_max * sqrt(eps), where the
     squared conditioning costs no more than half the digits.  An eigenvalue
     between the two leaves no clear gap, so the fit falls back to an SVD of
     the (n, T) design.
     """
     eps = np.finfo(float).eps
-    lam, vecs = np.linalg.eigh(design @ design.T)
+    work = design if design.shape[1] < F32_EXACT_TERMS else design.astype(float)
+    lam, vecs = np.linalg.eigh((work @ work.T).astype(float))
     top = lam[-1]
     null = lam <= top * design.shape[0] * eps
     if np.any(~null & (lam <= top * math.sqrt(eps))):
-        coef, *_ = np.linalg.lstsq(design.T, np.full(design.shape[1], target), rcond=None)
+        coef, *_ = np.linalg.lstsq(design.astype(float).T, np.full(design.shape[1], target),
+                                   rcond=None)
         return coef
     kept = vecs[:, ~null]
-    return kept @ ((kept.T @ (target * design.sum(axis=1))) / lam[~null])
+    return kept @ ((kept.T @ (target * design.sum(axis=1, dtype=float))) / lam[~null])
 
 
 def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
@@ -214,7 +222,7 @@ def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
         raise EnsembleError("non-normalizable solution: coefficients sum to zero")
     w = coef / total
     new = compute_margins(matrix, w)
-    sse = float(np.sum((coef @ signed - old.mean) ** 2))
+    sse = float(np.sum((coef @ signed.astype(float) - old.mean) ** 2))
     return RewResult("sm2", True, w, old, new, sse)
 
 

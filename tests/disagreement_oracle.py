@@ -13,7 +13,7 @@ from margin_forge.ensemble import PredictionMatrix
 def expected_disagreement(matrix: PredictionMatrix, weights) -> float:
     """Weight-squared average over learner pairs of their disagreement rate."""
     w = np.asarray(weights, dtype=float)
-    h = matrix.entries
+    h = matrix.entries.astype(float)      # float32 storage; divide in float64
     n = matrix.n_rows
     # fraction of rows where t and u differ, for all pairs at once
     agree = (h @ h.T) / n                 # in [-1, 1]

@@ -1,0 +1,57 @@
+"""Every text file the package reads or writes is UTF-8, whatever the locale.
+
+The round trip runs in a child interpreter that turns EncodingWarning into
+an error, so any open() that falls back to the locale's encoding fails the
+run.  On POSIX the child also runs in the C locale, with Python's locale
+coercion and UTF-8 mode off, where that fallback would be ASCII.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+ROUND_TRIP = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from margin_forge.dataset_io import load_dataset, write_dataset
+from margin_forge.ensemble import adaboost, load_model, save_model
+
+work = Path(sys.argv[1])
+
+# a non-ASCII header and a full-width-digit token, written as UTF-8 bytes
+raw = work / "raw.csv"
+raw.write_bytes("gr\\u00f6\\u00dfe,\\u0448\\u0438\\u0440\\u0438\\u043d\\u0430,y\\n"
+                "\\uff11\\uff12,1,0\\n3,4,1\\n5,\\uff16,0\\n7,8,1\\n".encode("utf-8"))
+data = load_dataset(raw)
+assert data.feature_names == ("gr\\u00f6\\u00dfe", "\\u0448\\u0438\\u0440\\u0438\\u043d\\u0430")
+assert data.features[:, 0].tolist() == [12.0, 3.0, 5.0, 7.0]
+
+copy = work / "copy.csv"
+write_dataset(data, copy)
+again = load_dataset(copy)
+assert again.feature_names == data.feature_names
+assert np.array_equal(again.features, data.features)
+assert np.array_equal(again.labels, data.labels)
+
+model = adaboost(data, 3)
+save_model(model, work / "model.json")
+loaded = load_model(work / "model.json")
+assert np.array_equal(loaded.raw_alphas, model.raw_alphas)
+print("ok")
+"""
+
+
+def test_dataset_and_model_files_round_trip_as_utf8(tmp_path):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0", "PYTHONWARNDEFAULTENCODING": "1"}
+    run = subprocess.run([sys.executable, "-W", "error::EncodingWarning", "-c", ROUND_TRIP,
+                          str(tmp_path)], capture_output=True, text=True, encoding="utf-8",
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ok"]

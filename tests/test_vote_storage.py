@@ -1,0 +1,190 @@
+"""Signed votes stored in float32: what the storage costs and what it must not change.
+
+PredictionMatrix keeps its +-1 entries in float32, and every reader
+computes in float64.  So each reader's result on a stored matrix must equal,
+bit for bit, its result on the same entries held in float64, which is how
+they were stored before (`float64_twin`).
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from margin_forge import reweight
+from margin_forge.bounds import germain_bound, gibbs_risk
+from margin_forge.dataset_io import generate_synthetic
+from margin_forge.ensemble import PredictionMatrix, adaboost, prediction_matrix, random_forest
+from margin_forge.margins import compute_margins
+from margin_forge.reweight import apply_scheme, parse_spec, sm2_weights
+
+
+def float64_twin(matrix):
+    """The same votes held in float64, built around the narrowing in
+    PredictionMatrix.__post_init__."""
+    twin = object.__new__(PredictionMatrix)
+    object.__setattr__(twin, "entries", matrix.entries.astype(float))
+    object.__setattr__(twin, "labels", matrix.labels)
+    return twin
+
+
+def same_bits(a, b):
+    return np.asarray(a).dtype == np.asarray(b).dtype and \
+        np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.fixture(scope="module")
+def forest():
+    # T = 12 equal votes: an even count, so some rows tie at exactly 0
+    data = generate_synthetic("two-gaussians", 120, 2.5, 4)
+    model = random_forest(data, T=12, seed=4)
+    return prediction_matrix(model, data), model.vote_weights
+
+
+@pytest.fixture(scope="module")
+def boosted():
+    data = generate_synthetic("two-gaussians", 150, 1.6, 7)
+    model = adaboost(data, T=25)
+    return prediction_matrix(model, data), model.vote_weights
+
+
+def test_entries_are_c_ordered_read_only_float32(forest):
+    matrix, _ = forest
+    assert matrix.entries.dtype == np.float32
+    assert matrix.entries.flags.c_contiguous and not matrix.entries.flags.writeable
+    assert matrix.labels.dtype == np.float64
+    narrowed = PredictionMatrix(np.asarray(matrix.entries, dtype=float), matrix.labels)
+    assert same_bits(narrowed.entries, matrix.entries)
+
+
+def test_an_entry_that_rounds_to_one_in_float32_is_refused():
+    near = 1.0 + 1e-9
+    assert np.float32(near) == 1.0
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        PredictionMatrix(np.array([[near, -1.0]]), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        PredictionMatrix(np.array([[1.0, -1.0 - 1e-9]]), np.array([1.0, -1.0]))
+
+
+def test_margins_match_float64_storage_with_ties(forest, boosted):
+    matrix, equal = forest
+    got = compute_margins(matrix, equal).margins
+    assert np.any(got == 0.0)
+    assert same_bits(got, compute_margins(float64_twin(matrix), equal).margins)
+    matrix, unequal = boosted
+    got = compute_margins(matrix, unequal).margins
+    assert same_bits(got, unequal @ matrix.entries.astype(float))
+    assert same_bits(got, compute_margins(float64_twin(matrix), unequal).margins)
+    # unequal weights whose vote cancels exactly on the first row
+    hand = PredictionMatrix(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]),
+                            np.array([1.0, -1.0]))
+    w = np.array([0.25, 0.25, 0.5])
+    got = compute_margins(hand, w).margins
+    assert got[0] == 0.0
+    assert same_bits(got, compute_margins(float64_twin(hand), w).margins)
+
+
+def test_bounds_match_float64_storage(forest, boosted):
+    for matrix, w in (forest, boosted):
+        twin = float64_twin(matrix)
+        assert same_bits(gibbs_risk(matrix, w), gibbs_risk(twin, w))
+        got, want = germain_bound(matrix, w), germain_bound(twin, w)
+        assert got.applicable == want.applicable
+        assert same_bits(got.value, want.value)
+        assert got.inputs.keys() == want.inputs.keys()
+        assert all(same_bits(got.inputs[k], want.inputs[k]) for k in got.inputs)
+
+
+def assert_same_result(got, want):
+    assert got.scheme == want.scheme and got.feasible == want.feasible
+    for name in ("objective", "weights", "old_profile", "new_profile"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert same_bits(getattr(a, "margins", a), getattr(b, "margins", b)), name
+
+
+@pytest.mark.parametrize("fixture", ["forest", "boosted"])
+def test_sm2_matches_float64_storage_on_the_eigh_path(fixture, request):
+    matrix, w = request.getfixturevalue(fixture)
+    assert_same_result(sm2_weights(matrix, w), sm2_weights(float64_twin(matrix), w))
+
+
+def test_sm2_matches_float64_storage_on_the_lstsq_path(boosted, monkeypatch):
+    matrix, w = boosted
+    real = np.linalg.eigh
+    calls = []
+
+    def blurred(gram):
+        # an eigenvalue between the null-space cut and lam_max * sqrt(eps)
+        calls.append(gram.dtype)
+        lam, vecs = real(gram)
+        lam = lam.copy()
+        lam[-2] = lam[-1] * 1e-10
+        return np.sort(lam), vecs[:, np.argsort(lam)]
+
+    monkeypatch.setattr(np.linalg, "eigh", blurred)
+    lstsq = np.linalg.lstsq
+    solved = []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda a, *rest, **kw: solved.append(a.dtype) or lstsq(a, *rest, **kw))
+    assert_same_result(sm2_weights(matrix, w), sm2_weights(float64_twin(matrix), w))
+    assert calls == [np.float64] * 2 and solved == [np.float64] * 2
+
+
+@pytest.mark.parametrize("text", ["uws", "pws:0.1", "sm1:0.05", "sm1:0.4"])
+def test_margin_lp_schemes_match_float64_storage(text, forest, boosted, monkeypatch):
+    # the LP each scheme hands the solver must be the float64 one, byte for byte
+    stated = []
+    solve = reweight.solve
+    monkeypatch.setattr(reweight, "solve", lambda lp: stated.append(lp) or solve(lp))
+    feasible = []
+    for matrix, w in (forest, boosted):
+        got = apply_scheme(parse_spec(text), matrix, w)
+        want = apply_scheme(parse_spec(text), float64_twin(matrix), w)
+        assert_same_result(got, want)
+        feasible.append(got.feasible)
+        mine, theirs = stated[-2:]
+        for name in ("objective", "a_ge", "b_ge", "a_eq", "b_eq", "upper"):
+            assert same_bits(getattr(mine, name), getattr(theirs, name)), name
+    if text == "sm1:0.4":
+        # the floors at the 0.4-quantile are out of reach on one of the two
+        assert not all(feasible)
+
+
+def test_gram_leaves_float32_at_its_exactness_bound(monkeypatch):
+    # float32 sums +-1 products exactly only below F32_EXACT_TERMS columns.
+    # Entries of 1 + 2**-12 square to 1 + 2**-11 + 2**-24, which float32
+    # rounds, so here the float32 and float64 Gram matrices differ and show
+    # which one was formed; 2**24 columns are never allocated
+    design = np.full((2, 3), 1 + 2.0 ** -12, dtype=np.float32)
+    design[1, 0] = -1.0
+    wide = design.astype(float)
+    narrow_gram = (design @ design.T).astype(float)
+    wide_gram = wide @ wide.T
+    assert not np.array_equal(narrow_gram, wide_gram)
+    real = np.linalg.eigh
+    seen = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda gram: seen.append(gram) or real(gram))
+    reweight._min_norm_fit(design, 0.5)
+    monkeypatch.setattr(reweight, "F32_EXACT_TERMS", design.shape[1])
+    reweight._min_norm_fit(design, 0.5)
+    assert [g.dtype for g in seen] == [np.float64, np.float64]
+    assert np.array_equal(seen[0], narrow_gram)
+    assert np.array_equal(seen[1], wide_gram)
+
+
+def test_prediction_matrix_allocates_six_bytes_per_cell():
+    # 4 bytes per float32 entry and 2 for the boolean temporaries of the +-1
+    # scan; float64 entries would cost 8 + 2
+    data = generate_synthetic("two-gaussians", 5000, 1.6, 1)
+    model = random_forest(data, T=200, seed=1)
+    cells = model.n_learners * data.n_rows
+    fortran_copy = data.features.nbytes
+    tracemalloc.start()
+    try:
+        matrix = prediction_matrix(model, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.entries.size == cells
+    assert (peak - fortran_copy) / cells < 6.5
