@@ -6,7 +6,7 @@ from .bounds import (
     BOUND_NAMES, BoundReport, breiman_bound, germain_bound, gibbs_risk, report_rows,
     schapire_terms,
 )
-from .cart import Tree, TreeParams, fit_tree
+from .cart import Tree, TreeLayout, TreeParams, fit_tree
 from .dataset_io import (
     Dataset, DatasetError, check_paired, generate_synthetic, load_dataset,
     split_indices, stratified_split, write_dataset,
@@ -37,7 +37,7 @@ __all__ = [
     "EnsembleModel", "ExperimentConfig", "ExperimentError", "ExperimentReport",
     "LpProblem", "LpSolution", "MarginImprovement", "MarginProfile", "PairedTResult",
     "PredictionMatrix", "RewResult", "RewSpec", "SchemeSummary", "SelfCheckError",
-    "SimplexError", "SimulationRecord", "Tree", "TreeParams", "adaboost",
+    "SimplexError", "SimulationRecord", "Tree", "TreeLayout", "TreeParams", "adaboost",
     "apply_scheme", "bagging", "breiman_bound", "check_paired", "cmd",
     "compute_margins", "derived_seed", "export_cmd", "export_cmd_series",
     "fit_baseline", "fit_tree", "generate_synthetic", "germain_bound", "gibbs_risk",

@@ -9,10 +9,10 @@ only stopping conditions are purity, the depth cap, the leaf cap, and
 running out of candidate thresholds.  All tie-breaks are deterministic:
 lowest feature index, then lowest threshold, then insertion order.
 
-The split search runs on a TreeLayout, built once per training set: each
-column's stable argsort, the column's values in that order and a mask of
-where consecutive sorted values differ.  AdaBoost's rounds and a forest's
-trees share one layout.  Per tree, the weights w and w * (y > 0) are read
+fit_tree takes its training set as a TreeLayout, which AdaBoost's rounds
+and a forest's trees share: the features, the labels, each column's stable
+argsort, its values in that order and a mask of where consecutive sorted
+values differ.  Per tree, the weights w and w * (y > 0) are read
 through the order once.  The root takes cumulative class weights along
 every sorted column of those arrays and picks the best cut with one
 feature-major argmax.  When a node splits, both children are searched
@@ -320,24 +320,30 @@ class Tree:
         """Read a tree written by to_dict, raising ValueError unless it is one.
 
         The checks run in plain Python: the lists are short, and a numpy
-        call per check would cost more than the parse.
+        call per check would cost more than the parse.  A JSON true or false
+        is a bool, which Python counts as an int equal to 1 or 0, so every
+        integer is checked by exact type and no field may hold a bool.
         """
         n_features = blob["n_features"]
         feature, threshold, left, right, value = (blob[name] for name in _ARRAYS)
         size = len(feature)
         if size == 0 or any(len(arr) != size for arr in (threshold, left, right, value)):
             raise ValueError("tree arrays must be non-empty and of equal length")
-        if not isinstance(n_features, int) or n_features < 1:
+        if type(n_features) is not int or n_features < 1:
             raise ValueError("n_features must be a positive integer")
         children = []
         for i in range(size):
-            if value[i] not in (-1, 1):
+            if type(value[i]) is bool or value[i] not in (-1, 1):
                 raise ValueError(f"node {i}: value must be -1 or +1")
+            if type(threshold[i]) is bool:
+                raise ValueError(f"node {i}: threshold must be a number")
+            if not type(feature[i]) is type(left[i]) is type(right[i]) is int:
+                raise ValueError(f"node {i}: feature, left and right must be integers")
             if feature[i] == -1:
                 if left[i] != -1 or right[i] != -1:
                     raise ValueError(f"node {i}: a leaf has no children")
                 continue
-            if not isinstance(feature[i], int) or not 0 <= feature[i] < n_features:
+            if not 0 <= feature[i] < n_features:
                 raise ValueError(f"node {i}: feature must lie in [0, {n_features})")
             if not math.isfinite(threshold[i]):
                 raise ValueError(f"node {i}: threshold must be finite")
@@ -393,24 +399,17 @@ def _grow(layout: TreeLayout, w, params: TreeParams, features) -> Tree:
     return Tree(feature, threshold, left, right, value, x.shape[1])
 
 
-def fit_tree(features, labels, weights=None, params: TreeParams | None = None,
-             feature_subset=None, order=None) -> Tree:
-    """Fit one tree on weighted rows.
+def fit_tree(layout: TreeLayout, weights=None, params: TreeParams | None = None,
+             feature_subset=None) -> Tree:
+    """Fit one tree on the weighted rows of layout, the training set as
+    TreeLayout(features, labels) holds it.
 
-    order is TreeLayout(features, labels); a caller fitting many trees on
-    one training set builds it once and passes it to each fit, and fit_tree
-    builds its own when given none.  After the fit, order.votes holds the
+    A caller fitting many trees on one training set builds the layout once
+    and passes it to each fit.  After the fit, layout.votes holds the
     tree's vote on each training row.
     """
-    if order is None:
-        layout = TreeLayout(features, labels)
-    elif not isinstance(order, TreeLayout):
-        raise ValueError("order must be a TreeLayout")
-    else:
-        layout = order
-        same_x = features is layout.features or np.array_equal(features, layout.features)
-        if not (same_x and (labels is layout.labels or np.array_equal(labels, layout.labels))):
-            raise ValueError("order must be the TreeLayout of these features and labels")
+    if not isinstance(layout, TreeLayout):
+        raise ValueError("layout must be a TreeLayout")
     n, p = layout.features.shape
     if weights is None:
         w = np.full(n, 1.0 / n)

@@ -189,7 +189,7 @@ _CONFIG_KEYS = (
 
 def _read_config(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     out: dict[str, str] = {}

@@ -1,7 +1,9 @@
 """Loading, validation, generation, and splitting of binary-labeled datasets.
 
 Labels always live in {-1, +1} internally.  Raw files may use any two
-label values; the lexicographically/numerically smaller one maps to -1.
+label values.  When every label is a number, labels are classed by value
+(1, 1.0 and +1 are one class, and nan is a missing label) and the smaller
+maps to -1; otherwise the lexicographically smaller string maps to -1.
 Rows with missing or non-numeric feature values are rejected outright.
 """
 from __future__ import annotations
@@ -70,23 +72,25 @@ class Dataset:
 
 
 def _map_labels(raw: list[str], path: Path) -> np.ndarray:
-    distinct = sorted(set(raw))
-    if len(distinct) > 2:
-        raise DatasetError(f"{path}: more than two classes: {distinct[:5]}")
-    if len(distinct) == 1:
-        try:
-            only = float(distinct[0])
-        except ValueError:
-            only = None
-        if only in (-1.0, 1.0):
-            return np.full(len(raw), only)
-        raise DatasetError(f"{path}: single label value {distinct[0]!r} has no {{-1,+1}} mapping")
+    tokens = sorted(set(raw))
     try:
-        ordered = sorted(distinct, key=float)
+        value = {tok: float(tok) for tok in tokens}  # numeric labels: 1 and 1.0 are one class
     except ValueError:
-        ordered = distinct  # lexicographic fallback for non-numeric labels
-    mapping = {ordered[0]: -1.0, ordered[1]: 1.0}
-    return np.array([mapping[v] for v in raw])
+        value = {tok: tok for tok in tokens}  # non-numeric labels: lexicographic order
+    else:
+        for tok, v in value.items():
+            if math.isnan(v):
+                raise DatasetError(f"{path}: row {raw.index(tok) + 1} has a missing label {tok!r}")
+    classes = sorted(set(value.values()))
+    if len(classes) > 2:
+        raise DatasetError(f"{path}: more than two classes: {tokens[:5]}")
+    if len(classes) == 1:
+        if classes[0] in (-1.0, 1.0):
+            return np.full(len(raw), classes[0])
+        raise DatasetError(f"{path}: single label value {tokens[0]!r} has no {{-1,+1}} mapping")
+    sign = {classes[0]: -1.0, classes[1]: 1.0}
+    mapping = {tok: sign[v] for tok, v in value.items()}
+    return np.array([mapping[tok] for tok in raw])
 
 
 def _parse_delimited(lines: list[str], path: Path, label_column: int,
@@ -182,7 +186,7 @@ def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in path.read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
     if not lines:
         raise DatasetError(f"{path}: empty file")
     if fmt == "delimited":

@@ -139,15 +139,14 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
         raise ValueError("T must be >= 1")
     params = params or TreeParams()
     layout = TreeLayout(train.features, train.labels)
-    x, y = layout.features, layout.labels
     n = train.n_rows
     dist = np.full(n, 1.0 / n)
     trees: list[Tree] = []
     alphas: list[float] = []
     break_reason = None
     for _ in range(T):
-        tree = fit_tree(x, y, weights=dist, params=params, order=layout)
-        wrong = layout.votes != y  # the tree's training votes, as tree.predict(x) gives them
+        tree = fit_tree(layout, weights=dist, params=params)
+        wrong = layout.votes != layout.labels  # as tree.predict(train.features) gives them
         eps = float(dist[wrong].sum())
         if eps >= 0.5:
             break_reason = f"round error {eps:.6f} is no better than chance"
@@ -183,14 +182,12 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
     if not 1 <= m_try <= p:
         raise ValueError(f"m_try must lie in [1, {p}]")
     layout = TreeLayout(train.features, train.labels)
-    x, y = layout.features, layout.labels
     trees = []
     for t in range(T):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n) / n
         subset = np.sort(rng.choice(p, size=m_try, replace=False))
-        trees.append(fit_tree(x, y, weights=weights, params=params,
-                              feature_subset=subset, order=layout))
+        trees.append(fit_tree(layout, weights=weights, params=params, feature_subset=subset))
     return EnsembleModel("random-forest", tuple(trees), np.ones(T), params, seed=seed)
 
 
@@ -233,7 +230,7 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         blob = json.load(fh)
     params = TreeParams(**blob["tree_params"])
     trees = tuple(Tree.from_dict(t) for t in blob["trees"])

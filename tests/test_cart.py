@@ -32,7 +32,7 @@ def root_split(x, y, w, features=None, min_leaf_weight=1e-12):
 def test_one_dimensional_midpoint():
     x = np.array([[1.0], [2.0]])
     y = np.array([-1.0, 1.0])
-    tree = fit_tree(x, y, params=stump_params())
+    tree = fit_tree(TreeLayout(x, y), params=stump_params())
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 1.5
     assert tree.predict(np.array([[1.4], [1.6]])).tolist() == [-1.0, 1.0]
@@ -41,9 +41,9 @@ def test_one_dimensional_midpoint():
 def test_xor_needs_depth_two():
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([-1.0, 1.0, 1.0, -1.0])
-    stump = fit_tree(x, y, params=stump_params())
+    stump = fit_tree(TreeLayout(x, y), params=stump_params())
     assert np.mean(stump.predict(x) != y) > 0  # no single split separates xor
-    tree = fit_tree(x, y)  # defaults: depth 2, four leaves
+    tree = fit_tree(TreeLayout(x, y))  # defaults: depth 2, four leaves
     assert np.array_equal(tree.predict(x), y)
     assert np.sum(tree.feature < 0) <= 4
 
@@ -53,7 +53,7 @@ def test_tie_break_prefers_lowest_feature():
     # identical copies of the same feature: split decreases tie bit-for-bit
     x = np.hstack([x0, x0, x0])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
-    tree = fit_tree(x, y, params=stump_params())
+    tree = fit_tree(TreeLayout(x, y), params=stump_params())
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 1.5
 
@@ -69,14 +69,14 @@ def test_tie_break_prefers_lowest_threshold():
 def test_pure_node_grows_nothing():
     x = np.arange(6, dtype=float).reshape(6, 1)
     y = np.full(6, 1.0)
-    tree = fit_tree(x, y)
+    tree = fit_tree(TreeLayout(x, y))
     assert tree.feature[0] < 0 and tree.value[0] == 1.0
 
 
 def test_zero_weighted_label_sum_leaf_is_positive():
     x = np.array([[0.0], [0.0]])
     y = np.array([-1.0, 1.0])
-    tree = fit_tree(x, y)  # single distinct value, no split possible
+    tree = fit_tree(TreeLayout(x, y))  # single distinct value, no split possible
     assert tree.feature[0] < 0 and tree.value[0] == 1.0
 
 
@@ -84,7 +84,7 @@ def test_max_leaves_caps_growth():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((200, 4))
     y = np.where(rng.random(200) < 0.5, -1.0, 1.0)
-    tree = fit_tree(x, y, params=TreeParams(max_depth=2, max_leaves=3))
+    tree = fit_tree(TreeLayout(x, y), params=TreeParams(max_depth=2, max_leaves=3))
     assert np.sum(tree.feature < 0) <= 3
 
 
@@ -92,7 +92,7 @@ def test_depth_limit_respected():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((100, 3))
     y = np.where(x[:, 0] * x[:, 1] > 0, 1.0, -1.0)
-    tree = fit_tree(x, y)
+    tree = fit_tree(TreeLayout(x, y))
     # children follow their parent, so one forward pass sets every depth
     depth = np.zeros(tree.feature.size, dtype=int)
     for node in np.flatnonzero(tree.feature >= 0):
@@ -104,7 +104,7 @@ def test_feature_subset_restricts_splits():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((80, 5))
     y = np.where(x[:, 0] > 0, 1.0, -1.0)  # feature 0 is the informative one
-    tree = fit_tree(x, y, feature_subset=[3, 4])
+    tree = fit_tree(TreeLayout(x, y), feature_subset=[3, 4])
     assert set(tree.feature[tree.feature >= 0].tolist()) <= {3, 4}
 
 
@@ -115,7 +115,7 @@ def test_feature_subset_must_be_integer_indices():
     # 2.7 is not read as feature 2, nor a mask as the indices {0, 1}
     for bad in ([2.7], [False, False, True], np.array([True, False, True])):
         with pytest.raises(ValueError, match="integer"):
-            fit_tree(x, y, feature_subset=bad)
+            fit_tree(TreeLayout(x, y), feature_subset=bad)
 
 
 def test_params_validated():
@@ -128,11 +128,12 @@ def test_params_validated():
     with pytest.raises(ValueError):
         TreeParams(min_leaf_weight=0.0)
     with pytest.raises(ValueError):
-        fit_tree(np.zeros((2, 1)), np.array([0.0, 1.0]))
+        fit_tree(TreeLayout(np.zeros((2, 1)), np.array([0.0, 1.0])))
+    layout = TreeLayout(np.zeros((2, 1)), np.array([-1.0, 1.0]))
     with pytest.raises(ValueError):
-        fit_tree(np.zeros((2, 1)), np.array([-1.0, 1.0]), weights=np.array([1.0, -1.0]))
+        fit_tree(layout, weights=np.array([1.0, -1.0]))
     with pytest.raises(ValueError, match="sum to 1"):
-        fit_tree(np.zeros((2, 1)), np.array([-1.0, 1.0]), weights=np.array([2.0, 2.0]))
+        fit_tree(layout, weights=np.array([2.0, 2.0]))
 
 
 def test_stump_matches_brute_force_oracle():
@@ -268,10 +269,10 @@ def test_fit_matches_per_node_oracle(seed, n, p, levels, twin, subset, depth_lea
     want = tree_oracle.fit_tree(x, y, w, params, features)
     layout = TreeLayout(x, y)
     for _ in range(2):  # a second fit on the same layout builds the same tree
-        got = fit_tree(x, y, weights=w, params=params, feature_subset=features, order=layout)
+        got = fit_tree(layout, weights=w, params=params, feature_subset=features)
         assert tree_bytes(got) == tree_bytes(want)
         assert np.array_equal(layout.votes, got.predict(x))
-    assert tree_bytes(fit_tree(x, y, weights=w, params=params,
+    assert tree_bytes(fit_tree(TreeLayout(x, y), weights=w, params=params,
                                feature_subset=features)) == tree_bytes(want)
 
 
@@ -287,12 +288,11 @@ def test_root_split_allocates_no_node_block():
     layout = TreeLayout(x, y)
     w = np.random.default_rng(4).random(n)
     w /= w.sum()
-    args = (layout.features, layout.labels, w)
-    want = fit_tree(*args, order=layout)
+    want = fit_tree(layout, w)
     assert np.sum(want.feature >= 0) == 3  # a whole depth-2 tree: root and both children
     tracemalloc.start()
     try:
-        got = fit_tree(*args, order=layout)
+        got = fit_tree(layout, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -308,23 +308,19 @@ def test_fortran_ordered_features_fit_the_same_tree():
     for subset in (None, [4, 9, 31, 59]):
         w = rng.random(y.size)
         w /= w.sum()
-        a = fit_tree(x, y, weights=w, feature_subset=subset)
-        b = fit_tree(np.asfortranarray(x), y, weights=w, feature_subset=subset)
+        a = fit_tree(TreeLayout(x, y), weights=w, feature_subset=subset)
+        b = fit_tree(TreeLayout(np.asfortranarray(x), y), weights=w, feature_subset=subset)
         for name in ("feature", "threshold", "left", "right", "value"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
-def test_order_shape_checked():
+def test_fit_takes_its_training_set_as_a_layout():
     x = np.zeros((3, 2))
     y = np.array([-1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="order"):
-        fit_tree(x, y, order=TreeLayout(x[:, :1], y))
-    with pytest.raises(ValueError, match="order"):
-        fit_tree(x, y, order=TreeLayout(x, -y))
-    with pytest.raises(ValueError, match="order"):
-        fit_tree(x, y, order=np.argsort(x.T, axis=1))
-    # an equal copy of the training set is the same training set
-    fit_tree(x.copy(), y.copy(), order=TreeLayout(x, y))
+    # neither the features and labels nor the columns' argsort stand in for the layout
+    for args in ((x, y), (np.argsort(x.T, axis=1),)):
+        with pytest.raises(ValueError, match="TreeLayout"):
+            fit_tree(*args)
 
 
 # AdaBoost T=100, random forest and bagging (T=100, seed 0) on the training
@@ -362,9 +358,9 @@ def test_bench_sized_fits_keep_their_trees(make, monkeypatch):
     # the layout; they must be the tree's own predictions on the training rows
     rounds = []
 
-    def fit_and_record(*args, order, **kwargs):
-        tree = fit_tree(*args, order=order, **kwargs)
-        rounds.append(np.array_equal(order.votes, tree.predict(train.features)))
+    def fit_and_record(layout, *args, **kwargs):
+        tree = fit_tree(layout, *args, **kwargs)
+        rounds.append(np.array_equal(layout.votes, tree.predict(train.features)))
         return tree
 
     monkeypatch.setattr(ensemble, "fit_tree", fit_and_record)
@@ -380,7 +376,7 @@ def test_stump_never_worse_than_majority():
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         w = rng.random(n)
         w /= w.sum()
-        tree = fit_tree(x, y, weights=w, params=stump_params())
+        tree = fit_tree(TreeLayout(x, y), weights=w, params=stump_params())
         stump_err = float(w[tree.predict(x) != y].sum())
         majority = 1.0 if float(np.dot(w, y)) >= 0 else -1.0
         base_err = float(w[y != majority].sum())
@@ -391,7 +387,7 @@ def test_json_roundtrip():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((60, 4))
     y = np.where(x[:, 1] + 0.3 * x[:, 2] > 0, 1.0, -1.0)
-    tree = fit_tree(x, y)
+    tree = fit_tree(TreeLayout(x, y))
     clone = Tree.from_dict(json.loads(json.dumps(tree.to_dict())))
     assert clone.to_dict() == tree.to_dict()
     assert np.array_equal(clone.predict(x), tree.predict(x))
@@ -403,8 +399,8 @@ def test_fit_deterministic():
     y = np.where(rng.random(50) < 0.5, -1.0, 1.0)
     w = rng.random(50)
     w /= w.sum()
-    a = fit_tree(x, y, weights=w)
-    b = fit_tree(x, y, weights=w)
+    a = fit_tree(TreeLayout(x, y), weights=w)
+    b = fit_tree(TreeLayout(x, y), weights=w)
     assert a.to_dict() == b.to_dict()
 
 
@@ -415,8 +411,8 @@ def test_weight_scale_invariance():
     w = rng.random(40)
     w /= w.sum()
     doubled_then_renormalized = (2.0 * w) / (2.0 * w).sum()
-    a = fit_tree(x, y, weights=w)
-    b = fit_tree(x, y, weights=doubled_then_renormalized)
+    a = fit_tree(TreeLayout(x, y), weights=w)
+    b = fit_tree(TreeLayout(x, y), weights=doubled_then_renormalized)
     assert a.to_dict() == b.to_dict()
 
 
@@ -424,7 +420,7 @@ def test_predictions_are_signs():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((30, 2))
     y = np.where(rng.random(30) < 0.5, -1.0, 1.0)
-    tree = fit_tree(x, y)
+    tree = fit_tree(TreeLayout(x, y))
     assert set(np.unique(tree.predict(x))) <= {-1.0, 1.0}
 
 

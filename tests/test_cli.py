@@ -157,6 +157,14 @@ def _five_features(blob):
     blob["trees"][0]["n_features"] = 5
 
 
+def _n_features_true(blob):
+    # JSON true equals 1 in Python; every tree splits on column 0 only, so
+    # nothing but the type tells this from a one-feature snapshot
+    for tree in blob["trees"]:
+        tree["n_features"] = True
+        tree["feature"] = [0 if f >= 0 else f for f in tree["feature"]]
+
+
 def _nested(blob):
     # the nested node layout that snapshots used before trees were flat arrays
     blob["trees"][0] = {
@@ -170,8 +178,11 @@ def _nested(blob):
     _edit("feature", 0, 99), _edit("feature", 0, -1), _edit("threshold", 0, float("nan")),
     _edit("value", -1, 0.5), _nested, _five_features,
     _edit_model("raw_alphas", 0, float("nan")), _edit_model("raw_alphas", 0, float("inf")),
+    _edit("feature", 0, True), _edit("threshold", 0, True), _edit("value", -1, True),
+    _edit("left", 0, 1.0), _n_features_true,
 ], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested",
-        "mixed-n-features", "nan-raw-alpha", "inf-raw-alpha"])
+        "mixed-n-features", "nan-raw-alpha", "inf-raw-alpha", "feature-true",
+        "threshold-true", "leaf-value-true", "float-left", "n-features-true"])
 def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt):
     model_path, data_path, _ = model_and_data
     blob = json.loads(Path(model_path).read_text())

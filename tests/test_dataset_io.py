@@ -37,6 +37,21 @@ def test_single_label_value_keeps_its_sign(tmp_path, raw, want):
     assert data.labels.tolist() == [want, want]
 
 
+@pytest.mark.parametrize("raw, want", [
+    (["1", "1.0", "1", "1.0"], [1.0, 1.0, 1.0, 1.0]),
+    (["+1", "1", "-1", "-1.0"], [1.0, 1.0, -1.0, -1.0]),
+    (["0", "1", "1.0", "0.0"], [-1.0, 1.0, 1.0, -1.0]),
+])
+def test_numeric_labels_are_classed_by_value(tmp_path, raw, want):
+    text = "".join(f"{i}.5,{label}\n" for i, label in enumerate(raw))
+    assert load_dataset(make_csv(tmp_path, text)).labels.tolist() == want
+
+
+def test_nan_label_is_missing(tmp_path):
+    with pytest.raises(DatasetError, match="row 2 has a missing label 'nan'"):
+        load_dataset(make_csv(tmp_path, "0.5,1\n1.5,nan\n2.5,-1\n"))
+
+
 def test_single_label_value_without_a_sign_rejected(tmp_path):
     with pytest.raises(DatasetError, match="single label value 'yes'"):
         load_dataset(make_csv(tmp_path, "0.5,yes\n1.5,yes\n"))

@@ -4,11 +4,22 @@ The round trip runs in a child interpreter that turns EncodingWarning into
 an error, so any open() that falls back to the locale's encoding fails the
 run.  On POSIX the child also runs in the C locale, with Python's locale
 coercion and UTF-8 mode off, where that fallback would be ASCII.
+
+Editors such as Excel and Notepad save "UTF-8 with BOM": the file starts
+with a byte-order mark, which every reader drops and no writer adds.
 """
+import codecs
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from margin_forge.cli import main
+from margin_forge.dataset_io import Dataset, generate_synthetic, load_dataset, write_dataset
+from margin_forge.ensemble import adaboost, load_model, save_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -55,3 +66,39 @@ def test_dataset_and_model_files_round_trip_as_utf8(tmp_path):
                          env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["ok"]
+
+
+def with_bom(path):
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return path
+
+
+@pytest.mark.parametrize("names", [None, ("a", "b")], ids=["headerless", "header"])
+def test_dataset_reader_drops_a_byte_order_mark(tmp_path, names):
+    data = generate_synthetic("two-gaussians", 20, 0.5, 1)
+    path = tmp_path / "rows.csv"
+    write_dataset(Dataset(data.name, data.features, data.labels, names), path)
+    plain = load_dataset(path)
+    assert not path.read_bytes().startswith(codecs.BOM_UTF8)
+    marked = load_dataset(with_bom(path))
+    assert marked.feature_names == plain.feature_names == names
+    assert np.array_equal(marked.features, plain.features)
+    assert np.array_equal(marked.labels, plain.labels)
+
+
+def test_model_reader_drops_a_byte_order_mark(tmp_path):
+    model = adaboost(generate_synthetic("two-gaussians", 40, 1.0, 2), 4)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert not path.read_bytes().startswith(codecs.BOM_UTF8)
+    loaded = load_model(with_bom(path))
+    assert np.array_equal(loaded.raw_alphas, model.raw_alphas)
+    assert [t.to_dict() for t in loaded.trees] == [t.to_dict() for t in model.trees]
+
+
+def test_config_reader_drops_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("dataset = synthetic:two-gaussians:40:0.8:3\nT = 2\nschemes = uws\n"
+                    "sims = 2\n", encoding="utf-8")
+    assert main(["experiment", "--config", str(with_bom(path))]) == 0
+    assert "simulations\t2" in capsys.readouterr().out
