@@ -19,7 +19,6 @@ from .harness import (
     ExperimentConfig, ExperimentError, ExperimentReport, PairedTResult, SchemeSummary,
     SimulationRecord, derived_seed, export_cmd_series, fit_baseline, paired_t_test,
     render_table, report_lines, run_experiment, run_one_simulation, t_two_sided_p,
-    truncate_model,
 )
 from .margins import (
     MarginImprovement, MarginProfile, cmd, compute_margins, export_cmd,
@@ -45,5 +44,5 @@ __all__ = [
     "prediction_matrix", "random_forest", "render_table", "report_lines", "report_rows",
     "residuals", "run_experiment", "run_one_simulation", "save_model", "schapire_terms",
     "sm2_weights", "solve", "split_indices", "stratified_split", "t_two_sided_p",
-    "training_error_from_margins", "truncate_model", "write_dataset",
+    "training_error_from_margins", "write_dataset",
 ]

@@ -54,7 +54,8 @@ class TreeParams:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if not 2 <= self.max_leaves <= 2 ** self.max_depth:
+        # no tree holds 2**64 leaves, and the power of a huge depth would not finish
+        if not 2 <= self.max_leaves <= 2 ** min(self.max_depth, 64):
             raise ValueError("max_leaves must lie in [2, 2**max_depth]")
         if self.min_leaf_weight <= 0:
             raise ValueError("min_leaf_weight must be positive")

@@ -18,6 +18,7 @@ from .dataset_io import (
     DatasetError,
     generate_synthetic,
     load_dataset,
+    read_text,
     stratified_split,
     write_dataset,
 )
@@ -70,7 +71,7 @@ def _load_snapshot(path: str):
         return load_model(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise CliError(f"bad model snapshot {path}: {exc}")
 
 
@@ -166,6 +167,13 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"must be a yes/no value, got {value!r}")
 
 
+def _checkpoints(value: str) -> tuple[int, ...]:
+    points = tuple(int(v) for v in value.split(","))
+    if min(points) < 1:
+        raise ValueError(f"must be positive integers, got {value!r}")
+    return points
+
+
 # config key -> (field, parser); a key left out keeps the field's default
 _LOAD_KEYS = {"format": ("fmt", str), "label_column": ("label_column", int)}
 _TREE_KEYS = {"depth": ("max_depth", int), "leaves": ("max_leaves", int)}
@@ -181,17 +189,20 @@ _EXPERIMENT_KEYS = {
     "freeze_ensemble": ("freeze_ensemble", _parse_bool),
     "max_rows": ("max_rows", int),
 }
+_SERIES_KEYS = {"cmd_checkpoints": ("checkpoints", _checkpoints)}
 _CONFIG_KEYS = (
-    "dataset", "test", "schemes", "vc", "table", "out", "cmd_out", "cmd_checkpoints",
-    *_LOAD_KEYS, *_TREE_KEYS, *_EXPERIMENT_KEYS,
+    "dataset", "test", "schemes", "vc", "table", "out", "cmd_out",
+    *_LOAD_KEYS, *_TREE_KEYS, *_EXPERIMENT_KEYS, *_SERIES_KEYS,
 )
 
 
 def _read_config(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = read_text(Path(path))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
+    except DatasetError as exc:
+        raise CliError(str(exc))
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -241,24 +252,10 @@ def _build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
         raise CliError(str(exc))
 
 
-def _cmd_checkpoints(cfg: dict[str, str]) -> dict[str, tuple[int, ...]]:
-    """export_cmd_series keyword arguments; empty keeps its default checkpoints."""
-    if "cmd_checkpoints" not in cfg:
-        return {}
-    text = cfg["cmd_checkpoints"]
-    try:
-        points = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        points = ()
-    if not points or min(points) < 1:
-        raise CliError(f"cmd_checkpoints must be a list of positive integers, got {text!r}")
-    return {"checkpoints": points}
-
-
 def _cmd_experiment(args) -> int:
     cfg = _read_config(args.config)
     config = _build_experiment(cfg)
-    checkpoints = _cmd_checkpoints(cfg)
+    series_args = _fields(cfg, _SERIES_KEYS)
     report = run_experiment(config)
     print(f"# {report.resampling}")
     print(f"dataset\t{config.dataset.name}")
@@ -283,7 +280,7 @@ def _cmd_experiment(args) -> int:
     if "cmd_out" in cfg:
         data = simulation_rows(config)
         model = fit_baseline(config, data, config.seed)
-        series = export_cmd_series(model, data, **checkpoints)
+        series = export_cmd_series(model, data, **series_args)
         for count, rows in sorted(series.items()):
             path = f"{cfg['cmd_out']}.T{count}.tsv"
             write_cmd(rows, path)

@@ -19,6 +19,11 @@ class DatasetError(ValueError):
     """Malformed dataset file or invalid dataset contents."""
 
 
+# largest dense matrix a sparse-index file may expand to: rows x largest
+# index cells, 256 MiB of float64
+SPARSE_MAX_CELLS = 2 ** 25
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix plus {-1,+1} labels."""
@@ -69,6 +74,20 @@ class Dataset:
             raise DatasetError("indices must be integer row numbers")
         return Dataset(name or self.name, self.features[idx], self.labels[idx],
                        self.feature_names)
+
+
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 file, a leading byte order mark dropped.
+
+    A file that is not UTF-8 raises DatasetError naming the first byte that
+    does not decode and its offset in the file.
+    """
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        at = exc.start + len(raw) - len(exc.object)  # the codec decodes after a BOM
+        raise DatasetError(f"{path}: not UTF-8 text: byte {raw[at]:#04x} at offset {at}") from None
 
 
 def _map_labels(raw: list[str], path: Path) -> np.ndarray:
@@ -147,7 +166,7 @@ def _parse_sparse(lines: list[str], path: Path):
     # whitespace-separated "label idx:val ..." records, 1-based, absent = 0
     raw_labels = []
     records = []
-    max_index = 0
+    max_index = max_row = 0
     for i, ln in enumerate(lines):
         parts = ln.split()
         raw_labels.append(parts[0])
@@ -166,10 +185,15 @@ def _parse_sparse(lines: list[str], path: Path):
             if idx in entries:
                 raise DatasetError(f"{path}: row {i + 1}: duplicate index {idx}")
             entries[idx] = val
-            max_index = max(max_index, idx)
+            if idx > max_index:
+                max_index, max_row = idx, i + 1
         records.append(entries)
     if max_index == 0:
         raise DatasetError(f"{path}: no feature entries found")
+    if len(records) * max_index > SPARSE_MAX_CELLS:
+        raise DatasetError(
+            f"{path}: row {max_row}: index {max_index} would expand {len(records)} rows "
+            f"to more than the cap of {SPARSE_MAX_CELLS} dense cells")
     features = np.zeros((len(records), max_index))
     for i, entries in enumerate(records):
         for idx, val in entries.items():
@@ -186,7 +210,7 @@ def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = [ln for ln in path.read_text(encoding="utf-8-sig").splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise DatasetError(f"{path}: empty file")
     if fmt == "delimited":

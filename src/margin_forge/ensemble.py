@@ -230,10 +230,22 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
+    """Read a snapshot written by save_model; a malformed one raises ValueError
+    or TypeError."""
     with open(path, encoding="utf-8-sig") as fh:
-        blob = json.load(fh)
-    params = TreeParams(**blob["tree_params"])
-    trees = tuple(Tree.from_dict(t) for t in blob["trees"])
-    # an older snapshot's vote_weights key is ignored: the weights derive from raw_alphas
-    return EnsembleModel(blob["method"], trees, np.array(blob["raw_alphas"]), params,
-                         seed=blob.get("seed"), break_reason=blob.get("break_reason"))
+        try:
+            blob = json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+    if not isinstance(blob, dict):
+        raise ValueError("the top level must be a JSON object")
+    try:
+        params = TreeParams(**blob["tree_params"])
+        trees = tuple(Tree.from_dict(t) for t in blob["trees"])
+        # an older snapshot's vote_weights key is ignored: the weights derive from raw_alphas
+        return EnsembleModel(blob["method"], trees, np.array(blob["raw_alphas"]), params,
+                             seed=blob.get("seed"), break_reason=blob.get("break_reason"))
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]!r}") from None
+    except OverflowError as exc:  # an integer alpha or threshold past the float range
+        raise ValueError(str(exc)) from None

@@ -367,25 +367,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                             summaries=summaries, resampling=_resampling_note(config))
 
 
-def truncate_model(model: EnsembleModel, count: int) -> EnsembleModel:
-    """Ensemble formed by the first `count` learners, vote weights renormalized."""
-    if not 1 <= count <= model.n_learners:
-        raise ValueError("count must lie in [1, n_learners]")
-    if count == model.n_learners:
-        return model
-    return EnsembleModel(model.method, model.trees[:count], model.raw_alphas[:count],
-                         model.tree_params, seed=model.seed)
-
-
 def export_cmd_series(model: EnsembleModel, data: Dataset,
                       checkpoints=(50, 200, 500)) -> dict[int, list[tuple[float, float]]]:
     """Cumulative margin distribution of each leading-prefix ensemble.
 
-    Checkpoints beyond the learner count fall back to the full ensemble (an
-    early-stopped model simply has nothing further to add).  Keys are the
-    requested checkpoints; values are (threshold, cumulative fraction) rows.
-    Every tree predicts once: a prefix ensemble's matrix is a view of the
-    leading rows of the full one.
+    Every tree predicts once: the prefix of k learners is the leading k rows
+    of the full matrix, voted by the leading k raw alphas renormalized, as an
+    EnsembleModel of those learners would weight them.  Checkpoints past the
+    learner count score the full ensemble.  Keys are the requested
+    checkpoints; values are (threshold, cumulative fraction) rows.
     """
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
@@ -395,10 +385,8 @@ def export_cmd_series(model: EnsembleModel, data: Dataset,
     full = prediction_matrix(model, data)
     series = {}
     for count in points:
-        sub = truncate_model(model, min(count, model.n_learners))
-        matrix = full if sub is model else full.leading(sub.n_learners)
-        profile = compute_margins(matrix, sub.vote_weights)
-        series[count] = cmd(profile)
+        a = model.raw_alphas[:count]
+        series[count] = cmd(compute_margins(full.leading(a.size), a / a.sum()))
     return series
 
 

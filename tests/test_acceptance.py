@@ -13,6 +13,7 @@ import numpy as np
 from bench_data import ionosphere_like, pima_like, sonar_like
 from emphasis_oracle import emphasis
 from lp_oracle import oracle_solve, random_lp
+from prefix_oracle import truncate_model
 from replay_oracle import replay_distributions
 from simplex_grid_oracle import grid_best
 
@@ -23,7 +24,7 @@ from margin_forge.ensemble import (
     PredictionMatrix, adaboost, bagging, prediction_matrix, random_forest,
 )
 from margin_forge.harness import (
-    ExperimentConfig, paired_t_test, run_experiment, t_two_sided_p, truncate_model,
+    ExperimentConfig, paired_t_test, run_experiment, t_two_sided_p,
 )
 from margin_forge.margins import compute_margins
 from margin_forge.reweight import RewSpec, apply_scheme, parse_spec, sm2_weights

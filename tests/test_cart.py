@@ -118,6 +118,14 @@ def test_feature_subset_must_be_integer_indices():
             fit_tree(TreeLayout(x, y), feature_subset=bad)
 
 
+def test_params_check_a_huge_depth_without_forming_its_power():
+    # 2 ** (10 ** 400) would never finish; a snapshot or config can ask for it
+    assert TreeParams(max_depth=10 ** 400, max_leaves=4).max_leaves == 4
+    assert TreeParams(max_depth=64, max_leaves=2 ** 64).max_leaves == 2 ** 64
+    with pytest.raises(ValueError, match="max_leaves"):
+        TreeParams(max_depth=10 ** 400, max_leaves=2 ** 64 + 1)
+
+
 def test_params_validated():
     with pytest.raises(ValueError):
         TreeParams(max_depth=2, max_leaves=5)

@@ -178,11 +178,13 @@ def _nested(blob):
     _edit("feature", 0, 99), _edit("feature", 0, -1), _edit("threshold", 0, float("nan")),
     _edit("value", -1, 0.5), _nested, _five_features,
     _edit_model("raw_alphas", 0, float("nan")), _edit_model("raw_alphas", 0, float("inf")),
+    _edit_model("raw_alphas", 0, 10 ** 400),
     _edit("feature", 0, True), _edit("threshold", 0, True), _edit("value", -1, True),
-    _edit("left", 0, 1.0), _n_features_true,
+    _edit("left", 0, 1.0), _n_features_true, _edit("threshold", 0, 10 ** 400),
 ], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested",
-        "mixed-n-features", "nan-raw-alpha", "inf-raw-alpha", "feature-true",
-        "threshold-true", "leaf-value-true", "float-left", "n-features-true"])
+        "mixed-n-features", "nan-raw-alpha", "inf-raw-alpha", "int-raw-alpha-past-float",
+        "feature-true", "threshold-true", "leaf-value-true", "float-left",
+        "n-features-true", "int-threshold-past-float"])
 def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt):
     model_path, data_path, _ = model_and_data
     blob = json.loads(Path(model_path).read_text())
@@ -191,6 +193,30 @@ def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt):
     Path(model_path).write_text(json.dumps(blob))
     assert main(["bounds", "--model", model_path, "--data", data_path]) == 1
     assert "bad model snapshot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "the top level must be a JSON object"),
+    ("null", "the top level must be a JSON object"),
+    ('{"method": "adaboost"}', "missing key 'tree_params'"),
+    ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+], ids=["array", "null", "no-tree-params", "deep-nesting"])
+def test_bounds_names_a_malformed_snapshot(tmp_path, capsys, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["bounds", "--model", str(path), "--data", "synthetic:two-gaussians:20:1:0"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: bad model snapshot {path}: {message}\n"
+
+
+def test_sparse_index_above_the_cap_exits_1(tmp_path, capsys):
+    # a dense matrix this wide cannot be allocated: the cap refuses it first
+    path = tmp_path / "rows.sparse"
+    path.write_text("1 1:0.5 99999999999:1\n-1 2:0.3\n", encoding="utf-8")
+    assert main(["data", "info", str(path), "--fmt", "sparse-index"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "index 99999999999" in err and "cap of 33554432 dense cells" in err
 
 
 def write_config(tmp_path, text):

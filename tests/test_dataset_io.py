@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from margin_forge import dataset_io
 from margin_forge.dataset_io import (
     Dataset, DatasetError, check_paired, generate_synthetic,
     load_dataset, split_indices, stratified_split, write_dataset,
@@ -124,6 +125,15 @@ def test_sparse_duplicate_index_rejected(tmp_path):
     path = make_csv(tmp_path, "1 1:2 1:3\n-1 1:0\n", name="d.sparse")
     with pytest.raises(DatasetError, match="duplicate"):
         load_dataset(path, fmt="sparse-index")
+
+
+def test_sparse_cap_bounds_rows_times_largest_index(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_io, "SPARSE_MAX_CELLS", 6)
+    at_cap = make_csv(tmp_path, "1 3:2\n-1 1:0\n", name="at.sparse")
+    assert load_dataset(at_cap, fmt="sparse-index").features.shape == (2, 3)
+    above = make_csv(tmp_path, "1 1:2\n-1 4:0\n", name="above.sparse")
+    with pytest.raises(DatasetError, match="row 2: index 4 .* cap of 6 "):
+        load_dataset(above, fmt="sparse-index")
 
 
 def test_roundtrip_exact(tmp_path):

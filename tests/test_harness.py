@@ -21,10 +21,10 @@ from margin_forge.harness import (
     run_experiment,
     run_one_simulation,
     t_two_sided_p,
-    truncate_model,
 )
 from margin_forge.margins import cmd, compute_margins, training_error_from_margins
 from margin_forge.reweight import SelfCheckError, apply_scheme, parse_spec
+from prefix_oracle import truncate_model
 from vote_oracle import test_error as error_rate
 
 
@@ -334,29 +334,6 @@ def test_rows_are_subsampled_only_on_request(monkeypatch):
 # ----------------------------------------------------- prefixes and the CMD
 
 
-def test_truncate_model_keeps_leading_trees():
-    data = generate_synthetic("two-gaussians", 80, 0.8, 4)
-    model = random_forest(data, 7, seed=1)
-    sub = truncate_model(model, 3)
-    assert sub.trees == model.trees[:3]
-    assert np.allclose(sub.vote_weights, np.full(3, 1.0 / 3.0))
-    full = truncate_model(model, model.n_learners)
-    assert np.array_equal(full.vote_weights, model.vote_weights)
-    with pytest.raises(ValueError):
-        truncate_model(model, 0)
-    with pytest.raises(ValueError):
-        truncate_model(model, 8)
-
-
-def test_truncated_adaboost_weights_renormalize():
-    data = generate_synthetic("two-gaussians", 120, 1.6, 6)
-    model = adaboost(data, 12)
-    assert model.n_learners == 12
-    sub = truncate_model(model, 4)
-    expect = model.raw_alphas[:4] / model.raw_alphas[:4].sum()
-    assert np.array_equal(sub.vote_weights, expect)
-
-
 def test_export_cmd_series_shape_and_monotonicity():
     data = generate_synthetic("two-gaussians", 200, 1.0, 8)
     model = adaboost(data, 30)
@@ -383,16 +360,17 @@ def test_export_cmd_series_clamps_past_the_last_learner():
 
 def test_export_cmd_series_equals_per_prefix_route():
     data = generate_synthetic("two-gaussians", 150, 1.6, 6)
-    model = adaboost(data, 12)
-    T = model.n_learners
-    assert T > 3  # the prefixes differ from the full model
-    checkpoints = (1, 3, T, T + 5)
-    want = {}
-    for count in checkpoints:
-        sub = truncate_model(model, min(count, T))
-        profile = compute_margins(prediction_matrix(sub, data), sub.vote_weights)
-        want[count] = cmd(profile)
-    assert export_cmd_series(model, data, checkpoints) == want
+    # the forest's equal raw alphas take the exact vote-count path, scaled by 1/count
+    for model in (adaboost(data, 12), random_forest(data, 9, seed=3)):
+        T = model.n_learners
+        assert T > 3  # the prefixes differ from the full model
+        checkpoints = (1, 3, T, T + 5)
+        want = {}
+        for count in checkpoints:
+            sub = truncate_model(model, min(count, T))
+            profile = compute_margins(prediction_matrix(sub, data), sub.vote_weights)
+            want[count] = cmd(profile)
+        assert export_cmd_series(model, data, checkpoints) == want
 
 
 def test_export_cmd_series_checks_the_full_matrix_once(monkeypatch):

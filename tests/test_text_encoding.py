@@ -6,7 +6,8 @@ run.  On POSIX the child also runs in the C locale, with Python's locale
 coercion and UTF-8 mode off, where that fallback would be ASCII.
 
 Editors such as Excel and Notepad save "UTF-8 with BOM": the file starts
-with a byte-order mark, which every reader drops and no writer adds.
+with a byte-order mark, which every reader drops and no writer adds.  A data
+file or config that is not UTF-8 exits 1, naming its first bad byte.
 """
 import codecs
 import os
@@ -102,3 +103,25 @@ def test_config_reader_drops_a_byte_order_mark(tmp_path, capsys):
                     "sims = 2\n", encoding="utf-8")
     assert main(["experiment", "--config", str(with_bom(path))]) == 0
     assert "simulations\t2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw, fault", [
+    ("1,2,1\n3,4,-1\n".encode("utf-16"), "byte 0xff at offset 0"),
+    # the offset counts the bytes of a byte order mark too
+    (codecs.BOM_UTF8 + b"1,2,1\n3,\xe9,-1\n", "byte 0xe9 at offset 11"),
+], ids=["utf-16", "latin-1-after-bom"])
+def test_non_utf8_data_file_exits_1(tmp_path, capsys, raw, fault):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(raw)
+    assert main(["data", "info", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text: {fault}\n"
+
+
+def test_non_utf8_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("dataset = synthetic:two-gaussians:40:0.8:3\nschemes = uws\n",
+                    encoding="utf-16")
+    assert main(["experiment", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text: byte 0xff at offset 0\n"
