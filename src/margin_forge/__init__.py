@@ -27,7 +27,7 @@ from .margins import (
 from .reweight import (
     RewResult, RewSpec, SelfCheckError, apply_scheme, parse_spec, sm2_weights,
 )
-from .simplex import LpProblem, LpSolution, SimplexError, residuals, solve
+from .simplex import LpProblem, LpSolution, SimplexError, solve
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "fit_baseline", "fit_tree", "generate_synthetic", "germain_bound", "gibbs_risk",
     "load_dataset", "load_model", "margin_improvement", "paired_t_test", "parse_spec",
     "prediction_matrix", "random_forest", "render_table", "report_lines", "report_rows",
-    "residuals", "run_experiment", "run_one_simulation", "save_model", "schapire_terms",
+    "run_experiment", "run_one_simulation", "save_model", "schapire_terms",
     "sm2_weights", "solve", "split_indices", "stratified_split", "t_two_sided_p",
     "training_error_from_margins", "write_dataset",
 ]

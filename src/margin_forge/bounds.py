@@ -46,10 +46,10 @@ def _simplex_margins(profile: MarginProfile) -> bool:
 def schapire_terms(profile: MarginProfile, theta: float, d: float, n: int) -> BoundReport:
     """Margin-threshold form: empirical mass at or below theta, and the
     d/(n theta^2) complexity root, reported as separate terms."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if d <= 0 or n < 1:
-        raise ValueError("need a positive capacity d and n >= 1")
+    if not 0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
+    if not 0 < d < math.inf or n < 1:
+        raise ValueError("need a positive finite capacity d and n >= 1")
     if not _simplex_margins(profile):
         return BoundReport("schapire", applicable=False,
                            reason="margins leave [-1, 1]; weights were not simplex",
@@ -65,8 +65,10 @@ def schapire_terms(profile: MarginProfile, theta: float, d: float, n: int) -> Bo
 
 def breiman_bound(theta0: float, hspace: float, n: int, delta: float) -> BoundReport:
     """Minimum-margin form over a finite hypothesis space of size hspace."""
-    if hspace < 2:
-        raise ValueError("hypothesis-space size must be >= 2")
+    if not math.isfinite(theta0):
+        raise ValueError("theta0 must be finite")
+    if not 2 <= hspace < math.inf:
+        raise ValueError("hypothesis-space size must be finite and >= 2")
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0.0 < delta < 1.0:
@@ -77,6 +79,8 @@ def breiman_bound(theta0: float, hspace: float, n: int, delta: float) -> BoundRe
         return BoundReport("breiman", applicable=False, inputs=inputs,
                            reason=f"theta0 must exceed 4*sqrt(2/|H|) = {gate:.6g}")
     R = (32.0 / (n * theta0 * theta0)) * math.log(2.0 * hspace)
+    if R == 0.0:
+        raise ValueError(f"R underflows to 0 at theta0 = {theta0:.6g}")
     inputs["R"] = R
     if R > 2.0 * n:
         return BoundReport("breiman", applicable=False, inputs=inputs,

@@ -257,32 +257,29 @@ class TreeLayout:
         return found
 
 
-_ARRAYS = ("feature", "threshold", "left", "right", "value")
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "value")
 _SIGN = np.array([-1.0, 1.0])  # indexed by a bool mask viewed as uint8
 
 
-# eq=False keeps identity equality: == on arrays has no single truth value
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Tree:
-    """A fitted tree as five parallel node arrays, read-only; node 0 is the root.
+    """A fitted tree as five parallel tuples of node fields; node 0 is the root.
 
     Node i is a leaf when feature[i] is -1; it votes value[i] (+-1) and its
     left[i] and right[i] are -1.  Otherwise rows with x[feature[i]] <=
     threshold[i] go to node left[i] and the rest to right[i], both of which
-    come after node i.
+    come after node i.  The tuples hold Python ints, and floats for threshold and value.
     """
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    value: tuple[float, ...]
     n_features: int
 
     def __post_init__(self):
-        for name, dtype in zip(_ARRAYS, (np.intp, float, np.intp, np.intp, float)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, kind in zip(_NODE_FIELDS, (int, float, int, int, float)):
+            object.__setattr__(self, name, tuple(map(kind, getattr(self, name))))
 
     def predict(self, features) -> np.ndarray:
         """The +-1 vote on each row of the (n, n_features) matrix.
@@ -295,8 +292,7 @@ class Tree:
         x = np.asarray(features, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise ValueError(f"expected shape (n, {self.n_features})")
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        left, right, value = self.left.tolist(), self.right.tolist(), self.value.tolist()
+        feature, threshold, left, right, value = (getattr(self, f) for f in _NODE_FIELDS)
         reach = [None] * len(feature)
         reach[0] = np.ones(x.shape[0], dtype=bool)
         plus = np.zeros(x.shape[0], dtype=bool)
@@ -314,7 +310,7 @@ class Tree:
 
     def to_dict(self) -> dict:
         return {"n_features": self.n_features,
-                **{name: getattr(self, name).tolist() for name in _ARRAYS}}
+                **{name: list(getattr(self, name)) for name in _NODE_FIELDS}}
 
     @classmethod
     def from_dict(cls, blob: dict) -> "Tree":
@@ -323,20 +319,20 @@ class Tree:
         The checks run in plain Python: the lists are short, and a numpy
         call per check would cost more than the parse.  A JSON true or false
         is a bool, which Python counts as an int equal to 1 or 0, so every
-        integer is checked by exact type and no field may hold a bool.
+        number is checked by exact type and no field may hold a bool.
         """
         n_features = blob["n_features"]
-        feature, threshold, left, right, value = (blob[name] for name in _ARRAYS)
-        size = len(feature)
-        if size == 0 or any(len(arr) != size for arr in (threshold, left, right, value)):
-            raise ValueError("tree arrays must be non-empty and of equal length")
+        arrays = feature, threshold, left, right, value = [blob[name] for name in _NODE_FIELDS]
+        if not (feature and all(type(arr) is list and len(arr) == len(feature) for arr in arrays)):
+            raise ValueError("tree arrays must be non-empty lists of equal length")
         if type(n_features) is not int or n_features < 1:
             raise ValueError("n_features must be a positive integer")
+        size = len(feature)
         children = []
         for i in range(size):
             if type(value[i]) is bool or value[i] not in (-1, 1):
                 raise ValueError(f"node {i}: value must be -1 or +1")
-            if type(threshold[i]) is bool:
+            if type(threshold[i]) not in (int, float):
                 raise ValueError(f"node {i}: threshold must be a number")
             if not type(feature[i]) is type(left[i]) is type(right[i]) is int:
                 raise ValueError(f"node {i}: feature, left and right must be integers")

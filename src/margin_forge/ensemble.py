@@ -229,6 +229,23 @@ def save_model(model: EnsembleModel, path) -> None:
         json.dump(blob, fh)
 
 
+# each tree_params key of a snapshot and the JSON number types it takes
+_PARAM_TYPES = {"max_depth": (int,), "max_leaves": (int,), "min_leaf_weight": (int, float)}
+
+
+def _read_params(params) -> TreeParams:
+    # checked by exact type: a JSON true or false is a bool, never an int here
+    if type(params) is not dict:
+        raise ValueError("tree_params must be a JSON object")
+    for key, value in params.items():
+        if key not in _PARAM_TYPES:
+            raise ValueError(f"tree_params has an unknown key {key!r}")
+        if type(value) not in _PARAM_TYPES[key]:
+            kind = "an integer" if _PARAM_TYPES[key] == (int,) else "a number"
+            raise ValueError(f"tree_params {key} must be {kind}")
+    return TreeParams(**params)
+
+
 def load_model(path) -> EnsembleModel:
     """Read a snapshot written by save_model; a malformed one raises ValueError
     or TypeError."""
@@ -240,11 +257,18 @@ def load_model(path) -> EnsembleModel:
     if not isinstance(blob, dict):
         raise ValueError("the top level must be a JSON object")
     try:
-        params = TreeParams(**blob["tree_params"])
+        params = _read_params(blob["tree_params"])
+        if type(blob["trees"]) is not list or not all(type(t) is dict for t in blob["trees"]):
+            raise ValueError("trees must be a list of JSON objects")
         trees = tuple(Tree.from_dict(t) for t in blob["trees"])
+        seed, reason = blob.get("seed"), blob.get("break_reason")
+        if seed is not None and type(seed) is not int:
+            raise ValueError("seed must be an integer or null")
+        if reason is not None and type(reason) is not str:
+            raise ValueError("break_reason must be a string or null")
         # an older snapshot's vote_weights key is ignored: the weights derive from raw_alphas
         return EnsembleModel(blob["method"], trees, np.array(blob["raw_alphas"]), params,
-                             seed=blob.get("seed"), break_reason=blob.get("break_reason"))
+                             seed=seed, break_reason=reason)
     except KeyError as exc:
         raise ValueError(f"missing key {exc.args[0]!r}") from None
     except OverflowError as exc:  # an integer alpha or threshold past the float range

@@ -21,8 +21,8 @@ which has one row per learner and is always feasible, and the weights
 are the dual's row prices.  The dual's free variable is shifted by the
 largest entry of its rhs, so every row, those tied at that maximum
 among them, starts on its surplus and no phase 1 runs.  The
-answer is checked against the primal's constraints and against the
-duality gap; one that breaks a floor or leaves a gap raises
+answer is checked on the margins it reports and against the duality
+gap; one that breaks a floor or leaves a gap raises
 SelfCheckError, which is a fault of the package, not of the data, so it
 ends an experiment instead of failing one simulation.
 """
@@ -35,7 +35,7 @@ import numpy as np
 
 from .ensemble import EnsembleError, PredictionMatrix
 from .margins import MarginProfile, compute_margins, simplex_weights
-from .simplex import FEAS_TOL, LpProblem, residuals, solve
+from .simplex import FEAS_TOL, LpProblem, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
 GAP_TOL = 1e-9       # relative duality gap allowed on a margin LP's answer
@@ -128,10 +128,10 @@ def _emphasis(spec: RewSpec, margins: np.ndarray) -> np.ndarray:
     return r
 
 
-def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
+def _margin_lp(matrix: PredictionMatrix, emphasis, floors):
     """Simplex weights maximizing the emphasis-weighted margin total with
-    every margin at or above its floor, checked against the LP's own
-    constraints and its duality gap; None when no weights reach the floors.
+    every margin at or above its floor, and their margin profile; None when
+    no weights reach the floors.
 
     The LP, max c.w s.t. S'w >= floors, 1.w = 1, w >= 0 with S the (T, n)
     signed votes (the stored entries, cast to float64) and c = S @ emphasis,
@@ -141,7 +141,9 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     top = max(c), so its rhs is c - top <= 0 and every row starts on its
     surplus (u = 0, v = top is feasible): no phase 1 runs.  The shift
     moves the dual objective by the constant -top and leaves the prices
-    as they are.
+    as they are.  The clipped prices must sum to 1 (the eq row) and the
+    margins returned meet every floor (the ge rows), both within FEAS_TOL,
+    and the prices must close the duality gap.
     """
     signed = matrix.entries.astype(float)
     c = signed @ emphasis
@@ -155,18 +157,19 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors) -> np.ndarray | None:
     if not solution.optimal:
         raise SelfCheckError(f"margin LP dual ended {solution.status}, expected optimal")
     w = np.clip(solution.prices, 0.0, None)
-    primal = LpProblem(c, a_ge=signed.T, b_ge=floors,
-                       a_eq=ones.T, b_eq=np.ones(1))
-    violations = residuals(primal, w)
-    worst = max(violations, key=violations.get)
-    if not violations[worst] <= FEAS_TOL:
-        raise SelfCheckError(f"margin LP answer breaks its {worst} constraints by "
-                             f"{violations[worst]:.3e}")
+    off = abs(w.sum() - 1.0)
+    if not off <= FEAS_TOL:  # checked first: the weights are divided by the sum
+        raise SelfCheckError(f"margin LP answer breaks its eq constraints by {off:.3e}")
+    weights = w / w.sum()
+    profile = compute_margins(matrix, weights)
+    miss = float(np.max(floors - profile.margins))
+    if not miss <= FEAS_TOL:
+        raise SelfCheckError(f"margin LP answer breaks its ge constraints by {miss:.3e}")
     value = solution.objective_value - top
     gap = abs(c @ w + value)
     if not gap <= GAP_TOL * (1.0 + abs(value)):
         raise SelfCheckError(f"margin LP duality gap {gap:.3e} at objective {-value:.6g}")
-    return w / w.sum()
+    return weights, profile
 
 
 def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
@@ -208,7 +211,7 @@ def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
     The fit is the minimum-norm least-squares solution, found through the
     T x T Gram matrix of the learners' signed votes (see _min_norm_fit).
     The objective field reports the residual sum of squares of the
-    unnormalized fit, computed from the residuals themselves.  Another
+    unnormalized fit, summed from each row's misfit itself.  Another
     constant would scale the fit, and the normalization would divide that
     back out of the weights.  Normalized weights may be negative, and the
     resulting margins may leave [-1, +1].
@@ -246,16 +249,16 @@ def apply_scheme(spec: RewSpec, matrix: PredictionMatrix, alpha) -> RewResult:
     old = compute_margins(matrix, a)
     if spec.scheme == "sm1":
         floors = np.where(old.margins <= old.mean, old.percentile(spec.xi), old.mean)
-        w = _margin_lp(matrix, np.ones(matrix.n_rows), floors)
-        if w is None:
+        found = _margin_lp(matrix, np.ones(matrix.n_rows), floors)
+        if found is None:
             return RewResult(spec.label, False, old_profile=old)
-        new = compute_margins(matrix, w)
+        w, new = found
         return RewResult(spec.label, True, w, old, new, float((new.margins - old.margins).sum()))
     r = _emphasis(spec, old.margins)
-    w = _margin_lp(matrix, r / r.max(), old.margins)
-    if w is None:
+    found = _margin_lp(matrix, r / r.max(), old.margins)
+    if found is None:
         raise SelfCheckError("margin LP ended infeasible, expected optimal")
-    new = compute_margins(matrix, w)
+    w, new = found
     gain = float(r @ (new.margins - old.margins))
     if not gain > 0:
         return RewResult(spec.label, True, a.copy(), old, old, 0.0)

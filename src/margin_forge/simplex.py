@@ -377,15 +377,3 @@ def solve(problem: LpProblem) -> LpSolution:
     prices = lp.reduced[n:n + problem.a_ge.shape[0]].copy()
     return LpSolution("optimal", x, float(problem.objective @ x), prices=prices, **counters)
 
-
-def residuals(problem: LpProblem, x: np.ndarray) -> dict[str, float]:
-    """Worst-case constraint violations of a candidate point; "lower" is x >= 0."""
-    out = {"ge": 0.0, "eq": 0.0, "lower": float(np.max(np.clip(-x, 0.0, None))),
-           "upper": 0.0}
-    if problem.a_ge.shape[0]:
-        out["ge"] = float(np.max(np.clip(problem.b_ge - problem.a_ge @ x, 0.0, None)))
-    if problem.a_eq.shape[0]:
-        out["eq"] = float(np.max(np.abs(problem.a_eq @ x - problem.b_eq)))
-    if problem.upper is not None:
-        out["upper"] = float(np.max(np.clip(x - problem.upper, 0.0, None)))
-    return out

@@ -4,6 +4,8 @@ Independent of the simplex implementation under test.  Every candidate
 vertex comes from solving a square system of active constraints; the
 unbounded check enumerates vertices of the recession cone normalized to
 sum(d) = 1, which is legitimate because all variables are bounded below.
+`residuals` measures how far a candidate point breaks each kind of
+constraint.
 """
 from __future__ import annotations
 
@@ -106,3 +108,16 @@ def random_lp(rng: np.random.Generator) -> LpProblem:
     if rng.random() < 0.6:
         upper = rng.integers(1, 10, size=n).astype(float)
     return LpProblem(c, a_ge=a_ge, b_ge=b_ge, a_eq=a_eq, b_eq=b_eq, upper=upper)
+
+
+def residuals(problem: LpProblem, x: np.ndarray) -> dict[str, float]:
+    """Worst-case constraint violations of a candidate point; "lower" is x >= 0."""
+    out = {"ge": 0.0, "eq": 0.0, "lower": float(np.max(np.clip(-x, 0.0, None))),
+           "upper": 0.0}
+    if problem.a_ge.shape[0]:
+        out["ge"] = float(np.max(np.clip(problem.b_ge - problem.a_ge @ x, 0.0, None)))
+    if problem.a_eq.shape[0]:
+        out["eq"] = float(np.max(np.abs(problem.a_eq @ x - problem.b_eq)))
+    if problem.upper is not None:
+        out["upper"] = float(np.max(np.clip(x - problem.upper, 0.0, None)))
+    return out

@@ -100,6 +100,27 @@ def test_breiman_validation():
         breiman_bound(0.5, 100.0, 100, 1.5)
 
 
+PROFILE = MarginProfile(np.array([0.5, -0.1]))
+
+
+@pytest.mark.parametrize("bound, message", [
+    (lambda: schapire_terms(PROFILE, math.nan, 6, 2), "theta must be positive and finite"),
+    (lambda: schapire_terms(PROFILE, math.inf, 6, 2), "theta must be positive and finite"),
+    (lambda: schapire_terms(PROFILE, 0.1, math.nan, 2), "positive finite capacity d"),
+    (lambda: schapire_terms(PROFILE, 0.1, math.inf, 2), "positive finite capacity d"),
+    (lambda: breiman_bound(math.inf, 500.0, 100, 0.05), "theta0 must be finite"),
+    (lambda: breiman_bound(math.nan, 500.0, 100, 0.05), "theta0 must be finite"),
+    (lambda: breiman_bound(1e200, 500.0, 100, 0.05), "R underflows to 0 at theta0 = 1e\\+200"),
+    (lambda: breiman_bound(0.5, math.nan, 100, 0.05), "hypothesis-space size must be finite"),
+    (lambda: breiman_bound(0.5, math.inf, 100, 0.05), "hypothesis-space size must be finite"),
+], ids=["schapire-theta-nan", "schapire-theta-inf", "vc-nan", "vc-inf", "breiman-theta-inf",
+        "breiman-theta-nan", "r-underflow", "hspace-nan", "hspace-inf"])
+def test_bounds_refuse_non_finite_inputs(bound, message):
+    # each would otherwise print a nan, inf or 0 term or divide by R = 0
+    with pytest.raises(ValueError, match=message):
+        bound()
+
+
 def test_germain_single_perfect_learner():
     m = matrix_of([[1.0], [-1.0]], [1, -1])
     report = germain_bound(m, [1.0])

@@ -45,7 +45,7 @@ def test_xor_needs_depth_two():
     assert np.mean(stump.predict(x) != y) > 0  # no single split separates xor
     tree = fit_tree(TreeLayout(x, y))  # defaults: depth 2, four leaves
     assert np.array_equal(tree.predict(x), y)
-    assert np.sum(tree.feature < 0) <= 4
+    assert np.sum(np.array(tree.feature) < 0) <= 4
 
 
 def test_tie_break_prefers_lowest_feature():
@@ -85,7 +85,7 @@ def test_max_leaves_caps_growth():
     x = rng.standard_normal((200, 4))
     y = np.where(rng.random(200) < 0.5, -1.0, 1.0)
     tree = fit_tree(TreeLayout(x, y), params=TreeParams(max_depth=2, max_leaves=3))
-    assert np.sum(tree.feature < 0) <= 3
+    assert np.sum(np.array(tree.feature) < 0) <= 3
 
 
 def test_depth_limit_respected():
@@ -94,8 +94,8 @@ def test_depth_limit_respected():
     y = np.where(x[:, 0] * x[:, 1] > 0, 1.0, -1.0)
     tree = fit_tree(TreeLayout(x, y))
     # children follow their parent, so one forward pass sets every depth
-    depth = np.zeros(tree.feature.size, dtype=int)
-    for node in np.flatnonzero(tree.feature >= 0):
+    depth = np.zeros(len(tree.feature), dtype=int)
+    for node in np.flatnonzero(np.array(tree.feature) >= 0):
         depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
     assert depth.max() <= 2
 
@@ -105,7 +105,7 @@ def test_feature_subset_restricts_splits():
     x = rng.standard_normal((80, 5))
     y = np.where(x[:, 0] > 0, 1.0, -1.0)  # feature 0 is the informative one
     tree = fit_tree(TreeLayout(x, y), feature_subset=[3, 4])
-    assert set(tree.feature[tree.feature >= 0].tolist()) <= {3, 4}
+    assert {f for f in tree.feature if f >= 0} <= {3, 4}
 
 
 def test_feature_subset_must_be_integer_indices():
@@ -251,9 +251,14 @@ def test_no_cut_spans_two_features():
     assert residues > 0  # the case the test is about did occur
 
 
+NODE_DTYPES = {"feature": np.intp, "threshold": float, "left": np.intp, "right": np.intp,
+               "value": float}
+
+
 def tree_bytes(tree):
-    return [getattr(tree, name).tobytes() for name in ("feature", "threshold", "left",
-                                                         "right", "value")]
+    # the bytes of the node arrays trees were stored as when the digests were taken
+    return [np.array(getattr(tree, name), dtype=dtype).tobytes()
+            for name, dtype in NODE_DTYPES.items()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -297,7 +302,7 @@ def test_root_split_allocates_no_node_block():
     w = np.random.default_rng(4).random(n)
     w /= w.sum()
     want = fit_tree(layout, w)
-    assert np.sum(want.feature >= 0) == 3  # a whole depth-2 tree: root and both children
+    assert np.sum(np.array(want.feature) >= 0) == 3  # a whole depth-2 tree: root and both children
     tracemalloc.start()
     try:
         got = fit_tree(layout, w)
@@ -318,8 +323,7 @@ def test_fortran_ordered_features_fit_the_same_tree():
         w /= w.sum()
         a = fit_tree(TreeLayout(x, y), weights=w, feature_subset=subset)
         b = fit_tree(TreeLayout(np.asfortranarray(x), y), weights=w, feature_subset=subset)
-        for name in ("feature", "threshold", "left", "right", "value"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert tree_bytes(a) == tree_bytes(b)
 
 
 def test_fit_takes_its_training_set_as_a_layout():

@@ -138,6 +138,23 @@ def test_bounds_bad_theta(model_and_data, capsys):
                  "--theta", "-0.1", "--vc", "3"]) == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    ("--theta inf --hspace 500", "theta0 must be finite"),
+    ("--theta 1e200 --hspace 500", "R underflows to 0 at theta0 = 1e+200"),
+    ("--theta nan --vc 6", "theta must be positive and finite"),
+    ("--theta 0.1 --vc nan", "positive finite capacity d"),
+    ("--theta 0.1 --vc inf", "positive finite capacity d"),
+    ("--theta 0.5 --hspace nan", "hypothesis-space size must be finite"),
+    ("--theta 0.5 --hspace inf", "hypothesis-space size must be finite"),
+], ids=["theta-inf", "r-underflow", "theta-nan", "vc-nan", "vc-inf", "hspace-nan",
+        "hspace-inf"])
+def test_bounds_refuses_non_finite_numbers(model_and_data, capsys, args, message):
+    model_path, data_path, _ = model_and_data
+    assert main(["bounds", "--model", model_path, "--data", data_path, *args.split()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def _edit(name, index, value):
     # one entry of one list of the first tree
     def corrupt(blob):
@@ -174,25 +191,63 @@ def _nested(blob):
         "params": {"max_depth": 2, "max_leaves": 4, "min_leaf_weight": 1e-12}}
 
 
-@pytest.mark.parametrize("corrupt", [
-    _edit("feature", 0, 99), _edit("feature", 0, -1), _edit("threshold", 0, float("nan")),
-    _edit("value", -1, 0.5), _nested, _five_features,
-    _edit_model("raw_alphas", 0, float("nan")), _edit_model("raw_alphas", 0, float("inf")),
-    _edit_model("raw_alphas", 0, 10 ** 400),
-    _edit("feature", 0, True), _edit("threshold", 0, True), _edit("value", -1, True),
-    _edit("left", 0, 1.0), _n_features_true, _edit("threshold", 0, 10 ** 400),
+def _set(key, value, *path):
+    # one key of the snapshot, or of the object that path leads to
+    def corrupt(blob):
+        for step in path:
+            blob = blob[step]
+        blob[key] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_edit("feature", 0, 99), "node 0: feature must lie in [0, 2)"),
+    (_edit("feature", 0, -1), "node 0: a leaf has no children"),
+    (_edit("threshold", 0, float("nan")), "node 0: threshold must be finite"),
+    (_edit("value", -1, 0.5), "node 4: value must be -1 or +1"),
+    (_nested, "missing key 'feature'"),
+    (_five_features, "all learners must take the same number of features"),
+    (_edit_model("raw_alphas", 0, float("nan")), "raw_alphas must be finite"),
+    (_edit_model("raw_alphas", 0, float("inf")), "raw_alphas must be finite"),
+    (_edit_model("raw_alphas", 0, 10 ** 400), "int too large to convert to float"),
+    (_edit("feature", 0, True), "node 0: feature, left and right must be integers"),
+    (_edit("threshold", 0, True), "node 0: threshold must be a number"),
+    (_edit("value", -1, True), "node 4: value must be -1 or +1"),
+    (_edit("left", 0, 1.0), "node 0: feature, left and right must be integers"),
+    (_n_features_true, "n_features must be a positive integer"),
+    (_edit("threshold", 0, 10 ** 400), "int too large to convert to float"),
+    (_set("seed", [1]), "seed must be an integer or null"),
+    (_set("break_reason", [1]), "break_reason must be a string or null"),
+    (_set("max_depth", 2.5, "tree_params"), "tree_params max_depth must be an integer"),
+    (_set("max_depth", "2", "tree_params"), "tree_params max_depth must be an integer"),
+    (_set("max_leaves", 4.0, "tree_params"), "tree_params max_leaves must be an integer"),
+    (_set("min_leaf_weight", True, "tree_params"),
+     "tree_params min_leaf_weight must be a number"),
+    (_set("colour", 1, "tree_params"), "tree_params has an unknown key 'colour'"),
+    (_set("tree_params", [1]), "tree_params must be a JSON object"),
+    (_edit_model("trees", 1, 3), "trees must be a list of JSON objects"),
+    (_set("trees", {}), "trees must be a list of JSON objects"),
+    (_set("feature", 3, "trees", 0), "tree arrays must be non-empty lists of equal length"),
+    (_edit("threshold", 0, "0.5"), "node 0: threshold must be a number"),
+    (_edit("threshold", -1, "1.5"), "node 4: threshold must be a number"),
+    (_edit("threshold", -1, None), "node 4: threshold must be a number"),
 ], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested",
         "mixed-n-features", "nan-raw-alpha", "inf-raw-alpha", "int-raw-alpha-past-float",
         "feature-true", "threshold-true", "leaf-value-true", "float-left",
-        "n-features-true", "int-threshold-past-float"])
-def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt):
+        "n-features-true", "int-threshold-past-float", "seed-list", "break-reason-list",
+        "depth-float", "depth-string", "leaves-float", "min-leaf-weight-true",
+        "unknown-tree-param", "tree-params-list", "tree-number", "trees-object",
+        "feature-number", "root-threshold-string", "leaf-threshold-string",
+        "leaf-threshold-null"])
+def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt, message):
     model_path, data_path, _ = model_and_data
     blob = json.loads(Path(model_path).read_text())
     assert len(blob["trees"]) >= 2
     corrupt(blob)
     Path(model_path).write_text(json.dumps(blob))
     assert main(["bounds", "--model", model_path, "--data", data_path]) == 1
-    assert "bad model snapshot" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad model snapshot {model_path}: ") and message in err
 
 
 @pytest.mark.parametrize("text, message", [

@@ -110,7 +110,7 @@ def test_forest_mtry_defaults_to_ceil_sqrt_p():
     data = Dataset("wide", x, y)
     model = random_forest(data, T=5, seed=0)
     for tree in model.trees:
-        used = set(tree.feature[tree.feature >= 0].tolist())
+        used = {f for f in tree.feature if f >= 0}
         assert len(used) <= math.ceil(math.sqrt(10))  # 4
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -278,18 +279,20 @@ def test_package_bug_is_not_a_failure_row(monkeypatch):
 
 
 def test_failed_margin_lp_check_ends_the_run(monkeypatch):
-    # the second margin LP's answer is made to break a floor: that is a
-    # fault of the package, so the run stops instead of losing one row
+    # the second margin LP's prices are halved, so its weights sum to 1/2:
+    # that is a fault of the package, so the run stops instead of losing one row
     calls = []
-    real = reweight.residuals
+    real = reweight.solve
 
-    def spy(problem, x):
+    def spy(problem):
         calls.append(1)
-        violations = real(problem, x)
-        return {**violations, "ge": 1.0} if len(calls) == 2 else violations
+        solution = real(problem)
+        if len(calls) == 2:
+            solution = dataclasses.replace(solution, prices=solution.prices / 2)
+        return solution
 
-    monkeypatch.setattr(reweight, "residuals", spy)
-    with pytest.raises(SelfCheckError, match="breaks its ge constraints by 1.000e"):
+    monkeypatch.setattr(reweight, "solve", spy)
+    with pytest.raises(SelfCheckError, match="breaks its eq constraints by 5.000e-01"):
         run_experiment(tiny_config())
     assert len(calls) == 2
 

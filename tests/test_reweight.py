@@ -7,7 +7,7 @@ from margin_forge.dataset_io import generate_synthetic, stratified_split
 from margin_forge.ensemble import (
     EnsembleError, PredictionMatrix, adaboost, prediction_matrix, random_forest,
 )
-from margin_forge.margins import compute_margins
+from margin_forge.margins import MarginProfile, compute_margins
 from margin_forge.reweight import (
     RewSpec, SelfCheckError, apply_scheme, parse_spec, sm2_weights,
 )
@@ -137,7 +137,8 @@ def test_mm_keeps_alpha_when_the_lp_does_not_beat_it(monkeypatch):
     worse[np.argmin(matrix.entries @ r)] = 1.0
     old = compute_margins(matrix, alpha)
     assert r @ (compute_margins(matrix, worse).margins - old.margins) < 0
-    monkeypatch.setattr(reweight, "_margin_lp", lambda *args: worse)
+    monkeypatch.setattr(reweight, "_margin_lp",
+                        lambda *args: (worse, compute_margins(matrix, worse)))
     result = apply_scheme(RewSpec("uws"), matrix, alpha)
     assert np.array_equal(result.weights, alpha)
     assert result.objective == 0.0
@@ -257,6 +258,23 @@ def test_margin_lp_rejects_an_answer_below_a_floor(monkeypatch, spec):
     # learner 0 drops row 0's margin from 0 to -1, below its floor in both LPs
     matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
     monkeypatch.setattr(reweight, "solve", _dual_answer([1.0, 0.0]))
+    with pytest.raises(SelfCheckError, match="ge constraints"):
+        apply_scheme(spec, matrix, np.array([0.5, 0.5]))
+
+
+@_MARGIN_LP_SCHEMES
+def test_margin_lp_checks_the_margins_it_reports(monkeypatch, spec):
+    # the floors are checked on the very profile apply_scheme reports as the
+    # new margins: one lowered by 1 after the solve is refused, not reported
+    matrix = matrix_of([[-1, 1], [1, 1]], [1, 1])
+    real, calls = reweight.compute_margins, []
+
+    def lowered_after_the_solve(matrix_, weights):
+        calls.append(1)
+        profile = real(matrix_, weights)
+        return profile if len(calls) == 1 else MarginProfile(profile.margins - 1.0)
+
+    monkeypatch.setattr(reweight, "compute_margins", lowered_after_the_solve)
     with pytest.raises(SelfCheckError, match="ge constraints"):
         apply_scheme(spec, matrix, np.array([0.5, 0.5]))
 

@@ -10,12 +10,12 @@ from margin_forge.cart import TreeParams
 from margin_forge.dataset_io import generate_synthetic
 from margin_forge.ensemble import PredictionMatrix, adaboost, prediction_matrix
 from margin_forge.margins import compute_margins
-from margin_forge.simplex import LpProblem, LpSolution, SimplexError, residuals, solve
+from margin_forge.simplex import LpProblem, LpSolution, SimplexError, solve
 
 import emphasis_oracle
 import pivot_oracle
 from bench_data import ionosphere_like, pima_like, sonar_like
-from lp_oracle import oracle_solve, random_lp
+from lp_oracle import oracle_solve, random_lp, residuals
 
 
 def test_single_variable_box():
