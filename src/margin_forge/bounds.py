@@ -50,12 +50,15 @@ def schapire_terms(profile: MarginProfile, theta: float, d: float, n: int) -> Bo
         raise ValueError("theta must be positive and finite")
     if not 0 < d < math.inf or n < 1:
         raise ValueError("need a positive finite capacity d and n >= 1")
+    scale = n * theta * theta
+    complexity = math.sqrt(d / scale) if scale > 0.0 else math.inf
+    if not 0.0 < complexity < math.inf:
+        raise ValueError(f"sqrt(d / (n theta^2)) leaves the float range at theta = {theta:.6g}")
     if not _simplex_margins(profile):
         return BoundReport("schapire", applicable=False,
                            reason="margins leave [-1, 1]; weights were not simplex",
                            inputs={"theta": theta, "d": d, "n": n})
     empirical = float(np.mean(profile.margins <= theta))
-    complexity = math.sqrt(d / (n * theta * theta))
     return BoundReport(
         "schapire", applicable=True, terms=(empirical, complexity),
         inputs={"theta": theta, "d": d, "n": n},

@@ -23,9 +23,7 @@ child's (F, m) block follows the other's in one buffer.  Nothing is sorted
 inside a node and nothing of shape (F, n) is allocated per node or per
 tree: on sonar-sized data such an array sits just under glibc's mmap
 threshold, so a temporary would be memory that each free hands back to the
-OS and the next search faults in again.  The fit leaves the tree's vote on
-every training row in the layout, so AdaBoost reads its mistakes without
-predicting.
+OS and the next search faults in again.
 
 Prediction is one forward pass over the node arrays.  A parent comes
 before its children, so the root starts with every row and each internal
@@ -85,8 +83,7 @@ class TreeLayout:
     this order and cuts[j, i] whether a threshold fits between sorted
     positions i and i + 1 (their values differ; False in the last column).
     A tree on a feature subset takes those rows of each.  The constructor
-    checks the features and the labels once; votes holds, after each fit,
-    the fitted tree's vote on every training row.
+    checks the features and the labels once.
 
     start_tree reads one tree's weights w and w * (y > 0) through the order
     once, as the real and imaginary parts of one complex array: a complex
@@ -110,7 +107,6 @@ class TreeLayout:
         self.cuts = np.zeros((p, n), dtype=bool)
         np.less(self.values[:, :-1], self.values[:, 1:], out=self.cuts[:, :-1])
         self.every = np.arange(p)
-        self.votes = np.empty(n)
         self.row_weights = np.empty(n, dtype=complex)   # w + 1j * w * (y > 0) by row
         self.sorted_weights = np.empty(p * n, dtype=complex)   # along each column's order
         self.node = np.empty(n, dtype=np.uint8)   # which node of a search holds each row
@@ -257,6 +253,20 @@ class TreeLayout:
         return found
 
 
+def json_float(value, name: str) -> float:
+    """The float of a JSON number read from a snapshot, or ValueError naming it.
+
+    Checked by exact type: a JSON true or false is a bool, never a number
+    here.  A JSON integer past the float range is refused, not rounded.
+    """
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} lies past the float range") from None
+
+
 _NODE_FIELDS = ("feature", "threshold", "left", "right", "value")
 _SIGN = np.array([-1.0, 1.0])  # indexed by a bool mask viewed as uint8
 
@@ -332,8 +342,7 @@ class Tree:
         for i in range(size):
             if type(value[i]) is bool or value[i] not in (-1, 1):
                 raise ValueError(f"node {i}: value must be -1 or +1")
-            if type(threshold[i]) not in (int, float):
-                raise ValueError(f"node {i}: threshold must be a number")
+            cut = json_float(threshold[i], f"node {i}: threshold")
             if not type(feature[i]) is type(left[i]) is type(right[i]) is int:
                 raise ValueError(f"node {i}: feature, left and right must be integers")
             if feature[i] == -1:
@@ -342,7 +351,7 @@ class Tree:
                 continue
             if not 0 <= feature[i] < n_features:
                 raise ValueError(f"node {i}: feature must lie in [0, {n_features})")
-            if not math.isfinite(threshold[i]):
+            if not math.isfinite(cut):
                 raise ValueError(f"node {i}: threshold must be finite")
             if not (i < left[i] < size and i < right[i] < size):
                 raise ValueError(f"node {i}: children must come after their parent")
@@ -353,25 +362,23 @@ class Tree:
 
 
 def _grow(layout: TreeLayout, w, params: TreeParams, features) -> Tree:
-    """Grow one tree best-first on layout's training set with weights w and
-    set layout.votes to its vote on each training row."""
+    """Grow one tree best-first on layout's training set with weights w."""
     x, y = layout.features, layout.labels
     layout.start_tree(w, features)
-    rows = [np.arange(x.shape[0])]
     feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [_leaf_value(y, w)]
     counter = itertools.count()
     heap = []
 
-    def push(node, found, depth):
+    # a pending leaf carries its rows, idx; the unique counter keeps them out of comparisons
+    def push(node, idx, found, depth):
         if found is not None:
             dec, feat, thr = found
-            heapq.heappush(heap, (-dec, feat, thr, next(counter), node, depth))
+            heapq.heappush(heap, (-dec, feat, thr, next(counter), node, idx, depth))
 
-    push(0, layout.root_split(params.min_leaf_weight), 0)
+    push(0, np.arange(x.shape[0]), layout.root_split(params.min_leaf_weight), 0)
     leaves = 1
     while heap and leaves < params.max_leaves:
-        _, feat, thr, _, node, depth = heapq.heappop(heap)
-        idx = rows[node]
+        _, feat, thr, _, node, idx, depth = heapq.heappop(heap)
         go_left = x[idx, feat] <= thr
         feature[node], threshold[node] = feat, thr
         left[node], right[node] = len(value), len(value) + 1
@@ -383,16 +390,11 @@ def _grow(layout: TreeLayout, w, params: TreeParams, features) -> Tree:
             left.append(-1)
             right.append(-1)
             value.append(_leaf_value(y[child_idx], w[child_idx]))
-            rows.append(child_idx)
         # a full tree splits no more, so its children need no search
         if depth + 1 < params.max_depth and leaves < params.max_leaves:
-            for child, found in zip((left[node], right[node]),
-                                    layout.child_splits(children, params.min_leaf_weight)):
-                push(child, found, depth + 1)
-    layout.votes.fill(-1.0)
-    for node, idx in enumerate(rows):
-        if feature[node] < 0 and value[node] > 0:
-            layout.votes[idx] = 1.0
+            searched = layout.child_splits(children, params.min_leaf_weight)
+            for child, child_idx, found in zip((left[node], right[node]), children, searched):
+                push(child, child_idx, found, depth + 1)
     return Tree(feature, threshold, left, right, value, x.shape[1])
 
 
@@ -402,8 +404,7 @@ def fit_tree(layout: TreeLayout, weights=None, params: TreeParams | None = None,
     TreeLayout(features, labels) holds it.
 
     A caller fitting many trees on one training set builds the layout once
-    and passes it to each fit.  After the fit, layout.votes holds the
-    tree's vote on each training row.
+    and passes it to each fit.
     """
     if not isinstance(layout, TreeLayout):
         raise ValueError("layout must be a TreeLayout")

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, replace
 
 import numpy as np
 
-from .cart import Tree, TreeLayout, TreeParams, fit_tree
+from .cart import Tree, TreeLayout, TreeParams, fit_tree, json_float
 from .dataset_io import Dataset, DatasetError
 
 # floor keeps the round coefficient finite when a tree fits its
@@ -37,6 +37,8 @@ class EnsembleModel:
     _: KW_ONLY
     seed: int | None = None
     break_reason: str | None = None
+    # the signed votes on the training rows, from the fit; None on a loaded model
+    train_matrix: PredictionMatrix | None = field(default=None, repr=False, compare=False)
     vote_weights: np.ndarray = field(init=False)   # raw_alphas / their sum
 
     def __post_init__(self):
@@ -49,6 +51,8 @@ class EnsembleModel:
         a = np.array(self.raw_alphas, dtype=float)
         if a.shape != (len(self.trees),):
             raise ValueError("raw_alphas must align with the learner list")
+        if self.train_matrix is not None and self.train_matrix.n_learners != len(self.trees):
+            raise ValueError("train_matrix must hold one row per learner")
         # NaN fails a >= 0; an infinite alpha or sum fails the upper bound
         if not (np.all(a >= 0) and 0.0 < a.sum() < math.inf):
             raise ValueError("raw_alphas must be finite and nonnegative with a positive sum")
@@ -141,12 +145,14 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     layout = TreeLayout(train.features, train.labels)
     n = train.n_rows
     dist = np.full(n, 1.0 / n)
+    entries = np.empty((T, n), dtype=np.float32)
     trees: list[Tree] = []
     alphas: list[float] = []
     break_reason = None
     for _ in range(T):
         tree = fit_tree(layout, weights=dist, params=params)
-        wrong = layout.votes != layout.labels  # as tree.predict(train.features) gives them
+        row = np.multiply(tree.predict(layout.features), layout.labels, out=entries[len(trees)])
+        wrong = row < 0
         eps = float(dist[wrong].sum())
         if eps >= 0.5:
             break_reason = f"round error {eps:.6f} is no better than chance"
@@ -161,7 +167,8 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     if not trees:
         raise EnsembleError(f"no usable learners: {break_reason}")
     return EnsembleModel("adaboost", tuple(trees), np.array(alphas), params,
-                         break_reason=break_reason)
+                         break_reason=break_reason,
+                         train_matrix=PredictionMatrix(entries[:len(trees)], train.labels))
 
 
 def random_forest(train: Dataset, T: int, m_try: int | None = None,
@@ -182,21 +189,23 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
     if not 1 <= m_try <= p:
         raise ValueError(f"m_try must lie in [1, {p}]")
     layout = TreeLayout(train.features, train.labels)
+    entries = np.empty((T, n), dtype=np.float32)
     trees = []
     for t in range(T):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n) / n
         subset = np.sort(rng.choice(p, size=m_try, replace=False))
         trees.append(fit_tree(layout, weights=weights, params=params, feature_subset=subset))
-    return EnsembleModel("random-forest", tuple(trees), np.ones(T), params, seed=seed)
+        np.multiply(trees[t].predict(layout.features), layout.labels, out=entries[t])
+    return EnsembleModel("random-forest", tuple(trees), np.ones(T), params, seed=seed,
+                         train_matrix=PredictionMatrix(entries, train.labels))
 
 
 def bagging(train: Dataset, T: int, params: TreeParams | None = None,
             seed: int = 0) -> EnsembleModel:
     """Random forest with every feature available to every tree."""
     model = random_forest(train, T, m_try=train.n_features, params=params, seed=seed)
-    return EnsembleModel("bagging", model.trees, model.raw_alphas, model.tree_params,
-                         seed=seed)
+    return replace(model, method="bagging")
 
 
 def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
@@ -266,10 +275,11 @@ def load_model(path) -> EnsembleModel:
             raise ValueError("seed must be an integer or null")
         if reason is not None and type(reason) is not str:
             raise ValueError("break_reason must be a string or null")
+        if type(blob["raw_alphas"]) is not list:
+            raise ValueError("raw_alphas must be a list of numbers")
+        alphas = [json_float(a, f"raw_alphas[{i}]") for i, a in enumerate(blob["raw_alphas"])]
         # an older snapshot's vote_weights key is ignored: the weights derive from raw_alphas
-        return EnsembleModel(blob["method"], trees, np.array(blob["raw_alphas"]), params,
+        return EnsembleModel(blob["method"], trees, np.array(alphas), params,
                              seed=seed, break_reason=reason)
     except KeyError as exc:
         raise ValueError(f"missing key {exc.args[0]!r}") from None
-    except OverflowError as exc:  # an integer alpha or threshold past the float range
-        raise ValueError(str(exc)) from None

@@ -285,7 +285,7 @@ def run_one_simulation(config: ExperimentConfig, sim: int) -> SimulationRecord:
         ens_seed = config.seed if config.freeze_ensemble else sim_seed
         model = fit_baseline(config, train, ens_seed)
         alpha = model.vote_weights
-        train_matrix = prediction_matrix(model, train)
+        train_matrix = model.train_matrix
         test_matrix = prediction_matrix(model, test)
         baseline = _error_from_weights(test_matrix, alpha)
         errors: dict[str, float] = {}

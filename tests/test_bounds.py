@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,15 @@ def test_schapire_validation_and_applicability():
     report = schapire_terms(stretched, 0.5, 5, 2)
     assert not report.applicable
     assert "simplex" in report.reason
+
+
+def test_schapire_refuses_a_complexity_term_past_the_float_range():
+    prof = MarginProfile(np.array([0.2, 0.5]))
+    # n theta^2 underflows to 0, d / (n theta^2) overflows, n theta^2 overflows
+    for theta, n in ((1e-200, 100), (1e-170, 100), (1e-155, 1), (1e160, 100), (1e200, 100)):
+        with pytest.raises(ValueError, match=re.escape(f"at theta = {theta:.6g}") + "$"):
+            schapire_terms(prof, theta, 6, n)
+    assert schapire_terms(prof, 1e-150, 6, 1).terms[1] == math.sqrt(6 / 1e-300)
 
 
 def test_schapire_empirical_term_monotone_in_theta():

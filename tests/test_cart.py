@@ -10,7 +10,6 @@ import predict_oracle
 import split_oracle
 import tree_oracle
 from bench_data import ionosphere_like, pima_like, sonar_like
-from margin_forge import ensemble
 from margin_forge.cart import Tree, TreeLayout, TreeParams, fit_tree
 from margin_forge.dataset_io import generate_synthetic, stratified_split
 from margin_forge.ensemble import (
@@ -284,7 +283,6 @@ def test_fit_matches_per_node_oracle(seed, n, p, levels, twin, subset, depth_lea
     for _ in range(2):  # a second fit on the same layout builds the same tree
         got = fit_tree(layout, weights=w, params=params, feature_subset=features)
         assert tree_bytes(got) == tree_bytes(want)
-        assert np.array_equal(layout.votes, got.predict(x))
     assert tree_bytes(fit_tree(TreeLayout(x, y), weights=w, params=params,
                                feature_subset=features)) == tree_bytes(want)
 
@@ -352,7 +350,7 @@ BENCH_DIGESTS = {
 
 
 @pytest.mark.parametrize("make", [pima_like, sonar_like, ionosphere_like])
-def test_bench_sized_fits_keep_their_trees(make, monkeypatch):
+def test_bench_sized_fits_keep_their_trees(make):
     train, _ = stratified_split(make(), 0.7, seed=0)
     fits = {"adaboost": lambda: adaboost(train, 100),
             "random_forest": lambda: random_forest(train, 100, seed=0),
@@ -365,19 +363,11 @@ def test_bench_sized_fits_keep_their_trees(make, monkeypatch):
                 digest.update(part)
         digest.update(model.raw_alphas.tobytes())
         assert digest.hexdigest() == BENCH_DIGESTS[make.__name__, name], name
-
-    # every AdaBoost round reads its mistakes from the votes the fit left on
-    # the layout; they must be the tree's own predictions on the training rows
-    rounds = []
-
-    def fit_and_record(layout, *args, **kwargs):
-        tree = fit_tree(layout, *args, **kwargs)
-        rounds.append(np.array_equal(layout.votes, tree.predict(train.features)))
-        return tree
-
-    monkeypatch.setattr(ensemble, "fit_tree", fit_and_record)
-    model = adaboost(train, 100)
-    assert len(rounds) >= model.n_learners and all(rounds)
+        # the training votes the fit hands out are the matrix a fresh prediction builds
+        want = prediction_matrix(model, train)
+        assert model.train_matrix.entries.shape == want.entries.shape, name
+        assert model.train_matrix.entries.tobytes() == want.entries.tobytes(), name
+        assert model.train_matrix.labels.tobytes() == want.labels.tobytes(), name
 
 
 def test_stump_never_worse_than_majority():

@@ -141,13 +141,15 @@ def test_bounds_bad_theta(model_and_data, capsys):
 @pytest.mark.parametrize("args, message", [
     ("--theta inf --hspace 500", "theta0 must be finite"),
     ("--theta 1e200 --hspace 500", "R underflows to 0 at theta0 = 1e+200"),
+    ("--theta 1e-200 --vc 6", "leaves the float range at theta = 1e-200"),
+    ("--theta 1e200 --vc 6", "leaves the float range at theta = 1e+200"),
     ("--theta nan --vc 6", "theta must be positive and finite"),
     ("--theta 0.1 --vc nan", "positive finite capacity d"),
     ("--theta 0.1 --vc inf", "positive finite capacity d"),
     ("--theta 0.5 --hspace nan", "hypothesis-space size must be finite"),
     ("--theta 0.5 --hspace inf", "hypothesis-space size must be finite"),
-], ids=["theta-inf", "r-underflow", "theta-nan", "vc-nan", "vc-inf", "hspace-nan",
-        "hspace-inf"])
+], ids=["theta-inf", "r-underflow", "schapire-underflow", "schapire-overflow",
+        "theta-nan", "vc-nan", "vc-inf", "hspace-nan", "hspace-inf"])
 def test_bounds_refuses_non_finite_numbers(model_and_data, capsys, args, message):
     model_path, data_path, _ = model_and_data
     assert main(["bounds", "--model", model_path, "--data", data_path, *args.split()]) == 1
@@ -182,6 +184,11 @@ def _n_features_true(blob):
         tree["feature"] = [0 if f >= 0 else f for f in tree["feature"]]
 
 
+def _alphas_true(blob):
+    # JSON true equals 1 in Python, so these would load as equal votes
+    blob["raw_alphas"] = [True] * len(blob["raw_alphas"])
+
+
 def _nested(blob):
     # the nested node layout that snapshots used before trees were flat arrays
     blob["trees"][0] = {
@@ -209,13 +216,13 @@ def _set(key, value, *path):
     (_five_features, "all learners must take the same number of features"),
     (_edit_model("raw_alphas", 0, float("nan")), "raw_alphas must be finite"),
     (_edit_model("raw_alphas", 0, float("inf")), "raw_alphas must be finite"),
-    (_edit_model("raw_alphas", 0, 10 ** 400), "int too large to convert to float"),
+    (_edit_model("raw_alphas", 0, 10 ** 400), "raw_alphas[0] lies past the float range"),
     (_edit("feature", 0, True), "node 0: feature, left and right must be integers"),
     (_edit("threshold", 0, True), "node 0: threshold must be a number"),
     (_edit("value", -1, True), "node 4: value must be -1 or +1"),
     (_edit("left", 0, 1.0), "node 0: feature, left and right must be integers"),
     (_n_features_true, "n_features must be a positive integer"),
-    (_edit("threshold", 0, 10 ** 400), "int too large to convert to float"),
+    (_edit("threshold", 0, 10 ** 400), "node 0: threshold lies past the float range"),
     (_set("seed", [1]), "seed must be an integer or null"),
     (_set("break_reason", [1]), "break_reason must be a string or null"),
     (_set("max_depth", 2.5, "tree_params"), "tree_params max_depth must be an integer"),
@@ -231,6 +238,13 @@ def _set(key, value, *path):
     (_edit("threshold", 0, "0.5"), "node 0: threshold must be a number"),
     (_edit("threshold", -1, "1.5"), "node 4: threshold must be a number"),
     (_edit("threshold", -1, None), "node 4: threshold must be a number"),
+    (_edit("threshold", -1, 10 ** 400), "node 4: threshold lies past the float range"),
+    (_alphas_true, "raw_alphas[0] must be a number"),
+    (_edit_model("raw_alphas", 0, False), "raw_alphas[0] must be a number"),
+    (_edit_model("raw_alphas", 1, "1.5"), "raw_alphas[1] must be a number"),
+    (_edit_model("raw_alphas", 0, "x"), "raw_alphas[0] must be a number"),
+    (_edit_model("raw_alphas", 0, {}), "raw_alphas[0] must be a number"),
+    (_set("raw_alphas", 1.5), "raw_alphas must be a list of numbers"),
 ], ids=["feature-99", "feature-minus-1", "nan-threshold", "leaf-value-half", "nested",
         "mixed-n-features", "nan-raw-alpha", "inf-raw-alpha", "int-raw-alpha-past-float",
         "feature-true", "threshold-true", "leaf-value-true", "float-left",
@@ -238,7 +252,9 @@ def _set(key, value, *path):
         "depth-float", "depth-string", "leaves-float", "min-leaf-weight-true",
         "unknown-tree-param", "tree-params-list", "tree-number", "trees-object",
         "feature-number", "root-threshold-string", "leaf-threshold-string",
-        "leaf-threshold-null"])
+        "leaf-threshold-null", "int-leaf-threshold-past-float", "raw-alphas-true",
+        "raw-alpha-false", "raw-alpha-string", "raw-alpha-letter", "raw-alpha-object",
+        "raw-alphas-number"])
 def test_bounds_rejects_bad_snapshot(model_and_data, capsys, corrupt, message):
     model_path, data_path, _ = model_and_data
     blob = json.loads(Path(model_path).read_text())

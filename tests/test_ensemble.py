@@ -59,6 +59,16 @@ def test_useless_first_tree_is_an_error():
         adaboost(Dataset("flat", x, y), T=5)
 
 
+def test_dropped_round_leaves_no_training_row():
+    # one distinct value, so every tree is one leaf: the first errs on one row
+    # of four, and the second, on the reweighted rows, on half the weight
+    data = Dataset("flat", np.zeros((4, 1)), np.array([1.0, 1.0, 1.0, -1.0]))
+    model = adaboost(data, T=5)
+    assert "chance" in model.break_reason
+    assert model.train_matrix.n_learners == model.n_learners == 1
+    assert np.array_equal(model.train_matrix.entries, prediction_matrix(model, data).entries)
+
+
 def test_half_error_identity():
     data = spiral_like(n=20, seed=5)
     model = adaboost(data, T=10)
@@ -162,6 +172,9 @@ def test_model_validation():
     # raw_alphas to the tree parameters
     with pytest.raises(TypeError):
         EnsembleModel("bagging", (tree,), np.array([1.0]), np.array([1.0]), TreeParams())
+    one_row = PredictionMatrix(np.ones((1, 2)), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="one row per learner"):
+        EnsembleModel("bagging", (tree, tree), np.ones(2), TreeParams(), train_matrix=one_row)
     model = EnsembleModel("bagging", (tree, tree), np.array([3.0, 1.0]), TreeParams())
     assert model.vote_weights.tolist() == [0.75, 0.25]
     with pytest.raises(ValueError):
@@ -193,6 +206,11 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.array_equal(clone.raw_alphas, model.raw_alphas)
     assert [t.to_dict() for t in clone.trees] == [t.to_dict() for t in model.trees]
     assert error_rate(clone, data) == error_rate(model, data)
+    # the training votes are not written, and the snapshot of the clone is the same bytes
+    assert model.train_matrix is not None and clone.train_matrix is None
+    again = tmp_path / "again.json"
+    save_model(clone, again)
+    assert again.read_bytes() == path.read_bytes()
     blob = json.loads(path.read_text())
     assert "vote_weights" not in blob
     # an older snapshot also wrote vote_weights; the weights derive from raw_alphas

@@ -236,6 +236,24 @@ def test_record_recomputable_from_seed():
     assert training_error_from_margins(profile, test.labels) == rec.scheme_errors["uws"]
 
 
+def test_simulation_predicts_only_the_test_rows(monkeypatch):
+    # the training votes come with the fitted model, so only the test rows are predicted
+    seen = []
+
+    def spy(model, data):
+        seen.append(data)
+        return prediction_matrix(model, data)
+
+    monkeypatch.setattr(harness, "prediction_matrix", spy)
+    config = tiny_config()
+    rec = run_one_simulation(config, 0)
+    assert rec.failure is None
+    _, test = stratified_split(config.dataset, config.train_fraction, rec.seed)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].features, test.features)
+    assert np.array_equal(seen[0].labels, test.labels)
+
+
 def test_frozen_split_repeats_adaboost_exactly():
     config = tiny_config(simulations=3, freeze_split=True)
     report = run_experiment(config)
