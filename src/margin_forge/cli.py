@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, ValueError, ArithmeticError, OSError) as exc:
+    except (RuntimeError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

@@ -125,12 +125,6 @@ def _check_two_classes(data: Dataset):
         raise DatasetError("training data must contain both classes")
 
 
-def _reweight(dist, alpha: float, wrong) -> np.ndarray:
-    # y_i h_t(x_i) is +1 on a hit and -1 on a miss
-    updated = dist * np.exp(-alpha * np.where(wrong, -1.0, 1.0))
-    return updated / updated.sum()
-
-
 def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> EnsembleModel:
     """Sequential reweighting: D starts uniform, each round fits a tree on D,
     scores its weighted error, and exponentially upweights the mistakes.
@@ -145,30 +139,33 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     layout = TreeLayout(train.features, train.labels)
     n = train.n_rows
     dist = np.full(n, 1.0 / n)
-    entries = np.empty((T, n), dtype=np.float32)
+    rows: list[np.ndarray] = []
     trees: list[Tree] = []
     alphas: list[float] = []
     break_reason = None
     for _ in range(T):
         tree = fit_tree(layout, weights=dist, params=params)
-        row = np.multiply(tree.predict(layout.features), layout.labels, out=entries[len(trees)])
-        wrong = row < 0
-        eps = float(dist[wrong].sum())
+        # the signed vote y_i h_t(x_i): -1 marks a mistake, and it drives the update
+        row = np.multiply(tree.predict(layout.features), layout.labels, dtype=np.float32)
+        eps = float(dist[row < 0].sum())
         if eps >= 0.5:
             break_reason = f"round error {eps:.6f} is no better than chance"
             break
         alpha = 0.5 * math.log((1.0 - eps) / max(eps, EPS_FLOOR))
         trees.append(tree)
         alphas.append(alpha)
+        rows.append(row)
         if eps == 0.0:
             break_reason = "a round fit its training distribution perfectly"
             break
-        dist = _reweight(dist, alpha, wrong)
+        # D * exp(-alpha y h), formed in float64: a float32 product would round alpha
+        dist = dist * np.exp(np.multiply(row, -alpha, dtype=float))
+        dist /= dist.sum()
     if not trees:
         raise EnsembleError(f"no usable learners: {break_reason}")
     return EnsembleModel("adaboost", tuple(trees), np.array(alphas), params,
                          break_reason=break_reason,
-                         train_matrix=PredictionMatrix(entries[:len(trees)], train.labels))
+                         train_matrix=PredictionMatrix(np.stack(rows), train.labels))
 
 
 def random_forest(train: Dataset, T: int, m_try: int | None = None,
@@ -189,16 +186,14 @@ def random_forest(train: Dataset, T: int, m_try: int | None = None,
     if not 1 <= m_try <= p:
         raise ValueError(f"m_try must lie in [1, {p}]")
     layout = TreeLayout(train.features, train.labels)
-    entries = np.empty((T, n), dtype=np.float32)
     trees = []
     for t in range(T):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n) / n
         subset = np.sort(rng.choice(p, size=m_try, replace=False))
         trees.append(fit_tree(layout, weights=weights, params=params, feature_subset=subset))
-        np.multiply(trees[t].predict(layout.features), layout.labels, out=entries[t])
-    return EnsembleModel("random-forest", tuple(trees), np.ones(T), params, seed=seed,
-                         train_matrix=PredictionMatrix(entries, train.labels))
+    model = EnsembleModel("random-forest", tuple(trees), np.ones(T), params, seed=seed)
+    return replace(model, train_matrix=prediction_matrix(model, train))
 
 
 def bagging(train: Dataset, T: int, params: TreeParams | None = None,

@@ -84,10 +84,11 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
         raise ValueError("one weight per learner required")
     # the entries are signed votes, so w @ entries is the margin itself;
     # equal weights scale the integer vote count once: a tied vote is exactly 0.
-    # Both are formed in float64 from the float32 entries
+    # The count is summed in float32, exact while T < 2**24; the weighted
+    # margin is formed in float64 from the float32 entries
     s = matrix.entries
     if np.all(w == w[0]):
-        return MarginProfile(s.sum(axis=0, dtype=float) * w[0])
+        return MarginProfile(s.sum(axis=0).astype(float) * w[0])
     return MarginProfile(w @ s.astype(float))
 
 

@@ -115,10 +115,17 @@ def _emphasis(spec: RewSpec, margins: np.ndarray) -> np.ndarray:
     """The row emphasis of a margin-maximizing scheme: all ones (uws),
     n**k down to 1**k from the smallest margin up (ews), or 1 on the
     ceil(n*xi) smallest margins and 0 elsewhere (pws).  Equal margins are
-    ordered by row index."""
+    ordered by row index.  An ews whose n**k passes the float range is
+    refused before any power is taken."""
     n = margins.size
     if spec.scheme == "uws":
         return np.ones(n)
+    if spec.scheme == "ews":
+        try:
+            math.pow(n, spec.k)
+        except OverflowError:
+            raise ValueError(f"{spec.label} on {n} rows: the largest emphasis "
+                             f"{n}**{spec.k} lies past the float range") from None
     order = np.argsort(margins, kind="stable")
     r = np.zeros(n)
     if spec.scheme == "ews":

@@ -2,14 +2,15 @@
 
 The package keeps only the running distribution inside `adaboost`.  This
 function rebuilds every round's distribution from the model's trees and
-raw round coefficients with the package's own update rule, so the tests
-can check that each round scores exactly half error on the next
-distribution.  It is kept as it was in the package.
+raw round coefficients, so the tests can check that each round scores
+exactly half error on the next distribution.  It states the update rule
+D <- D exp(-alpha y h) / Z itself, with y h rebuilt from a fresh
+prediction, so the replay does not reuse the code it checks.
 """
 import numpy as np
 
 from margin_forge.dataset_io import Dataset
-from margin_forge.ensemble import EnsembleModel, _reweight
+from margin_forge.ensemble import EnsembleModel
 
 
 def replay_distributions(model: EnsembleModel, train: Dataset) -> np.ndarray:
@@ -21,6 +22,8 @@ def replay_distributions(model: EnsembleModel, train: Dataset) -> np.ndarray:
     n = train.n_rows
     rows = [np.full(n, 1.0 / n)]
     for tree, alpha in zip(model.trees, model.raw_alphas):
-        wrong = tree.predict(x) != y
-        rows.append(_reweight(rows[-1], float(alpha), wrong))
+        # y_i h_t(x_i) is +1 on a hit and -1 on a miss
+        signed = np.where(tree.predict(x) == y, 1.0, -1.0)
+        updated = rows[-1] * np.exp(-float(alpha) * signed)
+        rows.append(updated / updated.sum())
     return np.vstack(rows)

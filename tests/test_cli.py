@@ -43,6 +43,17 @@ def test_data_info_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_allocation_failure_is_reported(monkeypatch, capsys):
+    # raised by the stand-in, so no test ever asks for the terabytes
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array")
+    monkeypatch.setattr(cli, "generate_synthetic", refuse)
+    assert main(["data", "info", "synthetic:two-gaussians:1000000000000:1:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failure: Unable to allocate 29.1 TiB for an array\n"
+
+
 def test_data_split_writes_files(tmp_path, capsys):
     train = tmp_path / "train.csv"
     test = tmp_path / "test.csv"
@@ -429,6 +440,16 @@ def test_experiment_duplicate_key(tmp_path, capsys):
                                  "schemes = uws\nsims = 2\nsims = 3\n")
     assert main(["experiment", "--config", cfg]) == 1
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_experiment_refuses_an_ews_power_past_the_float_range(tmp_path, capsys):
+    # 1400 training rows: 1400**100 is about 4e314
+    cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:2000:1.5:1\n"
+                                 "schemes = ews:100\nsims = 2\nT = 3\n")
+    assert main(["experiment", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ews:100 on 1400 rows:")
+    assert "non-finite" not in err
 
 
 def test_experiment_table_family_mismatch(tmp_path, capsys):

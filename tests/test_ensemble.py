@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ def test_perfect_first_tree_breaks_with_one_learner():
     assert "perfectly" in model.break_reason
     assert model.vote_weights[0] == 1.0
     assert error_rate(model, Dataset("sep", x, y)) == 0.0
+
+
+def test_rounds_that_do_not_run_allocate_nothing():
+    # the classes lie far apart, so the first round is perfect and ends the loop;
+    # a buffer sized for T rounds would trace 240 MB here
+    data = generate_synthetic("two-gaussians", 60, 0.1, 3)
+    tracemalloc.start()
+    try:
+        model = adaboost(data, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_learners == 1
+    assert peak < 1_000_000
 
 
 def test_useless_first_tree_is_an_error():

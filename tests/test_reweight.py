@@ -108,6 +108,15 @@ def test_ews_strictly_decreasing_over_distinct_ranks():
     assert np.all(np.diff(r[order]) < 0)
 
 
+def test_ews_past_the_float_range_is_refused_before_any_power():
+    # 20**236 is about 1.1e308 and fits in a float; 20**237 does not.  The
+    # suite turns warnings into errors, so an overflow warning fails here too
+    matrix, alpha = random_instance(np.random.default_rng(5), 20, 3)
+    assert apply_scheme(RewSpec("ews", k=236), matrix, alpha).feasible
+    with pytest.raises(ValueError, match=r"ews:237 on 20 rows: .* 20\*\*237 lies past"):
+        apply_scheme(RewSpec("ews", k=237), matrix, alpha)
+
+
 def test_mm_single_learner_is_identity():
     m = matrix_of([[1], [-1], [1]], [1, 1, -1])
     result = apply_scheme(RewSpec("uws"), m, [1.0])
