@@ -34,7 +34,7 @@ from .harness import (
     simulation_rows,
 )
 from .margins import compute_margins, margin_improvement, write_cmd
-from .reweight import apply_scheme, parse_spec
+from .reweight import apply_scheme, ews_powers, parse_spec
 
 class CliError(Exception):
     """Configuration problem; the process exits with status 1."""
@@ -117,6 +117,11 @@ def _cmd_reweight(args) -> int:
     model = _load_snapshot(args.model)
     data = _load_ref(args.data, args.fmt, args.label_column)
     matrix = _matrix_for(model, data)
+    if spec.scheme == "ews":
+        try:  # an emphasis past the float range is a choice of k, refused up front
+            ews_powers(spec, matrix.n_rows)
+        except ValueError as exc:
+            raise CliError(str(exc))
     result = apply_scheme(spec, matrix, model.vote_weights)
     print(f"scheme\t{result.scheme}")
     print(f"feasible\t{'yes' if result.feasible else 'no'}")

@@ -22,6 +22,8 @@ class DatasetError(ValueError):
 # largest dense matrix a sparse-index file may expand to: rows x largest
 # index cells, 256 MiB of float64
 SPARSE_MAX_CELLS = 2 ** 25
+# delimited rows split and converted at a time: their tokens are the parse's transient
+ROW_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -114,15 +116,26 @@ def _map_labels(raw: list[str], path: Path) -> np.ndarray:
 
 def _parse_delimited(lines: list[str], path: Path, label_column: int,
                      delimiter: str | None):
+    """Features, raw label tokens and header of a delimited file's lines.
+
+    Every line's field count is checked against the first line's, by
+    counting delimiters, before the header is judged and before any token
+    is converted.  The data rows are then split and converted ROW_BLOCK at a
+    time into one preallocated float64 array, so the split tokens of only
+    one block are alive at once.  numpy applies float() to each str, and a
+    block it refuses is read token by token to name the first bad token,
+    which is the first in the file, since every earlier block converted.
+    """
     if delimiter is None:
         delimiter = "\t" if "\t" in lines[0] else ","
-    rows = [ln.split(delimiter) for ln in lines]
-    width = len(rows[0])
+    first = lines[0].split(delimiter)
+    width = len(first)
     if width < 2:
         raise DatasetError(f"{path}: need at least one feature column plus the label")
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DatasetError(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
+    for i, ln in enumerate(lines):
+        if ln.count(delimiter) != width - 1:
+            raise DatasetError(f"{path}: row {i + 1} has {ln.count(delimiter) + 1} fields, "
+                               f"expected {width}")
     col = label_column if label_column >= 0 else width + label_column
     if not 0 <= col < width:
         raise DatasetError(f"{path}: label column {label_column} out of range")
@@ -136,29 +149,31 @@ def _parse_delimited(lines: list[str], path: Path, label_column: int,
 
     # a header row has no numeric feature tokens at all; a mixed row is data with a typo
     header = None
-    first_feats = [tok for j, tok in enumerate(rows[0]) if j != col]
-    if not any(is_number(tok.strip()) for tok in first_feats):
-        header = [tok.strip() for j, tok in enumerate(rows[0]) if j != col]
-        rows = rows[1:]
-        if not rows:
+    if not any(is_number(tok.strip()) for j, tok in enumerate(first) if j != col):
+        header = [tok.strip() for j, tok in enumerate(first) if j != col]
+        lines = lines[1:]
+        if not lines:
             raise DatasetError(f"{path}: header only, no data rows")
 
-    raw_labels = [row.pop(col).strip() for row in rows]
-    try:
-        # one conversion of every row: numpy applies float() to each str
-        return np.array(rows, dtype=float), raw_labels, header
-    except ValueError:
-        pass  # the token loop below names the first bad token
-    features = np.empty((len(rows), width - 1))
-    for i, row in enumerate(rows):
-        for k, tok in enumerate(row):
-            tok = tok.strip()
-            if tok == "":
-                raise DatasetError(f"{path}: row {i + 1} has a missing value")
-            try:
-                features[i, k] = float(tok)
-            except ValueError:
-                raise DatasetError(f"{path}: non-numeric feature token {tok!r} in row {i + 1}")
+    features = np.empty((len(lines), width - 1))
+    raw_labels = []
+    for start in range(0, len(lines), ROW_BLOCK):
+        rows = [ln.split(delimiter) for ln in lines[start:start + ROW_BLOCK]]
+        raw_labels += [row.pop(col).strip() for row in rows]
+        try:
+            features[start:start + len(rows)] = np.array(rows, dtype=float)
+            continue
+        except ValueError:
+            pass  # the token loop below names the first bad token
+        for i, row in enumerate(rows, start):
+            for k, tok in enumerate(row):
+                tok = tok.strip()
+                if tok == "":
+                    raise DatasetError(f"{path}: row {i + 1} has a missing value")
+                try:
+                    features[i, k] = float(tok)
+                except ValueError:
+                    raise DatasetError(f"{path}: non-numeric feature token {tok!r} in row {i + 1}")
     return features, raw_labels, header
 
 

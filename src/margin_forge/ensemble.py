@@ -77,7 +77,12 @@ class PredictionMatrix:
     and every integer sum of them below 2**24 (a vote count, a row sum, an
     entry of the Gram matrix S S') is exact in float32.  Every reader that
     weights the votes or solves with them computes in float64, so its
-    results are those of float64 entries, bit for bit.
+    results are those of float64 entries, bit for bit.  The weighted
+    products w @ entries cast one column tile at a time
+    (margins.vote_product), so a pass over a large matrix holds its 4 bytes
+    a cell and a bounded float64 buffer, not an 8-byte copy; only the
+    margin LP, which states its constraints from training matrices, casts
+    the whole matrix.
     """
     entries: np.ndarray   # (T, n) of +-1: y_i h_t(x_i), +1 where learner t is right on row i
     labels: np.ndarray    # (n,) of +-1

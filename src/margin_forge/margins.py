@@ -78,6 +78,35 @@ def simplex_weights(w, n_learners: int) -> np.ndarray:
     return a
 
 
+TILE = 2048   # columns per tile of vote_product
+
+
+def vote_product(w: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """w @ entries.astype(float), cast one column tile at a time.
+
+    Tiles start at multiples of TILE and the remainder is folded into the
+    last one, so no tile is narrower than TILE and fewer than 2 * TILE
+    columns are one tile.  Each tile is cast into the leading elements of
+    one reused float64 buffer of at most T * (2 * TILE - 1) cells, instead
+    of a (T, n) float64 copy.  OpenBLAS sums each column over T in an order
+    that does not depend on the column count at these widths, so at one
+    BLAS thread the result is that of the full cast, bit for bit
+    (tests/test_vote_storage.py pins the shapes; a last tile 1-3 columns
+    wide, which the fold rules out, is where it was seen to differ).
+    """
+    T, n = entries.shape
+    if n < 2 * TILE:
+        return w @ entries.astype(float)
+    cuts = [*range(0, n // TILE * TILE, TILE), n]
+    buffer = np.empty(T * (cuts[-1] - cuts[-2]))
+    out = np.empty(n)
+    for a, b in zip(cuts, cuts[1:]):
+        block = buffer[:T * (b - a)].reshape(T, b - a)
+        np.copyto(block, entries[:, a:b])
+        np.matmul(w, block, out=out[a:b])
+    return out
+
+
 def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
     w = np.asarray(weights, dtype=float)
     if w.shape != (matrix.n_learners,):
@@ -85,11 +114,11 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
     # the entries are signed votes, so w @ entries is the margin itself;
     # equal weights scale the integer vote count once: a tied vote is exactly 0.
     # The count is summed in float32, exact while T < 2**24; the weighted
-    # margin is formed in float64 from the float32 entries
+    # margin is formed in float64 from the float32 entries, tile by tile
     s = matrix.entries
     if np.all(w == w[0]):
         return MarginProfile(s.sum(axis=0).astype(float) * w[0])
-    return MarginProfile(w @ s.astype(float))
+    return MarginProfile(vote_product(w, s))
 
 
 def cmd(profile: MarginProfile) -> list[tuple[float, float]]:

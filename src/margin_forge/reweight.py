@@ -34,13 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleError, PredictionMatrix
-from .margins import MarginProfile, compute_margins, simplex_weights
+from .margins import MarginProfile, compute_margins, simplex_weights, vote_product
 from .simplex import FEAS_TOL, LpProblem, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
 GAP_TOL = 1e-9       # relative duality gap allowed on a margin LP's answer
 # float32 holds every integer up to 2**24, so a sum of fewer +-1 products is exact in it
 F32_EXACT_TERMS = 2 ** 24
+# sm2 normalizes only a fit whose coefficient sum exceeds this share of their l1
+# norm, so the normalized weights' l1 norm stays below 1 / SM2_MIN_SUM_RATIO
+SM2_MIN_SUM_RATIO = 1e-3
 
 
 class SelfCheckError(RuntimeError):
@@ -111,25 +114,42 @@ class RewResult:
         return self.old_profile.spread - self.new_profile.spread
 
 
+def ews_powers(spec: RewSpec, n: int) -> np.ndarray:
+    """n**k down to 1**k, the emphasis of an ews scheme on n rows by rank.
+
+    The reported gain sums emphasis times margin lifts, and a lift of
+    margins in [-1, +1] is at most 2.  So an ews whose n**k, or whose total
+    times 2, passes the float range is refused with a ValueError naming the
+    label and n, before any arithmetic that could overflow.
+    """
+    try:
+        math.pow(n, spec.k)
+    except OverflowError:
+        raise ValueError(f"{spec.label} on {n} rows: the largest emphasis "
+                         f"{n}**{spec.k} lies past the float range") from None
+    powers = np.arange(n, 0, -1, dtype=float) ** spec.k
+    try:
+        total = math.fsum(powers)
+    except OverflowError:  # fsum raises where the sum would overflow
+        total = math.inf
+    if total > np.finfo(float).max / 2:
+        raise ValueError(f"{spec.label} on {n} rows: the emphasis total {total:.6g} "
+                         f"times the largest lift 2 lies past the float range")
+    return powers
+
+
 def _emphasis(spec: RewSpec, margins: np.ndarray) -> np.ndarray:
     """The row emphasis of a margin-maximizing scheme: all ones (uws),
-    n**k down to 1**k from the smallest margin up (ews), or 1 on the
-    ceil(n*xi) smallest margins and 0 elsewhere (pws).  Equal margins are
-    ordered by row index.  An ews whose n**k passes the float range is
-    refused before any power is taken."""
+    n**k down to 1**k from the smallest margin up (ews, see ews_powers), or
+    1 on the ceil(n*xi) smallest margins and 0 elsewhere (pws).  Equal
+    margins are ordered by row index."""
     n = margins.size
     if spec.scheme == "uws":
         return np.ones(n)
-    if spec.scheme == "ews":
-        try:
-            math.pow(n, spec.k)
-        except OverflowError:
-            raise ValueError(f"{spec.label} on {n} rows: the largest emphasis "
-                             f"{n}**{spec.k} lies past the float range") from None
     order = np.argsort(margins, kind="stable")
     r = np.zeros(n)
     if spec.scheme == "ews":
-        r[order] = np.arange(n, 0, -1, dtype=float) ** spec.k
+        r[order] = ews_powers(spec, n)
     else:
         r[order[:math.ceil(n * spec.xi)]] = 1.0
     return r
@@ -196,8 +216,13 @@ def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
     are dropped; the rest must lie above lam_max * sqrt(eps), where the
     squared conditioning costs no more than half the digits.  An eigenvalue
     between the two leaves no clear gap, so the fit falls back to an SVD of
-    the (n, T) design.
+    the (n, T) design.  When every learner's votes sum to 0, the constant is
+    orthogonal to them all and the fit is exactly 0, which is returned as
+    such: the SVD would return its rounding, of any sum.
     """
+    votes = design.sum(axis=1, dtype=float)   # integer vote totals, exact
+    if not votes.any():
+        return np.zeros(design.shape[0])
     eps = np.finfo(float).eps
     work = design if design.shape[1] < F32_EXACT_TERMS else design.astype(float)
     lam, vecs = np.linalg.eigh((work @ work.T).astype(float))
@@ -208,7 +233,7 @@ def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
                                    rcond=None)
         return coef
     kept = vecs[:, ~null]
-    return kept @ ((kept.T @ (target * design.sum(axis=1, dtype=float))) / lam[~null])
+    return kept @ ((kept.T @ (target * votes)) / lam[~null])
 
 
 def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
@@ -221,18 +246,22 @@ def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
     unnormalized fit, summed from each row's misfit itself.  Another
     constant would scale the fit, and the normalization would divide that
     back out of the weights.  Normalized weights may be negative, and the
-    resulting margins may leave [-1, +1].
+    resulting margins may leave [-1, +1].  Their l1 norm is
+    |coef|_1 / |sum coef|, and the division lifts the rounding in coef as
+    much, so a fit whose sum is at most SM2_MIN_SUM_RATIO of |coef|_1 is
+    refused as non-normalizable.  The test is scale free, as the weights are.
     """
     a = simplex_weights(alpha, matrix.n_learners)
     old = compute_margins(matrix, a)
     signed = matrix.entries
     coef = _min_norm_fit(signed, old.mean)
     total = coef.sum()
-    if abs(total) < 1e-9:
-        raise EnsembleError("non-normalizable solution: coefficients sum to zero")
+    if not abs(total) > SM2_MIN_SUM_RATIO * np.abs(coef).sum():
+        raise EnsembleError(f"non-normalizable solution: coefficients sum to {total:.3g}, "
+                            f"at most {SM2_MIN_SUM_RATIO:g} of their absolute sum")
     w = coef / total
     new = compute_margins(matrix, w)
-    sse = float(np.sum((coef @ signed.astype(float) - old.mean) ** 2))
+    sse = float(np.sum((vote_product(coef, signed) - old.mean) ** 2))
     return RewResult("sm2", True, w, old, new, sse)
 
 

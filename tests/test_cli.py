@@ -111,6 +111,23 @@ def test_reweight_bad_scheme(model_and_data, capsys):
                  "--scheme", "maximize-harder"]) == 1
 
 
+@pytest.mark.parametrize("k, fault", [(1023, "the emphasis total"),
+                                      (1024, "the largest emphasis 2**1024")])
+def test_reweight_refuses_an_ews_past_the_float_range(model_and_data, tmp_path, capsys, k,
+                                                      fault):
+    model_path, data_path, _ = model_and_data
+    two = tmp_path / "two.csv"
+    lines = Path(data_path).read_text(encoding="utf-8").splitlines(keepends=True)
+    two.write_text("".join(lines[:2]), encoding="utf-8")
+    assert main(["reweight", "--model", model_path, "--data", str(two),
+                 "--scheme", f"ews:{k}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ews:{k} on 2 rows: {fault}")
+    assert main(["reweight", "--model", model_path, "--data", str(two),
+                 "--scheme", "ews:1022"]) == 0
+
+
 def test_reweight_feature_mismatch(model_and_data, tmp_path, capsys):
     model_path, _, _ = model_and_data
     import numpy as np

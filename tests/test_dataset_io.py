@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +199,45 @@ def test_first_bad_row_is_reported(tmp_path, bad, message):
     text = f"a,b,y\n1,2,0\n3,4,1\n5,{bad},0\n7,8,1\n,q,0\n"
     with pytest.raises(DatasetError, match=message):
         load_dataset(make_csv(tmp_path, text))
+
+
+def test_field_counts_are_checked_before_any_token(tmp_path):
+    # a bad token in row 2 and a short row in a later block: the field count wins
+    rows = ["1,2,0"] * (3 * dataset_io.ROW_BLOCK)
+    rows[1] = "1,x,0"
+    rows[2 * dataset_io.ROW_BLOCK + 5] = "1,0"
+    with pytest.raises(DatasetError, match=f"row {2 * dataset_io.ROW_BLOCK + 6} has 2 "
+                                           "fields, expected 3"):
+        load_dataset(make_csv(tmp_path, "\n".join(rows) + "\n"))
+
+
+def test_a_bad_token_in_a_later_block_names_its_data_row(tmp_path):
+    # data rows are counted after the header, across blocks
+    rows = ["a,b,y"] + ["1,2,0", "3,4,1"] * dataset_io.ROW_BLOCK
+    rows[dataset_io.ROW_BLOCK + 8] = "5,x,0"
+    rows[2 * dataset_io.ROW_BLOCK - 1] = "5,,0"
+    with pytest.raises(DatasetError, match=f"'x' in row {dataset_io.ROW_BLOCK + 8}$"):
+        load_dataset(make_csv(tmp_path, "\n".join(rows) + "\n"))
+
+
+def test_a_scoring_sized_file_loads_below_three_times_its_bytes(tmp_path):
+    # 20,000 rows of 34 features and a label, the benchmark's scoring shape.
+    # The split tokens of every row held at once cost 5.5 times the file's
+    # bytes; one block's tokens at a time, about 2.3 times
+    rng = np.random.default_rng(2)
+    data = Dataset("score", rng.normal(size=(20000, 34)),
+                   np.where(rng.random(20000) < 0.5, -1.0, 1.0))
+    path = tmp_path / "score.csv"
+    write_dataset(data, path)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
+    assert np.array_equal(loaded.features, data.features)
+    assert np.array_equal(loaded.labels, data.labels)
 
 
 def test_dataset_validation():

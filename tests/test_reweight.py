@@ -117,6 +117,15 @@ def test_ews_past_the_float_range_is_refused_before_any_power():
         apply_scheme(RewSpec("ews", k=237), matrix, alpha)
 
 
+def test_ews_whose_gain_could_pass_the_float_range_is_refused():
+    # on 2 rows 2**1023 fits, but the emphasis total 2**1023 + 1 times the
+    # largest lift 2 does not, and the gain would overflow to inf
+    m = matrix_of([[-1, 1], [1, 1]], [1, 1])
+    assert apply_scheme(RewSpec("ews", k=1022), m, [1.0, 0.0]).objective == 2.0 ** 1023
+    with pytest.raises(ValueError, match=r"ews:1023 on 2 rows: the emphasis total .* past"):
+        apply_scheme(RewSpec("ews", k=1023), m, [1.0, 0.0])
+
+
 def test_mm_single_learner_is_identity():
     m = matrix_of([[1], [-1], [1]], [1, 1, -1])
     result = apply_scheme(RewSpec("uws"), m, [1.0])
@@ -459,6 +468,16 @@ def test_sm2_non_normalizable_raises():
         sm2_weights(m, [0.5, 0.5])
 
 
+def test_sm2_refuses_learners_whose_votes_each_sum_to_zero(monkeypatch):
+    # the constant is orthogonal to every learner, so the fit is exactly 0;
+    # an SVD would return rounding, whose sum no scale-free test can judge
+    m = PredictionMatrix(np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]]),
+                         np.ones(4))
+    monkeypatch.setattr(np.linalg, "lstsq", None)
+    with pytest.raises(EnsembleError, match="non-normalizable.* sum to 0,"):
+        sm2_weights(m, [0.25, 0.75])
+
+
 def test_sm2_reductions_are_consistent():
     matrix, alpha = small_forest(n=50, T=15, seed=6)
     result = sm2_weights(matrix, alpha)
@@ -489,9 +508,20 @@ def test_sm2_matches_the_svd_least_squares_fit(seed, n, T, copies):
     alpha /= alpha.sum()
     target = compute_margins(matrix, alpha).mean
     coef = lstsq_reference(matrix, target)
-    # normalizing divides by the coefficient sum; near zero it amplifies
-    # rounding in either route past any fixed tolerance
-    assume(abs(coef.sum()) > 1e-6)
+    # normalizing divides by the coefficient sum, which lifts rounding in
+    # either route by |coef|_1 / |sum coef|, so sm2 refuses a sum at or below
+    # SM2_MIN_SUM_RATIO of |coef|_1.  Within a factor 2 of that threshold the
+    # two routes' rounding may put them on either side of it.  A zero target,
+    # or learners whose votes each sum to 0, make the exact fit 0, where
+    # lstsq returns rounding of any ratio
+    least = reweight.SM2_MIN_SUM_RATIO
+    zero_fit = target == 0 or not matrix.entries.sum(axis=1).any()
+    ratio = 0.0 if zero_fit else abs(coef.sum()) / np.abs(coef).sum()
+    assume(not least / 2 <= ratio <= 2 * least)
+    if ratio < least / 2:
+        with pytest.raises(EnsembleError, match="non-normalizable"):
+            sm2_weights(matrix, alpha)
+        return
     result = sm2_weights(matrix, alpha)
     assert np.abs(result.weights - coef / coef.sum()).max() <= 1e-9
     # a consistent system leaves only rounding in the SSE, hence the floor

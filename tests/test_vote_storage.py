@@ -4,8 +4,17 @@ PredictionMatrix keeps its +-1 entries in float32, and every reader
 computes in float64.  So each reader's result on a stored matrix must equal,
 bit for bit, its result on the same entries held in float64, which is how
 they were stored before (`float64_twin`).
+
+The weighted products are cast to float64 one column tile at a time
+(`margins.vote_product`), and they must equal the full cast bit for bit:
+a child interpreter pins that at one BLAS thread, the way the benchmark
+runs, on shapes that straddle the tile edges.
 """
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +25,8 @@ from margin_forge.dataset_io import generate_synthetic
 from margin_forge.ensemble import PredictionMatrix, adaboost, prediction_matrix, random_forest
 from margin_forge.margins import compute_margins
 from margin_forge.reweight import apply_scheme, parse_spec, sm2_weights
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def float64_twin(matrix):
@@ -188,3 +199,65 @@ def test_prediction_matrix_allocates_six_bytes_per_cell():
         tracemalloc.stop()
     assert matrix.entries.size == cells
     assert (peak - fortran_copy) / cells < 6.5
+
+
+TILED_PRODUCTS = """
+import numpy as np
+
+from margin_forge.ensemble import PredictionMatrix
+from margin_forge.margins import TILE, compute_margins
+from margin_forge.reweight import _min_norm_fit, sm2_weights
+
+# a last tile 1-3 columns wide is where unfolded tiles were seen to differ
+tails = [k * TILE + r for k in (2, 3) for r in (0, 1, 2, 3, 4, 1568)]
+shapes = [(T, n) for T in (1, 4, 5, 7, 8, 9, 100)
+          for n in [1, 100, TILE - 1, TILE + 3, 2 * TILE - 1, *tails]]
+shapes += [(500, n) for n in (2 * TILE + 1, 2 * TILE + 3, 3 * TILE + 2, 9 * TILE + 1568)]
+rng = np.random.default_rng(31)
+for T, n in shapes:
+    votes = rng.integers(0, 2, size=(T, n), dtype=np.int8).astype(np.float32) * 2 - 1
+    matrix = PredictionMatrix(votes, np.where(rng.random(n) < 0.5, -1.0, 1.0))
+    alpha = rng.random(T) + 0.1
+    alpha /= alpha.sum()
+    full = matrix.entries.astype(float)
+    want = alpha @ full
+    assert compute_margins(matrix, alpha).margins.tobytes() == want.tobytes(), (T, n)
+    mean = float(want.mean())
+    coef = _min_norm_fit(matrix.entries, mean)
+    sse = float(np.sum((coef @ full - mean) ** 2))
+    assert sm2_weights(matrix, alpha).objective.hex() == sse.hex(), (T, n)
+print("ok", len(shapes))
+"""
+
+
+def test_tiled_products_equal_the_full_cast_at_one_blas_thread():
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", TILED_PRODUCTS], capture_output=True,
+                         text=True, encoding="utf-8", env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ok", "123"]
+
+
+@pytest.fixture(scope="module")
+def scoring_sized():
+    # snapshot-score's shape: 500 learners over 20,000 rows, unequal weights
+    rng = np.random.default_rng(8)
+    votes = rng.integers(0, 2, size=(500, 20000), dtype=np.int8).astype(np.float32) * 2 - 1
+    alpha = rng.random(500) + 0.1
+    return PredictionMatrix(votes, np.ones(20000)), alpha / alpha.sum()
+
+
+@pytest.mark.parametrize("reader", [compute_margins, sm2_weights])
+def test_weighted_readers_peak_below_one_float64_cast(reader, scoring_sized):
+    # a full float64 cast of the entries would be 80 MB by itself; one tile
+    # buffer is at most 500 x (2 * TILE - 1) float64 cells, 16.4 MB
+    matrix, alpha = scoring_sized
+    tracemalloc.start()
+    try:
+        reader(matrix, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
