@@ -79,10 +79,12 @@ class PredictionMatrix:
     weights the votes or solves with them computes in float64, so its
     results are those of float64 entries, bit for bit.  The weighted
     products w @ entries cast one column tile at a time
-    (margins.vote_product), so a pass over a large matrix holds its 4 bytes
-    a cell and a bounded float64 buffer, not an 8-byte copy; only the
-    margin LP, which states its constraints from training matrices, casts
-    the whole matrix.
+    (margins.vote_product), so compute_margins and sm2 on its eigh path
+    hold the 4 bytes a cell and a bounded float64 buffer, not an 8-byte
+    copy.  Three readers still cast the whole matrix: the margin LP of the
+    uws, ews and pws schemes (on whatever matrix it is given, a scoring
+    file's too under the reweight command), sm2's SVD fallback, and sm2's
+    Gram matrix from 2**24 rows on.
     """
     entries: np.ndarray   # (T, n) of +-1: y_i h_t(x_i), +1 where learner t is right on row i
     labels: np.ndarray    # (n,) of +-1

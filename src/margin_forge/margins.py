@@ -85,19 +85,19 @@ def vote_product(w: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """w @ entries.astype(float), cast one column tile at a time.
 
     Tiles start at multiples of TILE and the remainder is folded into the
-    last one, so no tile is narrower than TILE and fewer than 2 * TILE
-    columns are one tile.  Each tile is cast into the leading elements of
-    one reused float64 buffer of at most T * (2 * TILE - 1) cells, instead
-    of a (T, n) float64 copy.  OpenBLAS sums each column over T in an order
-    that does not depend on the column count at these widths, so at one
-    BLAS thread the result is that of the full cast, bit for bit
-    (tests/test_vote_storage.py pins the shapes; a last tile 1-3 columns
-    wide, which the fold rules out, is where it was seen to differ).
+    last one, so no tile but a lone one is narrower than TILE and fewer than
+    2 * TILE columns are one tile.  Each tile is cast into the leading
+    elements of one reused float64 buffer of at most T * (2 * TILE - 1)
+    cells, instead of a (T, n) float64 copy.  At one BLAS thread the result
+    was the full cast's bit for bit on every shape tried, with OpenBLAS
+    0.3.31 and its SkylakeX kernel (the only build and CPU checked):
+    it sums each column over T in an order that does not depend on the
+    column count at these widths.  tests/test_vote_storage.py pins the
+    shapes; a last tile 1-3 columns wide, which the fold rules out, is
+    where it was seen to differ.
     """
     T, n = entries.shape
-    if n < 2 * TILE:
-        return w @ entries.astype(float)
-    cuts = [*range(0, n // TILE * TILE, TILE), n]
+    cuts = [*range(0, max(n // TILE, 1) * TILE, TILE), n]
     buffer = np.empty(T * (cuts[-1] - cuts[-2]))
     out = np.empty(n)
     for a, b in zip(cuts, cuts[1:]):
