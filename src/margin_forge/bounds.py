@@ -4,8 +4,8 @@ Three classical forms are evaluated as empirical plug-ins.  The
 margin-threshold form keeps its two terms separate (its hidden
 constant is nobody's to invent); the minimum-margin form carries
 domain preconditions surfaced through an `applicable` flag; the
-risk/disagreement form is computed from margin moments, which for
-simplex weights equal the Gibbs risk and the pairwise expected
+risk/disagreement form, the C-bound, is computed from margin moments,
+which for simplex weights equal the Gibbs risk and the pairwise expected
 disagreement.
 """
 from __future__ import annotations
@@ -105,10 +105,17 @@ def gibbs_risk(matrix: PredictionMatrix, weights) -> float:
 
 
 def germain_bound(matrix: PredictionMatrix, weights) -> BoundReport:
-    """Risk/disagreement form, computed from margin moments.
+    """The C-bound of Lacasse et al. 2006 and Germain et al. 2015 (JMLR),
+    computed from margin moments.
 
     R = (1 - mean margin)/2 and d_Q = (1 - mean squared margin)/2; both
-    identities hold exactly for simplex weights and +-1 predictions.
+    identities hold exactly for simplex weights and +-1 predictions.  The
+    C-bound 1 - (1 - 2R)**2 / (1 - 2 d_Q) is 1 - mu1**2 / mu2 in margin
+    moments, reported as sigma**2 / (sigma**2 + mu1**2) with sigma**2 the
+    margins' population variance: it lies in [0, 1] by construction, and by
+    Cantelli's inequality it bounds the fraction of margins at or below 0,
+    so the majority vote's error, under any distribution, the sample's
+    among them.  It needs a positive mean margin.
     """
     profile = compute_margins(matrix, simplex_weights(weights, matrix.n_learners))
     R = (1.0 - profile.mean) / 2.0
@@ -119,15 +126,9 @@ def germain_bound(matrix: PredictionMatrix, weights) -> BoundReport:
     if profile.mean <= 0:
         return BoundReport("germain", applicable=False, inputs=inputs,
                            reason="margin mean must be positive")
-    if abs(d_q - 0.5) <= 1e-12:
-        return BoundReport("germain", applicable=False, inputs=inputs,
-                           reason="disagreement at 1/2 makes the ratio blow up")
-    value = 1.0 - (1.0 - 2.0 * R) / (1.0 - 2.0 * d_q)
-    flags = []
-    if not 0.0 <= value <= 1.0:
-        flags.append("value outside [0, 1], reported unclamped")
-    return BoundReport("germain", applicable=True, value=value,
-                       inputs=inputs, flags=tuple(flags))
+    variance = profile.variance
+    return BoundReport("germain", applicable=True,
+                       value=variance / (variance + profile.mean ** 2), inputs=inputs)
 
 
 def report_rows(report: BoundReport) -> list[str]:

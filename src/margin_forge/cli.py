@@ -32,6 +32,7 @@ from .harness import (
     report_lines,
     run_experiment,
     simulation_rows,
+    training_row_count,
 )
 from .margins import compute_margins, margin_improvement, write_cmd
 from .reweight import apply_scheme, ews_powers, parse_spec
@@ -252,6 +253,10 @@ def _build_experiment(cfg: dict[str, str]) -> ExperimentConfig:
                                   tree_params=TreeParams(**tree), **settings)
         if "table" in cfg:
             check_table_family(cfg["table"], [s.label for s in config.schemes])
+        # an emphasis past the float range is a choice of k, refused before the run
+        for spec in config.schemes:
+            if spec.scheme == "ews":
+                ews_powers(spec, training_row_count(config))
         return config
     except ValueError as exc:
         raise CliError(str(exc))

@@ -72,19 +72,21 @@ class EnsembleModel:
 class PredictionMatrix:
     """A learner-major matrix of signed votes and the labels of its rows.
 
-    The entries are stored as a C-ordered, read-only float32 (T, n) array,
-    half the bytes of float64.  That loses nothing: every entry is -1 or +1,
-    and every integer sum of them below 2**24 (a vote count, a row sum, an
-    entry of the Gram matrix S S') is exact in float32.  Every reader that
-    weights the votes or solves with them computes in float64, so its
+    The entries are stored as a C-ordered, read-only int8 (T, n) array, one
+    byte a cell.  That loses nothing: every entry is -1 or +1.  Float input
+    is checked before it is narrowed, where int8 would truncate 0.5 or
+    1 + 1e-9; int8 input, which prediction_matrix and adaboost write, is
+    checked with its min, max and nonzero count, which make no per-cell
+    temporary.  Every reader that weights the votes or solves with them
+    computes in float64 (or, for an integer sum below 2**24 such as an
+    entry of the Gram matrix S S', in float32, where it is exact), so its
     results are those of float64 entries, bit for bit.  The weighted
-    products w @ entries cast one column tile at a time
-    (margins.vote_product), so compute_margins and sm2 on its eigh path
-    hold the 4 bytes a cell and a bounded float64 buffer, not an 8-byte
-    copy.  Three readers still cast the whole matrix: the margin LP of the
-    uws, ews and pws schemes (on whatever matrix it is given, a scoring
-    file's too under the reweight command), sm2's SVD fallback, and sm2's
-    Gram matrix from 2**24 rows on.
+    products w @ entries and sm2's Gram matrix cast one column tile at a
+    time (margins.column_tiles), so compute_margins and sm2 on its eigh
+    path hold the 1 byte a cell and a bounded buffer, not a whole cast.
+    Two readers still cast the whole matrix to float64: the margin LP of
+    the uws, ews and pws schemes (on whatever matrix it is given, a scoring
+    file's too under the reweight command) and sm2's SVD fallback.
     """
     entries: np.ndarray   # (T, n) of +-1: y_i h_t(x_i), +1 where learner t is right on row i
     labels: np.ndarray    # (n,) of +-1
@@ -94,11 +96,17 @@ class PredictionMatrix:
         y = np.array(self.labels, dtype=float)
         if h.ndim != 2 or h.shape[0] < 1 or y.shape != (h.shape[1],):
             raise ValueError("entries must be (T, n), T >= 1, with one label per row")
-        # checked before narrowing, where 1 + 1e-9 would round to 1
-        if not np.all(np.isin(h, (-1.0, 1.0))) or not np.all(np.isin(y, (-1.0, 1.0))):
+        if h.dtype == np.int8:
+            # min, max and the nonzero count scan without a per-cell temporary
+            votes = h.size == 0 or (h.min() >= -1 and h.max() <= 1
+                                    and np.count_nonzero(h) == h.size)
+        else:
+            # checked before narrowing, where 0.5 or 1 + 1e-9 would truncate
+            votes = np.all(np.isin(h, (-1.0, 1.0)))
+        if not votes or not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("entries and labels must be -1 or +1")
-        # C order fixes the summation order of w @ entries; C float32 input is kept
-        h = np.asarray(h, dtype=np.float32, order="C")
+        # C order fixes the summation order of w @ entries; C int8 input is kept
+        h = np.asarray(h, dtype=np.int8, order="C")
         h.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "entries", h)
@@ -153,7 +161,7 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     for _ in range(T):
         tree = fit_tree(layout, weights=dist, params=params)
         # the signed vote y_i h_t(x_i): -1 marks a mistake, and it drives the update
-        row = np.multiply(tree.predict(layout.features), layout.labels, dtype=np.float32)
+        row = np.multiply(tree.predict(layout.features), layout.labels).astype(np.int8)
         eps = float(dist[row < 0].sum())
         if eps >= 0.5:
             break_reason = f"round error {eps:.6f} is no better than chance"
@@ -165,7 +173,7 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
         if eps == 0.0:
             break_reason = "a round fit its training distribution perfectly"
             break
-        # D * exp(-alpha y h), formed in float64: a float32 product would round alpha
+        # D * exp(-alpha y h), formed in float64 from the int8 row
         dist = dist * np.exp(np.multiply(row, -alpha, dtype=float))
         dist /= dist.sum()
     if not trees:
@@ -215,13 +223,13 @@ def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
     every row of data.
 
     The features are put in Fortran order once, so every node test of
-    every tree reads a contiguous column, and each tree's signed votes
-    fill one contiguous float32 row of the matrix.
+    every tree reads a contiguous column, and each tree's signed votes,
+    the exact +-1 product, fill one contiguous int8 row of the matrix.
     """
     x = np.asfortranarray(data.features)
-    entries = np.empty((model.n_learners, data.n_rows), dtype=np.float32)
+    entries = np.empty((model.n_learners, data.n_rows), dtype=np.int8)
     for t, tree in enumerate(model.trees):
-        np.multiply(tree.predict(x), data.labels, out=entries[t])
+        np.multiply(tree.predict(x), data.labels, out=entries[t], casting="unsafe")
     return PredictionMatrix(entries, data.labels)
 
 

@@ -240,6 +240,17 @@ def simulation_rows(config: ExperimentConfig) -> Dataset:
     return data.take(keep, name=f"{data.name}/sub{limit}")
 
 
+def training_row_count(config: ExperimentConfig) -> int:
+    """The rows each simulation trains on, the same for every seed: all of
+    simulation_rows with a designated test set, else ceil(train_fraction *
+    count) of each class, as split_indices takes them."""
+    data = simulation_rows(config)
+    if config.test_dataset is not None:
+        return data.n_rows
+    return sum(math.ceil(config.train_fraction * count)
+               for count in data.class_counts().values())
+
+
 def _resampling_note(config: ExperimentConfig) -> str:
     if config.test_dataset is not None:
         split = "designated test set, no split resampling"

@@ -78,32 +78,42 @@ def simplex_weights(w, n_learners: int) -> np.ndarray:
     return a
 
 
-TILE = 2048   # columns per tile of vote_product
+TILE = 2048   # columns per tile of column_tiles
 
 
-def vote_product(w: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """w @ entries.astype(float), cast one column tile at a time.
+def column_tiles(entries: np.ndarray, dtype):
+    """Yield (a, b, tile): entries[:, a:b] cast to dtype, for column cuts
+    that cover the matrix.
 
     Tiles start at multiples of TILE and the remainder is folded into the
     last one, so no tile but a lone one is narrower than TILE and fewer than
     2 * TILE columns are one tile.  Each tile is cast into the leading
-    elements of one reused float64 buffer of at most T * (2 * TILE - 1)
-    cells, instead of a (T, n) float64 copy.  At one BLAS thread the result
-    was the full cast's bit for bit on every shape tried, with OpenBLAS
-    0.3.31 and its SkylakeX kernel (the only build and CPU checked):
-    it sums each column over T in an order that does not depend on the
-    column count at these widths.  tests/test_vote_storage.py pins the
-    shapes; a last tile 1-3 columns wide, which the fold rules out, is
-    where it was seen to differ.
+    elements of one reused buffer of at most T * (2 * TILE - 1) cells,
+    instead of a (T, n) copy; a tile is valid until the next one is drawn.
     """
     T, n = entries.shape
     cuts = [*range(0, max(n // TILE, 1) * TILE, TILE), n]
-    buffer = np.empty(T * (cuts[-1] - cuts[-2]))
-    out = np.empty(n)
+    buffer = np.empty(T * (cuts[-1] - cuts[-2]), dtype=dtype)
     for a, b in zip(cuts, cuts[1:]):
-        block = buffer[:T * (b - a)].reshape(T, b - a)
-        np.copyto(block, entries[:, a:b])
-        np.matmul(w, block, out=out[a:b])
+        tile = buffer[:T * (b - a)].reshape(T, b - a)
+        np.copyto(tile, entries[:, a:b])
+        yield a, b, tile
+
+
+def vote_product(w: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """w @ entries.astype(float), cast one float64 column tile at a time
+    (column_tiles).
+
+    At one BLAS thread the result was the full cast's bit for bit on every
+    shape tried, with OpenBLAS 0.3.31 and its SkylakeX kernel (the only
+    build and CPU checked): it sums each column over T in an order that
+    does not depend on the column count at these widths.
+    tests/test_vote_storage.py pins the shapes; a last tile 1-3 columns
+    wide, which the fold rules out, is where it was seen to differ.
+    """
+    out = np.empty(entries.shape[1])
+    for a, b, tile in column_tiles(entries, float):
+        np.matmul(w, tile, out=out[a:b])
     return out
 
 
@@ -113,11 +123,12 @@ def compute_margins(matrix: PredictionMatrix, weights) -> MarginProfile:
         raise ValueError("one weight per learner required")
     # the entries are signed votes, so w @ entries is the margin itself;
     # equal weights scale the integer vote count once: a tied vote is exactly 0.
-    # The count is summed in float32, exact while T < 2**24; the weighted
-    # margin is formed in float64 from the float32 entries, tile by tile
+    # The count is summed in int32 (the default int8 sum widens to int64,
+    # which is slower); the weighted margin is formed in float64 from the int8
+    # entries, tile by tile
     s = matrix.entries
     if np.all(w == w[0]):
-        return MarginProfile(s.sum(axis=0).astype(float) * w[0])
+        return MarginProfile(s.sum(axis=0, dtype=np.int32).astype(float) * w[0])
     return MarginProfile(vote_product(w, s))
 
 

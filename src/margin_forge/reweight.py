@@ -34,12 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleError, PredictionMatrix
-from .margins import MarginProfile, compute_margins, simplex_weights, vote_product
+from .margins import MarginProfile, column_tiles, compute_margins, simplex_weights, vote_product
 from .simplex import FEAS_TOL, LpProblem, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
 GAP_TOL = 1e-9       # relative duality gap allowed on a margin LP's answer
-# float32 holds every integer up to 2**24, so a sum of fewer +-1 products is exact in it
+# float32 holds every integer up to 2**24, so a sum of fewer +-1 products, and
+# every partial sum on the way, is exact in it: sm2's Gram matrix of int8 votes
+# is formed in float32 below this many columns, in float64 from it on
 F32_EXACT_TERMS = 2 ** 24
 # sm2 normalizes only a fit whose coefficient sum exceeds this share of their l1
 # norm, so the normalized weights' l1 norm stays below 1 / SM2_MIN_SUM_RATIO
@@ -208,9 +210,11 @@ def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
     (Golub & Van Loan, Matrix Computations, 5.3 and 5.5): coef is the sum of
     v (v.b / lam) over the kept eigenpairs, which is the pseudo-inverse
     solution.  G's entries are sums of ±1 products, exact in any summation
-    order.  The design is stored in float32 (see PredictionMatrix), so G is
-    formed in float32 while there are fewer than F32_EXACT_TERMS columns,
-    where those integer sums are exact, in float64 beyond, and then cast to
+    order.  The design is stored in int8 (see PredictionMatrix), so G is
+    summed one column tile at a time (margins.column_tiles), G += tile
+    tile', in float32 while there are fewer than F32_EXACT_TERMS columns,
+    where every partial sum is an exact integer and so equals the
+    whole-matrix product bit for bit, in float64 beyond, and then cast to
     float64 for eigh; b and the SVD fallback are computed in float64.
     Eigenvalues at or below lam_max * T * eps are the null space and
     are dropped; the rest must lie above lam_max * sqrt(eps), where the
@@ -224,8 +228,11 @@ def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
     if not votes.any():
         return np.zeros(design.shape[0])
     eps = np.finfo(float).eps
-    work = design if design.shape[1] < F32_EXACT_TERMS else design.astype(float)
-    lam, vecs = np.linalg.eigh((work @ work.T).astype(float))
+    dtype = np.float32 if design.shape[1] < F32_EXACT_TERMS else np.float64
+    gram = np.zeros((design.shape[0],) * 2, dtype=dtype)
+    for _, _, tile in column_tiles(design, dtype):
+        gram += tile @ tile.T
+    lam, vecs = np.linalg.eigh(gram.astype(float))
     top = lam[-1]
     null = lam <= top * design.shape[0] * eps
     if np.any(~null & (lam <= top * math.sqrt(eps))):

@@ -279,7 +279,7 @@ def _pairwise_vote_bound(matrix: PredictionMatrix, w: np.ndarray) -> float:
         for u in range(T):
             differ = sum(1 for i in range(n) if h[i, t] != h[i, u])
             disagreement += w[t] * w[u] * differ / n
-    return 1.0 - (1.0 - 2.0 * risk) / (1.0 - 2.0 * disagreement)
+    return 1.0 - (1.0 - 2.0 * risk) ** 2 / (1.0 - 2.0 * disagreement)
 
 
 def test_vote_bound_identities(capsys):
@@ -295,8 +295,11 @@ def test_vote_bound_identities(capsys):
             w /= w.sum()
             matrix = PredictionMatrix(h.T * y, y)
             report = germain_bound(matrix, w)
-            assert report.applicable
-            assert abs(report.value - _pairwise_vote_bound(matrix, w)) <= 1e-10
+            assert report.applicable and not report.flags
+            assert abs(report.value - _pairwise_vote_bound(matrix, w)) <= 1e-12
+            # the C-bound bounds the vote's error on the sample; a tie says +1
+            said = np.where(h @ w >= 0, 1.0, -1.0)
+            assert 0.0 <= float(np.mean(said != y)) <= report.value <= 1.0
 
         grid = np.linspace(0.26, 0.9, 12)
         values = []

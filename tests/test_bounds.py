@@ -7,10 +7,13 @@ import pytest
 from margin_forge.bounds import (
     BoundReport, breiman_bound, germain_bound, gibbs_risk, report_rows, schapire_terms,
 )
-from margin_forge.ensemble import PredictionMatrix
+from margin_forge.cart import TreeParams
+from margin_forge.dataset_io import stratified_split
+from margin_forge.ensemble import PredictionMatrix, adaboost, random_forest
 from margin_forge.margins import MarginProfile, compute_margins
 
-from disagreement_oracle import expected_disagreement
+from bench_data import pima_like, sonar_like
+from disagreement_oracle import c_bound, expected_disagreement, majority_vote_error
 
 
 def matrix_of(entries, labels):
@@ -138,13 +141,14 @@ def test_germain_single_perfect_learner():
     assert report.value == pytest.approx(0.0, abs=1e-15)
 
 
-def test_germain_identical_learners_value_2r():
-    # both learners wrong on row 0 only: R = 1/4, never disagree, value = 2R
+def test_germain_identical_learners_value_4r_times_1_minus_r():
+    # both learners wrong on row 0 only: R = 1/4, never disagree, so
+    # 1 - (1 - 2R)**2 = 4R(1 - R) = 3/4
     m = matrix_of([[-1, -1], [1, 1], [1, 1], [1, 1]], [1, 1, 1, 1])
     report = germain_bound(m, [0.5, 0.5])
     assert report.applicable
     assert report.inputs["disagreement"] == pytest.approx(0.0, abs=1e-15)
-    assert report.value == pytest.approx(0.5, abs=1e-12)
+    assert report.value == pytest.approx(0.75, abs=1e-12)
 
 
 def test_germain_moment_identities_match_brute_force():
@@ -161,8 +165,28 @@ def test_germain_moment_identities_match_brute_force():
         assert d_direct == pytest.approx((1 - prof.second_moment) / 2, abs=1e-10)
         report = germain_bound(matrix, w)
         if report.applicable:
-            direct = 1 - (1 - 2 * R_direct) / (1 - 2 * d_direct)
+            direct = 1 - (1 - 2 * R_direct) ** 2 / (1 - 2 * d_direct)
             assert report.value == pytest.approx(direct, abs=1e-10)
+
+
+TREES = TreeParams(max_depth=2, max_leaves=4)
+
+
+@pytest.mark.parametrize("fit", ["adaboost", "random-forest"])
+@pytest.mark.parametrize("make", [sonar_like, pima_like])
+def test_germain_c_bound_holds_on_trained_ensembles(fit, make):
+    # the C-bound holds under any distribution, the training sample's too
+    train, _ = stratified_split(make(), 0.7, 0)
+    if fit == "adaboost":
+        model = adaboost(train, 100, TREES)
+    else:
+        model = random_forest(train, 100, params=TREES, seed=0)
+    matrix, w = model.train_matrix, model.vote_weights
+    report = germain_bound(matrix, w)
+    assert report.applicable and not report.flags
+    assert 0.0 <= report.value <= 1.0
+    assert report.value >= majority_vote_error(matrix, w)
+    assert report.value == pytest.approx(c_bound(matrix, w), abs=1e-12)
 
 
 def test_germain_disagreement_brute_force_pairs():
@@ -182,11 +206,15 @@ def test_germain_gates():
     m = matrix_of([[-1], [-1]], [1, 1])
     report = germain_bound(m, [1.0])
     assert not report.applicable and "positive" in report.reason
-    # two perfectly anti-correlated learners: d_Q = 1/2 exactly
+    # two perfectly anti-correlated learners: at equal weights d_Q = 1/2 and
+    # every margin is 0, which the positive-mean gate refuses
     m2 = matrix_of([[1, -1], [1, -1], [-1, 1]], [1, 1, -1])
-    report2 = germain_bound(m2, [0.9, 0.1])
-    if not report2.applicable:
-        assert "1/2" in report2.reason or "positive" in report2.reason
+    report2 = germain_bound(m2, [0.5, 0.5])
+    assert not report2.applicable and "positive" in report2.reason
+    # at 0.9/0.1 every margin is 0.8 up to rounding: no variance, so the bound is 0
+    report3 = germain_bound(m2, [0.9, 0.1])
+    assert report3.applicable and not report3.flags
+    assert report3.value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_germain_weight_validation():

@@ -463,10 +463,11 @@ def test_experiment_refuses_an_ews_power_past_the_float_range(tmp_path, capsys):
     # 1400 training rows: 1400**100 is about 4e314
     cfg = write_config(tmp_path, "dataset = synthetic:two-gaussians:2000:1.5:1\n"
                                  "schemes = ews:100\nsims = 2\nT = 3\n")
-    assert main(["experiment", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("failure: ews:100 on 1400 rows:")
-    assert "non-finite" not in err
+    assert main(["experiment", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ews:100 on 1400 rows:")
+    assert "non-finite" not in captured.err
 
 
 def test_experiment_table_family_mismatch(tmp_path, capsys):

@@ -21,7 +21,9 @@ from margin_forge.harness import (
     report_lines,
     run_experiment,
     run_one_simulation,
+    simulation_rows,
     t_two_sided_p,
+    training_row_count,
 )
 from margin_forge.margins import cmd, compute_margins, training_error_from_margins
 from margin_forge.reweight import SelfCheckError, apply_scheme, parse_spec
@@ -352,6 +354,23 @@ def test_rows_are_subsampled_only_on_request(monkeypatch):
     assert at_limit.resampling == whole.resampling
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"train_fraction": 0.33}, {"max_rows": 37}, {"max_rows": 37, "freeze_split": True},
+    {"test_dataset": generate_synthetic("two-gaussians", 30, 0.8, 6), "max_rows": 50},
+])
+def test_training_row_count_is_every_simulations_split_size(overrides):
+    # an odd class count, so ceil(frac * count) rounds up in each class
+    config = tiny_config(dataset=generate_synthetic("two-gaussians", 91, 0.8, 5), **overrides)
+    data = simulation_rows(config)
+    for sim in range(4):
+        if config.test_dataset is not None:
+            rows = data.n_rows
+        else:
+            rows = stratified_split(data, config.train_fraction,
+                                    derived_seed(config.seed, sim))[0].n_rows
+        assert training_row_count(config) == rows
+
+
 # ----------------------------------------------------- prefixes and the CMD
 
 
@@ -400,15 +419,19 @@ def test_export_cmd_series_checks_the_full_matrix_once(monkeypatch):
     want = export_cmd_series(model, data, (1, 3, 5))
     scans = []
 
-    def counted_isin(*args, **kwargs):
-        scans.append(args[0].shape)
-        return isin(*args, **kwargs)
+    def counted(name, real):
+        def scan(*args, **kwargs):
+            scans.append((name, args[0].shape))
+            return real(*args, **kwargs)
+        return scan
 
-    isin = np.isin
-    monkeypatch.setattr(np, "isin", counted_isin)
+    # int8 entries are checked by their nonzero count, the labels by isin
+    for name in ("isin", "count_nonzero"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
     assert export_cmd_series(model, data, (1, 3, 5)) == want
     # the full matrix's entries and labels; the prefixes are views of rows already checked
-    assert scans == [(model.n_learners, data.n_rows), (data.n_rows,)]
+    assert scans == [("count_nonzero", (model.n_learners, data.n_rows)),
+                     ("isin", (data.n_rows,))]
 
 
 # ------------------------------------------------------------------ rendering

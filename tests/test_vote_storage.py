@@ -1,14 +1,17 @@
-"""Signed votes stored in float32: what the storage costs and what it must not change.
+"""Signed votes stored in int8: what the storage costs and what it must not change.
 
-PredictionMatrix keeps its +-1 entries in float32, and every reader
-computes in float64.  So each reader's result on a stored matrix must equal,
-bit for bit, its result on the same entries held in float64, which is how
-they were stored before (`float64_twin`).
+PredictionMatrix keeps its +-1 entries in int8, one byte a cell, and every
+reader computes in float64, or in float32 where its sums are exact integers.
+So each reader's result on a stored matrix must equal, bit for bit, its
+result on the same entries held in float64 (`float64_twin`).  Float input
+is checked before it is narrowed, since int8 would truncate 0.5 or 1.5 to a
+vote; int8 input is checked by its range and its nonzero count.
 
-The weighted products are cast to float64 one column tile at a time
-(`margins.vote_product`), and they must equal the full cast bit for bit:
-a child interpreter pins that at one BLAS thread, the way the benchmark
-runs, on shapes that straddle the tile edges.
+The weighted products are cast to float64 one column tile at a time, and
+sm2's Gram matrix is summed from float32 tiles (`margins.column_tiles`).
+They must equal the full cast and the whole-matrix float32 Gram bit for
+bit: a child interpreter pins that at one BLAS thread, the way the
+benchmark runs, on shapes that straddle the tile edges.
 """
 import os
 import subprocess
@@ -58,13 +61,33 @@ def boosted():
     return prediction_matrix(model, data), model.vote_weights
 
 
-def test_entries_are_c_ordered_read_only_float32(forest):
+def test_entries_are_c_ordered_read_only_int8(forest):
     matrix, _ = forest
-    assert matrix.entries.dtype == np.float32
+    assert matrix.entries.dtype == np.int8
     assert matrix.entries.flags.c_contiguous and not matrix.entries.flags.writeable
     assert matrix.labels.dtype == np.float64
     narrowed = PredictionMatrix(np.asarray(matrix.entries, dtype=float), matrix.labels)
     assert same_bits(narrowed.entries, matrix.entries)
+    # C-ordered int8 input is kept as it is, not copied
+    votes = np.array(matrix.entries)
+    assert PredictionMatrix(votes, matrix.labels).entries is votes
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, -1.5, 2.0, np.nan])
+def test_float_entries_that_int8_would_truncate_are_refused(bad):
+    # each is checked before narrowing, where int8 would make it 0, 1, -1 or 2
+    entries = np.array([[1.0, bad, -1.0]])
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        PredictionMatrix(entries, np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        PredictionMatrix(entries.astype(np.float32), np.array([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [0, 2, -128])
+def test_int8_entries_other_than_a_vote_are_refused(bad):
+    entries = np.array([[1, -1, 1], [-1, bad, 1]], dtype=np.int8)
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        PredictionMatrix(entries, np.array([1.0, -1.0, 1.0]))
 
 
 def test_an_entry_that_rounds_to_one_in_float32_is_refused():
@@ -184,9 +207,10 @@ def test_gram_leaves_float32_at_its_exactness_bound(monkeypatch):
     assert np.array_equal(seen[1], wide_gram)
 
 
-def test_prediction_matrix_allocates_six_bytes_per_cell():
-    # 4 bytes per float32 entry and 2 for the boolean temporaries of the +-1
-    # scan; float64 entries would cost 8 + 2
+def test_prediction_matrix_allocates_one_byte_per_cell():
+    # 1 byte per int8 entry, and the int8 check makes no per-cell temporary:
+    # measured at 1.12, the rest being each tree's predictions on 5,000 rows.
+    # float32 entries cost 6, 4 for the entry and 2 for a boolean scan
     data = generate_synthetic("two-gaussians", 5000, 1.6, 1)
     model = random_forest(data, T=200, seed=1)
     cells = model.n_learners * data.n_rows
@@ -198,7 +222,7 @@ def test_prediction_matrix_allocates_six_bytes_per_cell():
     finally:
         tracemalloc.stop()
     assert matrix.entries.size == cells
-    assert (peak - fortran_copy) / cells < 6.5
+    assert (peak - fortran_copy) / cells < 1.25
 
 
 TILED_PRODUCTS = """
@@ -207,6 +231,10 @@ import numpy as np
 from margin_forge.ensemble import PredictionMatrix
 from margin_forge.margins import TILE, compute_margins
 from margin_forge.reweight import _min_norm_fit, sm2_weights
+
+grams = []
+eigh = np.linalg.eigh
+np.linalg.eigh = lambda gram: grams.append(gram) or eigh(gram)
 
 # a last tile 1-3 columns wide is where unfolded tiles were seen to differ
 tails = [k * TILE + r for k in (2, 3) for r in (0, 1, 2, 3, 4, 1568)]
@@ -223,7 +251,10 @@ for T, n in shapes:
     want = alpha @ full
     assert compute_margins(matrix, alpha).margins.tobytes() == want.tobytes(), (T, n)
     mean = float(want.mean())
+    grams.clear()
     coef = _min_norm_fit(matrix.entries, mean)
+    narrow = matrix.entries.astype(np.float32)
+    assert grams[0].tobytes() == (narrow @ narrow.T).astype(float).tobytes(), (T, n)
     sse = float(np.sum((coef @ full - mean) ** 2))
     assert sm2_weights(matrix, alpha).objective.hex() == sse.hex(), (T, n)
 print("ok", len(shapes))
@@ -251,8 +282,9 @@ def scoring_sized():
 
 @pytest.mark.parametrize("reader", [compute_margins, sm2_weights])
 def test_weighted_readers_peak_below_one_float64_cast(reader, scoring_sized):
-    # a full float64 cast of the entries would be 80 MB by itself; one tile
-    # buffer is at most 500 x (2 * TILE - 1) float64 cells, 16.4 MB
+    # a full float64 cast of the entries would be 80 MB by itself, and a
+    # float32 one for sm2's Gram matrix 40 MB; one tile buffer is at most
+    # 500 x (2 * TILE - 1) float64 cells, 16.4 MB
     matrix, alpha = scoring_sized
     tracemalloc.start()
     try:
