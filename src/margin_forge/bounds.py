@@ -3,7 +3,8 @@
 Three classical forms are evaluated as empirical plug-ins.  The
 margin-threshold form keeps its two terms separate (its hidden
 constant is nobody's to invent); the minimum-margin form carries
-domain preconditions surfaced through an `applicable` flag; the
+domain preconditions, the smallest margin among them, surfaced through
+an `applicable` flag; the
 risk/disagreement form, the C-bound, is computed from margin moments,
 which for simplex weights equal the Gibbs risk and the pairwise expected
 disagreement.
@@ -43,31 +44,43 @@ def _simplex_margins(profile: MarginProfile) -> bool:
                 and np.all(profile.margins <= 1 + 1e-9))
 
 
-def schapire_terms(profile: MarginProfile, theta: float, d: float, n: int) -> BoundReport:
-    """Margin-threshold form: empirical mass at or below theta, and the
-    d/(n theta^2) complexity root, reported as separate terms."""
+def schapire_terms(profile: MarginProfile, theta: float, d: float, n: int,
+                   delta: float) -> BoundReport:
+    """Margin-threshold form of Schapire et al. 1998, Theorem 2: the
+    empirical mass at or below theta, and the complexity term inside its
+    O(.), sqrt(d log^2(n/d) / (n theta^2) + log(1/delta) / n), reported as
+    separate terms.  The theorem needs n > d, for log(n/d)."""
     if not 0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
     if not 0 < d < math.inf or n < 1:
         raise ValueError("need a positive finite capacity d and n >= 1")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if n <= d:
+        raise ValueError(f"need n > d for log(n/d), got n = {n} and d = {d:.6g}")
     scale = n * theta * theta
-    complexity = math.sqrt(d / scale) if scale > 0.0 else math.inf
-    if not 0.0 < complexity < math.inf:
-        raise ValueError(f"sqrt(d / (n theta^2)) leaves the float range at theta = {theta:.6g}")
+    margin_part = d * math.log(n / d) ** 2 / scale if scale > 0.0 else math.inf
+    if not 0.0 < margin_part < math.inf:
+        raise ValueError("d log^2(n/d) / (n theta^2) leaves the float range "
+                         f"at theta = {theta:.6g}")
+    complexity = math.sqrt(margin_part + math.log(1.0 / delta) / n)
+    inputs = {"theta": theta, "d": d, "n": n, "delta": delta}
     if not _simplex_margins(profile):
-        return BoundReport("schapire", applicable=False,
-                           reason="margins leave [-1, 1]; weights were not simplex",
-                           inputs={"theta": theta, "d": d, "n": n})
+        return BoundReport("schapire", applicable=False, inputs=inputs,
+                           reason="margins leave [-1, 1]; weights were not simplex")
     empirical = float(np.mean(profile.margins <= theta))
     return BoundReport(
-        "schapire", applicable=True, terms=(empirical, complexity),
-        inputs={"theta": theta, "d": d, "n": n},
+        "schapire", applicable=True, terms=(empirical, complexity), inputs=inputs,
         flags=("terms reported separately; the hidden constant is not invented",),
     )
 
 
-def breiman_bound(theta0: float, hspace: float, n: int, delta: float) -> BoundReport:
-    """Minimum-margin form over a finite hypothesis space of size hspace."""
+def breiman_bound(profile: MarginProfile, theta0: float, hspace: float, n: int,
+                  delta: float) -> BoundReport:
+    """Minimum-margin form of Breiman 1999 over a finite hypothesis space of
+    size hspace.  It holds only when every training margin is at least
+    theta0, so a profile whose smallest margin lies below it is reported
+    not applicable, naming that margin."""
     if not math.isfinite(theta0):
         raise ValueError("theta0 must be finite")
     if not 2 <= hspace < math.inf:
@@ -76,7 +89,8 @@ def breiman_bound(theta0: float, hspace: float, n: int, delta: float) -> BoundRe
         raise ValueError("need n >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    inputs = {"theta0": theta0, "hspace": hspace, "n": n, "delta": delta}
+    inputs = {"theta0": theta0, "hspace": hspace, "n": n, "delta": delta,
+              "min_margin": profile.min}
     gate = 4.0 * math.sqrt(2.0 / hspace)
     if theta0 <= gate:
         return BoundReport("breiman", applicable=False, inputs=inputs,
@@ -85,6 +99,10 @@ def breiman_bound(theta0: float, hspace: float, n: int, delta: float) -> BoundRe
     if R == 0.0:
         raise ValueError(f"R underflows to 0 at theta0 = {theta0:.6g}")
     inputs["R"] = R
+    if profile.min < theta0:
+        return BoundReport("breiman", applicable=False, inputs=inputs,
+                           reason=f"the smallest margin {profile.min:.6g} lies below "
+                                  f"theta0 = {theta0:.6g}")
     if R > 2.0 * n:
         return BoundReport("breiman", applicable=False, inputs=inputs,
                            reason=f"R = {R:.6g} exceeds 2n")

@@ -18,7 +18,7 @@ from .dataset_io import (
     DatasetError,
     generate_synthetic,
     load_dataset,
-    read_text,
+    read_lines,
     stratified_split,
     write_dataset,
 )
@@ -149,9 +149,10 @@ def _cmd_bounds(args) -> int:
     reports = []
     try:
         if args.theta is not None and args.vc is not None:
-            reports.append(schapire_terms(profile, args.theta, args.vc, data.n_rows))
+            reports.append(schapire_terms(profile, args.theta, args.vc, data.n_rows,
+                                          args.delta))
         if args.theta is not None and args.hspace is not None:
-            reports.append(breiman_bound(args.theta, args.hspace, data.n_rows,
+            reports.append(breiman_bound(profile, args.theta, args.hspace, data.n_rows,
                                          args.delta))
     except ValueError as exc:
         raise CliError(str(exc))
@@ -204,13 +205,14 @@ _CONFIG_KEYS = (
 
 def _read_config(path: str) -> dict[str, str]:
     try:
-        text = read_text(Path(path))
+        # blank lines are kept, so the line numbers count them
+        lines = list(read_lines(Path(path)))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except DatasetError as exc:
         raise CliError(str(exc))
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

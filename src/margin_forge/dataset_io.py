@@ -8,7 +8,10 @@ Rows with missing or non-numeric feature values are rejected outright.
 """
 from __future__ import annotations
 
+import codecs
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +25,12 @@ class DatasetError(ValueError):
 # largest dense matrix a sparse-index file may expand to: rows x largest
 # index cells, 256 MiB of float64
 SPARSE_MAX_CELLS = 2 ** 25
+# bytes read and decoded at a time by read_lines
+CHUNK = 256 * 1024
 # delimited rows split and converted at a time: their tokens are the parse's transient
-ROW_BLOCK = 2048
+ROW_BLOCK = 512
+# what ends a line for str.splitlines, "\r" aside, which "\n" may follow
+_LINE_ENDS = frozenset("\n\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 @dataclass(frozen=True)
@@ -78,18 +85,48 @@ class Dataset:
                        self.feature_names)
 
 
-def read_text(path: Path) -> str:
-    """The text of a UTF-8 file, a leading byte order mark dropped.
+def read_lines(path: Path) -> Iterator[str]:
+    """The lines of a UTF-8 file, as str.splitlines gives them for its whole
+    text, read and decoded CHUNK bytes at a time.
 
-    A file that is not UTF-8 raises DatasetError naming the first byte that
-    does not decode and its offset in the file.
+    A leading byte order mark is dropped.  A file that is not UTF-8 raises
+    DatasetError, when the reading reaches it, naming the first byte that
+    does not decode and its offset in the file.  The byte order mark is
+    dropped from the decoded text rather than by the utf-8-sig codec, whose
+    incremental decoder returns nothing, and no error, for a file that is
+    only the first one or two bytes of a mark.
     """
-    raw = path.read_bytes()
-    try:
-        return raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        at = exc.start + len(raw) - len(exc.object)  # the codec decodes after a BOM
-        raise DatasetError(f"{path}: not UTF-8 text: byte {raw[at]:#04x} at offset {at}") from None
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0
+    at_start = True   # no character decoded yet
+    tail = ""         # a last line that may run on into the next chunk
+    with path.open("rb") as fh:
+        while True:
+            raw = fh.read(CHUNK)
+            read += len(raw)
+            try:
+                text = decoder.decode(raw, final=not raw)
+            except UnicodeDecodeError as exc:
+                at = read - len(exc.object) + exc.start
+                raise DatasetError(f"{path}: not UTF-8 text: byte "
+                                   f"{exc.object[exc.start]:#04x} at offset {at}") from None
+            if at_start and text:
+                at_start = False
+                if text[0] == "\ufeff":
+                    text = text[1:]
+            text = tail + text
+            if not raw:
+                yield from text.splitlines()
+                return
+            if not text:
+                continue
+            lines = text.splitlines()
+            # a last "\r" may be the first half of "\r\n"
+            if text[-1] in _LINE_ENDS:
+                tail = ""
+            else:
+                tail = lines.pop() + ("\r" if text[-1] == "\r" else "")
+            yield from lines
 
 
 def _map_labels(raw: list[str], path: Path) -> np.ndarray:
@@ -114,31 +151,38 @@ def _map_labels(raw: list[str], path: Path) -> np.ndarray:
     return np.array([mapping[tok] for tok in raw])
 
 
-def _parse_delimited(lines: list[str], path: Path, label_column: int,
-                     delimiter: str | None):
-    """Features, raw label tokens and header of a delimited file's lines.
+def _drain(lines: Iterator[str]) -> None:
+    """Read the remaining lines, so that a byte that does not decode, later
+    in the file, is raised before a fault already found."""
+    for _ in lines:
+        pass
 
-    Every line's field count is checked against the first line's, by
-    counting delimiters, before the header is judged and before any token
-    is converted.  The data rows are then split and converted ROW_BLOCK at a
-    time into one preallocated float64 array, so the split tokens of only
-    one block are alive at once.  numpy applies float() to each str, and a
-    block it refuses is read token by token to name the first bad token,
-    which is the first in the file, since every earlier block converted.
+
+def _parse_delimited(lines: Iterator[str], path: Path, label_column: int,
+                     delimiter: str | None):
+    """Features, raw label tokens and header of a delimited file, in one
+    pass over its nonblank lines.
+
+    The first line fixes the delimiter and the field count.  The data rows
+    are split and converted ROW_BLOCK at a time into float64 blocks, so the
+    split tokens of only one block are alive at once.  numpy applies float()
+    to each str, and a block it refuses is read token by token to find its
+    first bad token.  A fault is raised only once the last line is read, by
+    this precedence: a byte that does not decode, a first line of one field,
+    the first line whose field count differs from the first line's, a label
+    column out of range, a header with no data rows, the first bad token.
+    Once a label-column or token fault is found, later lines only have their
+    delimiters counted.
     """
+    first = next(lines)
     if delimiter is None:
-        delimiter = "\t" if "\t" in lines[0] else ","
-    first = lines[0].split(delimiter)
-    width = len(first)
+        delimiter = "\t" if "\t" in first else ","
+    head = first.split(delimiter)
+    width = len(head)
     if width < 2:
+        _drain(lines)
         raise DatasetError(f"{path}: need at least one feature column plus the label")
-    for i, ln in enumerate(lines):
-        if ln.count(delimiter) != width - 1:
-            raise DatasetError(f"{path}: row {i + 1} has {ln.count(delimiter) + 1} fields, "
-                               f"expected {width}")
     col = label_column if label_column >= 0 else width + label_column
-    if not 0 <= col < width:
-        raise DatasetError(f"{path}: label column {label_column} out of range")
 
     def is_number(tok: str) -> bool:
         try:
@@ -147,62 +191,91 @@ def _parse_delimited(lines: list[str], path: Path, label_column: int,
             return False
         return True
 
-    # a header row has no numeric feature tokens at all; a mixed row is data with a typo
+    fault = None
     header = None
-    if not any(is_number(tok.strip()) for j, tok in enumerate(first) if j != col):
-        header = [tok.strip() for j, tok in enumerate(first) if j != col]
-        lines = lines[1:]
-        if not lines:
-            raise DatasetError(f"{path}: header only, no data rows")
+    if not 0 <= col < width:
+        fault = f"{path}: label column {label_column} out of range"
+    # a header row has no numeric feature tokens at all; a mixed row is data with a typo
+    elif not any(is_number(tok.strip()) for j, tok in enumerate(head) if j != col):
+        header = [tok.strip() for j, tok in enumerate(head) if j != col]
 
-    features = np.empty((len(lines), width - 1))
+    blocks = []
     raw_labels = []
-    for start in range(0, len(lines), ROW_BLOCK):
-        rows = [ln.split(delimiter) for ln in lines[start:start + ROW_BLOCK]]
-        raw_labels += [row.pop(col).strip() for row in rows]
+
+    def convert(block: list[str]) -> str | None:
+        """Append the block's features and labels; the fault of its first
+        bad token, if it has one."""
+        start = len(raw_labels)
+        rows = [ln.split(delimiter) for ln in block]
+        raw_labels.extend(row.pop(col).strip() for row in rows)
         try:
-            features[start:start + len(rows)] = np.array(rows, dtype=float)
-            continue
+            blocks.append(np.array(rows, dtype=float))
+            return None
         except ValueError:
             pass  # the token loop below names the first bad token
-        for i, row in enumerate(rows, start):
+        values = np.empty((len(rows), width - 1))
+        for i, row in enumerate(rows):
             for k, tok in enumerate(row):
                 tok = tok.strip()
                 if tok == "":
-                    raise DatasetError(f"{path}: row {i + 1} has a missing value")
+                    return f"{path}: row {start + i + 1} has a missing value"
                 try:
-                    features[i, k] = float(tok)
+                    values[i, k] = float(tok)
                 except ValueError:
-                    raise DatasetError(f"{path}: non-numeric feature token {tok!r} in row {i + 1}")
-    return features, raw_labels, header
+                    return f"{path}: non-numeric feature token {tok!r} in row {start + i + 1}"
+        blocks.append(values)
+        return None
+
+    block = [] if header else [first]
+    for i, ln in enumerate(lines, 2):
+        if ln.count(delimiter) != width - 1:
+            _drain(lines)
+            raise DatasetError(f"{path}: row {i} has {ln.count(delimiter) + 1} fields, "
+                               f"expected {width}")
+        if fault is None:
+            block.append(ln)
+            if len(block) == ROW_BLOCK:
+                fault = convert(block)
+                block = []
+    if fault is None and header is not None and not (blocks or block):
+        fault = f"{path}: header only, no data rows"
+    if fault is None and block:
+        fault = convert(block)
+    if fault is not None:
+        raise DatasetError(fault)
+    return np.concatenate(blocks), raw_labels, header
 
 
-def _parse_sparse(lines: list[str], path: Path):
+def _parse_sparse(lines: Iterator[str], path: Path):
     # whitespace-separated "label idx:val ..." records, 1-based, absent = 0
     raw_labels = []
     records = []
     max_index = max_row = 0
-    for i, ln in enumerate(lines):
-        parts = ln.split()
-        raw_labels.append(parts[0])
-        entries = {}
-        for tok in parts[1:]:
-            if ":" not in tok:
-                raise DatasetError(f"{path}: row {i + 1}: expected idx:val, got {tok!r}")
-            idx_s, val_s = tok.split(":", 1)
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise DatasetError(f"{path}: row {i + 1}: bad sparse entry {tok!r}")
-            if idx < 1:
-                raise DatasetError(f"{path}: row {i + 1}: indices are 1-based")
-            if idx in entries:
-                raise DatasetError(f"{path}: row {i + 1}: duplicate index {idx}")
-            entries[idx] = val
-            if idx > max_index:
-                max_index, max_row = idx, i + 1
-        records.append(entries)
+    try:
+        for i, ln in enumerate(lines):
+            parts = ln.split()
+            raw_labels.append(parts[0])
+            entries = {}
+            for tok in parts[1:]:
+                if ":" not in tok:
+                    raise DatasetError(f"{path}: row {i + 1}: expected idx:val, got {tok!r}")
+                idx_s, val_s = tok.split(":", 1)
+                try:
+                    idx = int(idx_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise DatasetError(f"{path}: row {i + 1}: bad sparse entry {tok!r}")
+                if idx < 1:
+                    raise DatasetError(f"{path}: row {i + 1}: indices are 1-based")
+                if idx in entries:
+                    raise DatasetError(f"{path}: row {i + 1}: duplicate index {idx}")
+                entries[idx] = val
+                if idx > max_index:
+                    max_index, max_row = idx, i + 1
+            records.append(entries)
+    except DatasetError:
+        _drain(lines)
+        raise
     if max_index == 0:
         raise DatasetError(f"{path}: no feature entries found")
     if len(records) * max_index > SPARSE_MAX_CELLS:
@@ -225,9 +298,11 @@ def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-    if not lines:
+    lines = (ln for ln in read_lines(path) if ln.strip())
+    first = next(lines, None)
+    if first is None:
         raise DatasetError(f"{path}: empty file")
+    lines = itertools.chain([first], lines)
     if fmt == "delimited":
         features, raw_labels, header = _parse_delimited(lines, path, label_column, delimiter)
         names = tuple(header) if header else None
@@ -235,6 +310,7 @@ def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
         features, raw_labels = _parse_sparse(lines, path)
         names = None
     else:
+        _drain(lines)
         raise ValueError(f"unknown format {fmt!r}")
     labels = _map_labels(raw_labels, path)
     return Dataset(path.stem, features, labels, names)

@@ -83,7 +83,8 @@ class PredictionMatrix:
     results are those of float64 entries, bit for bit.  The weighted
     products w @ entries and sm2's Gram matrix cast one column tile at a
     time (margins.column_tiles), so compute_margins and sm2 on its eigh
-    path hold the 1 byte a cell and a bounded buffer, not a whole cast.
+    path hold the 1 byte a cell and a buffer of T * (2 * TILE - 1) cells
+    (4.1 MB of float64 at T = 500), not a whole cast.
     Two readers still cast the whole matrix to float64: the margin LP of
     the uws, ews and pws schemes (on whatever matrix it is given, a scoring
     file's too under the reweight command) and sm2's SVD fallback.

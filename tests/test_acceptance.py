@@ -26,7 +26,7 @@ from margin_forge.ensemble import (
 from margin_forge.harness import (
     ExperimentConfig, paired_t_test, run_experiment, t_two_sided_p,
 )
-from margin_forge.margins import compute_margins
+from margin_forge.margins import MarginProfile, compute_margins
 from margin_forge.reweight import RewSpec, apply_scheme, parse_spec, sm2_weights
 from margin_forge.simplex import solve
 
@@ -304,7 +304,8 @@ def test_vote_bound_identities(capsys):
         grid = np.linspace(0.26, 0.9, 12)
         values = []
         for theta0 in grid:
-            report = breiman_bound(float(theta0), hspace=500, n=1000, delta=0.05)
+            report = breiman_bound(MarginProfile(np.ones(1000)), float(theta0), hspace=500,
+                                   n=1000, delta=0.05)
             assert report.applicable
             values.append(report.value)
         assert all(a > b for a, b in zip(values, values[1:]))

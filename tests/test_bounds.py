@@ -35,66 +35,107 @@ def simplex(rng, T):
 
 
 def test_schapire_hand_values():
-    report = schapire_terms(MarginProfile(np.full(5, 1.0)), 0.5, d=3, n=5)
+    report = schapire_terms(MarginProfile(np.full(5, 1.0)), 0.5, d=3, n=5, delta=0.05)
     assert report.applicable and report.terms[0] == 0.0
-    report = schapire_terms(MarginProfile(np.array([0.1])), 0.1, d=10, n=1000)
-    assert report.terms[1] == pytest.approx(1.0, abs=1e-15)
-    report = schapire_terms(MarginProfile(np.array([-0.2, 0.3, 0.6])), 0.3, d=2, n=3)
+    # sqrt(d / (n theta^2)) = 1, so the term is the hypotenuse of log(n/d)
+    # and sqrt(log(1/delta) / n)
+    report = schapire_terms(MarginProfile(np.array([0.1])), 0.1, d=10, n=1000, delta=0.05)
+    assert report.terms[1] == pytest.approx(
+        math.hypot(math.log(100), math.sqrt(math.log(20) / 1000)), rel=1e-15)
+    report = schapire_terms(MarginProfile(np.array([-0.2, 0.3, 0.6])), 0.3, d=2, n=3,
+                            delta=0.05)
     assert report.terms[0] == pytest.approx(2 / 3)  # the count is inclusive
+
+
+def test_schapire_term_is_theorem_2s():
+    # snapshot-score's inputs: n = 20,000 rows, d = 6, theta = 0.1; the
+    # log^2(n/d) factor makes the term about 8.1 times sqrt(d / (n theta^2))
+    prof = MarginProfile(np.array([0.2, 0.5]))
+    term = schapire_terms(prof, 0.1, 6, 20000, 0.05).terms[1]
+    assert term == pytest.approx(math.sqrt(6 * math.log(20000 / 6) ** 2 / (20000 * 0.01)
+                                           + math.log(1 / 0.05) / 20000), rel=1e-15)
+    assert 8.1 < term / math.sqrt(6 / (20000 * 0.01)) < 8.2
+    # a smaller delta only adds to the term
+    assert schapire_terms(prof, 0.1, 6, 20000, 1e-6).terms[1] > term
 
 
 def test_schapire_validation_and_applicability():
     prof = MarginProfile(np.array([0.5, -0.1]))
     with pytest.raises(ValueError):
-        schapire_terms(prof, 0.0, 5, 2)
+        schapire_terms(prof, 0.0, 1, 2, 0.05)
     with pytest.raises(ValueError):
-        schapire_terms(prof, 0.5, -1, 2)
+        schapire_terms(prof, 0.5, -1, 2, 0.05)
+    for delta in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            schapire_terms(prof, 0.5, 1, 2, delta)
+    for n, d in ((2, 2), (5, 6), (1, 1.5)):
+        with pytest.raises(ValueError, match="need n > d for log"):
+            schapire_terms(prof, 0.5, d, n, 0.05)
     stretched = MarginProfile(np.array([1.7, -0.3]))  # negative-weight margins
-    report = schapire_terms(stretched, 0.5, 5, 2)
+    report = schapire_terms(stretched, 0.5, 1, 2, 0.05)
     assert not report.applicable
     assert "simplex" in report.reason
 
 
 def test_schapire_refuses_a_complexity_term_past_the_float_range():
     prof = MarginProfile(np.array([0.2, 0.5]))
-    # n theta^2 underflows to 0, d / (n theta^2) overflows, n theta^2 overflows
-    for theta, n in ((1e-200, 100), (1e-170, 100), (1e-155, 1), (1e160, 100), (1e200, 100)):
+    # n theta^2 underflows to 0, d log^2(n/d) / (n theta^2) overflows, n theta^2 overflows
+    for theta in (1e-200, 1e-170, 1e-156, 1e160, 1e200):
         with pytest.raises(ValueError, match=re.escape(f"at theta = {theta:.6g}") + "$"):
-            schapire_terms(prof, theta, 6, n)
-    assert schapire_terms(prof, 1e-150, 6, 1).terms[1] == math.sqrt(6 / 1e-300)
+            schapire_terms(prof, theta, 6, 100, 0.05)
+    assert schapire_terms(prof, 1e-150, 6, 100, 0.05).terms[1] == math.sqrt(
+        6 * math.log(100 / 6) ** 2 / 1e-298 + math.log(20) / 100)
 
 
 def test_schapire_empirical_term_monotone_in_theta():
     rng = np.random.default_rng(4)
     prof = MarginProfile(rng.uniform(-1, 1, 60))
     thetas = np.linspace(0.05, 0.95, 10)
-    values = [schapire_terms(prof, t, 5, 60).terms[0] for t in thetas]
+    values = [schapire_terms(prof, t, 5, 60, 0.05).terms[0] for t in thetas]
     assert values == sorted(values)
-    tiny = schapire_terms(prof, 1e-12, 5, 60).terms[0]
+    tiny = schapire_terms(prof, 1e-12, 5, 60, 0.05).terms[0]
     assert tiny == pytest.approx(np.mean(prof.margins <= 0), abs=1e-9)
+
+
+# every margin at 1, so the minimum-margin precondition holds for any theta0 <= 1
+CLEAR = MarginProfile(np.ones(10))
 
 
 def test_breiman_gate_and_value():
     hspace = 1000.0
     gate = 4 * math.sqrt(2 / hspace)
-    closed = breiman_bound(gate * 0.99, hspace, n=500, delta=0.05)
+    closed = breiman_bound(CLEAR, gate * 0.99, hspace, n=500, delta=0.05)
     assert not closed.applicable and "4*sqrt" in closed.reason
-    open_ = breiman_bound(0.5, hspace, n=500, delta=0.05)
+    open_ = breiman_bound(CLEAR, 0.5, hspace, n=500, delta=0.05)
     assert open_.applicable
     R = (32 / (500 * 0.25)) * math.log(2000)
     want = R * (1 + math.log(1000) + math.log(1 / R)) + math.log(hspace / 0.05) / 500
     assert open_.value == pytest.approx(want, rel=1e-12)
     assert open_.inputs["R"] == pytest.approx(R, rel=1e-12)
+    assert open_.inputs["min_margin"] == 1.0
+
+
+def test_breiman_needs_every_margin_at_least_theta0():
+    prof = MarginProfile(np.array([0.9, 0.31, 0.6]))
+    low = breiman_bound(prof, 0.5, 1000.0, n=3, delta=0.05)
+    assert not low.applicable and low.value is None
+    assert low.reason == "the smallest margin 0.31 lies below theta0 = 0.5"
+    assert low.inputs["min_margin"] == 0.31
+    # a margin equal to theta0 meets the precondition
+    at = breiman_bound(prof, 0.31, 1000.0, n=3, delta=0.05)
+    assert "smallest margin" not in (at.reason or "")
+    assert breiman_bound(MarginProfile(np.full(3, 0.31)), 0.31, 1000.0, n=3000,
+                         delta=0.05).applicable
 
 
 def test_breiman_monotone_decreasing_in_min_margin():
-    values = [breiman_bound(t, 1e6, n=2000, delta=0.05).value
+    values = [breiman_bound(CLEAR, t, 1e6, n=2000, delta=0.05).value
               for t in np.linspace(0.2, 0.95, 12)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_breiman_shrinks_with_n():
-    values = [breiman_bound(0.6, 1e5, n=n, delta=0.05).value
+    values = [breiman_bound(CLEAR, 0.6, 1e5, n=n, delta=0.05).value
               for n in (200, 2000, 20000, 200000, 2000000)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 0.05
@@ -102,30 +143,33 @@ def test_breiman_shrinks_with_n():
 
 def test_breiman_r_cap():
     # tiny n with a huge hypothesis space pushes R past 2n
-    report = breiman_bound(0.3, 1e9, n=1, delta=0.05)
+    report = breiman_bound(CLEAR, 0.3, 1e9, n=1, delta=0.05)
     assert not report.applicable and "2n" in report.reason
 
 
 def test_breiman_validation():
     with pytest.raises(ValueError):
-        breiman_bound(0.5, 1.0, 100, 0.05)
+        breiman_bound(CLEAR, 0.5, 1.0, 100, 0.05)
     with pytest.raises(ValueError):
-        breiman_bound(0.5, 100.0, 100, 1.5)
+        breiman_bound(CLEAR, 0.5, 100.0, 100, 1.5)
 
 
 PROFILE = MarginProfile(np.array([0.5, -0.1]))
 
 
 @pytest.mark.parametrize("bound, message", [
-    (lambda: schapire_terms(PROFILE, math.nan, 6, 2), "theta must be positive and finite"),
-    (lambda: schapire_terms(PROFILE, math.inf, 6, 2), "theta must be positive and finite"),
-    (lambda: schapire_terms(PROFILE, 0.1, math.nan, 2), "positive finite capacity d"),
-    (lambda: schapire_terms(PROFILE, 0.1, math.inf, 2), "positive finite capacity d"),
-    (lambda: breiman_bound(math.inf, 500.0, 100, 0.05), "theta0 must be finite"),
-    (lambda: breiman_bound(math.nan, 500.0, 100, 0.05), "theta0 must be finite"),
-    (lambda: breiman_bound(1e200, 500.0, 100, 0.05), "R underflows to 0 at theta0 = 1e\\+200"),
-    (lambda: breiman_bound(0.5, math.nan, 100, 0.05), "hypothesis-space size must be finite"),
-    (lambda: breiman_bound(0.5, math.inf, 100, 0.05), "hypothesis-space size must be finite"),
+    (lambda: schapire_terms(PROFILE, math.nan, 1, 2, 0.05), "theta must be positive and finite"),
+    (lambda: schapire_terms(PROFILE, math.inf, 1, 2, 0.05), "theta must be positive and finite"),
+    (lambda: schapire_terms(PROFILE, 0.1, math.nan, 2, 0.05), "positive finite capacity d"),
+    (lambda: schapire_terms(PROFILE, 0.1, math.inf, 2, 0.05), "positive finite capacity d"),
+    (lambda: breiman_bound(CLEAR, math.inf, 500.0, 100, 0.05), "theta0 must be finite"),
+    (lambda: breiman_bound(CLEAR, math.nan, 500.0, 100, 0.05), "theta0 must be finite"),
+    (lambda: breiman_bound(CLEAR, 1e200, 500.0, 100, 0.05),
+     "R underflows to 0 at theta0 = 1e\\+200"),
+    (lambda: breiman_bound(CLEAR, 0.5, math.nan, 100, 0.05),
+     "hypothesis-space size must be finite"),
+    (lambda: breiman_bound(CLEAR, 0.5, math.inf, 100, 0.05),
+     "hypothesis-space size must be finite"),
 ], ids=["schapire-theta-nan", "schapire-theta-inf", "vc-nan", "vc-inf", "breiman-theta-inf",
         "breiman-theta-nan", "r-underflow", "hspace-nan", "hspace-inf"])
 def test_bounds_refuse_non_finite_inputs(bound, message):
@@ -239,11 +283,11 @@ def test_gibbs_risk_weight_validation():
 
 
 def test_report_rows_render():
-    report = breiman_bound(0.5, 1000.0, n=500, delta=0.05)
+    report = breiman_bound(CLEAR, 0.5, 1000.0, n=500, delta=0.05)
     rows = report_rows(report)
     assert rows[0] == "name\tbreiman"
     assert any(r.startswith("value\t") for r in rows)
-    sch = schapire_terms(MarginProfile(np.array([0.4])), 0.2, 4, 1)
+    sch = schapire_terms(MarginProfile(np.array([0.4, 0.6])), 0.2, 1, 2, 0.05)
     rows = report_rows(sch)
     assert any(r.startswith("empirical_term\t") for r in rows)
     assert any(r.startswith("complexity_term\t") for r in rows)

@@ -185,6 +185,30 @@ def test_bounds_refuses_non_finite_numbers(model_and_data, capsys, args, message
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+def test_bounds_refuses_a_capacity_at_or_above_n(model_and_data, capsys):
+    # the margin-threshold term takes log(n / d); the fixture has 60 rows
+    model_path, data_path, _ = model_and_data
+    assert main(["bounds", "--model", model_path, "--data", data_path,
+                 "--theta", "0.1", "--vc", "60"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need n > d for log(n/d), got n = 60 and d = 60\n"
+
+
+def test_bounds_breiman_not_applicable_below_the_smallest_margin(tmp_path, capsys):
+    # AdaBoost T=50 on this set has a smallest training margin of 0.102, and
+    # 65% of its margins lie below 0.5: Breiman's bound at theta0 = 0.5 does not hold
+    ref = "synthetic:two-gaussians:400:1.0:3"
+    model_path = tmp_path / "model.json"
+    save_model(adaboost(generate_synthetic("two-gaussians", 400, 1.0, 3), 50), model_path)
+    assert main(["bounds", "--model", str(model_path), "--data", ref,
+                 "--theta", "0.5", "--hspace", "500"]) == 0
+    block = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    assert block[:3] == ["name\tbreiman", "applicable\tFalse",
+                         "reason\tthe smallest margin 0.10216 lies below theta0 = 0.5"]
+    assert not any(row.startswith("value\t") for row in block)
+
+
 def _edit(name, index, value):
     # one entry of one list of the first tree
     def corrupt(blob):
