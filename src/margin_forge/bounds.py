@@ -119,7 +119,10 @@ def gibbs_risk(matrix: PredictionMatrix, weights) -> float:
     """Vote-weighted average of the individual learner error rates, over
     simplex weights (checked as germain_bound checks them)."""
     w = simplex_weights(weights, matrix.n_learners)
-    return float(w @ (matrix.entries < 0).mean(axis=1, dtype=float))
+    n = matrix.n_rows
+    # a learner's entries sum to n - 2 * (its wrong votes): no per-cell mask
+    wrong = (n - matrix.entries.sum(axis=1, dtype=np.int32)) // 2
+    return float(w @ (wrong / n))
 
 
 def germain_bound(matrix: PredictionMatrix, weights) -> BoundReport:

@@ -103,8 +103,13 @@ def _cmd_data_split(args) -> int:
     base = Path(args.path if not args.path.startswith("synthetic:") else "synthetic.csv")
     train_path = args.out_train or str(base.with_suffix(f".train{base.suffix}"))
     test_path = args.out_test or str(base.with_suffix(f".test{base.suffix}"))
-    write_dataset(train, train_path)
-    write_dataset(test, test_path)
+    for part, path in ((train, train_path), (test, test_path)):
+        try:
+            write_dataset(part, path)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}")
+        except DatasetError as exc:
+            raise CliError(str(exc))
     print(f"wrote {train_path} ({train.n_rows} rows)")
     print(f"wrote {test_path} ({test.n_rows} rows)")
     return 0

@@ -282,6 +282,16 @@ def test_gibbs_risk_weight_validation():
         gibbs_risk(m, [2.0, -3.0])
 
 
+@pytest.mark.parametrize("T, n", [(1, 1), (3, 7), (4, 1), (37, 1023), (100, 538), (5, 2000)])
+def test_gibbs_risk_counts_wrong_votes_as_the_mask_mean_does(T, n):
+    rng = np.random.default_rng(T * n)
+    entries = np.where(rng.random((T, n)) < rng.random((T, 1)), -1, 1).astype(np.int8)
+    m = PredictionMatrix(entries, np.where(rng.random(n) < 0.5, -1.0, 1.0))
+    w = rng.random(T)
+    w /= w.sum()
+    assert gibbs_risk(m, w) == float(w @ (m.entries < 0).mean(axis=1, dtype=float))
+
+
 def test_report_rows_render():
     report = breiman_bound(CLEAR, 0.5, 1000.0, n=500, delta=0.05)
     rows = report_rows(report)

@@ -80,6 +80,25 @@ def test_data_split_bad_fraction(capsys):
                  "--frac", "1.5"]) == 1
 
 
+def test_data_split_refuses_names_it_cannot_write(tmp_path, capsys):
+    # the tab-delimited header's first name holds a comma, which would split
+    # it into two columns of a comma-delimited file
+    src = tmp_path / "h.tsv"
+    src.write_text("a,b\tc\tlabel\n" + "".join(f"{i}\t{i}\t{i % 2}\n" for i in range(8)))
+    assert main(["data", "split", str(src), "--frac", "0.5"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: feature name 0 'a,b' holds a delimiter"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.tsv"]
+
+
+def test_data_split_unwritable_output_is_a_configuration_error(tmp_path, capsys):
+    train = tmp_path / "missing" / "train.csv"
+    assert main(["data", "split", "synthetic:two-gaussians:40:0.5:1",
+                 "--out-train", str(train), "--out-test", str(tmp_path / "test.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {train}: ")
+
+
 def test_reweight_report(model_and_data, capsys):
     model_path, data_path, model = model_and_data
     rc = main(["reweight", "--model", model_path, "--data", data_path,

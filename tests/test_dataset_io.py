@@ -162,6 +162,57 @@ def test_roundtrip_keeps_signed_zero_and_extremes(tmp_path):
     assert np.array_equal(back.features.view(np.int64), data.features.view(np.int64))
 
 
+def named(names):
+    p = len(names)
+    return Dataset("n", np.arange(2.0 * p).reshape(2, p), np.array([-1.0, 1.0]), names)
+
+
+@pytest.mark.parametrize("names, j, fault", [
+    ((1, "b"), 0, "is not a str"),
+    (("a", None), 1, "is not a str"),
+    (("a,b", "c"), 0, "holds a delimiter"),
+    (("a", "b\tc"), 1, "holds a delimiter"),
+    *[(("a", f"b{brk}c"), 1, "holds a line break")
+      for brk in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"],
+    ((" a", "b"), 0, "has leading or trailing whitespace"),
+    (("a", "b "), 1, "has leading or trailing whitespace"),
+    (("a", "\u3000b"), 1, "has leading or trailing whitespace"),
+    (("a", "2"), 1, "reads as a number"),
+    (("nan", "b"), 0, "reads as a number"),
+    (("a", "-Infinity"), 1, "reads as a number"),
+    (("1_0", "b"), 0, "reads as a number"),
+    (("a", "\uff11"), 1, "reads as a number"),
+    (("\ufeffa", "b"), 0, "starts with a byte order mark"),
+    (("a", "b\ud800"), 1, "is not UTF-8 text"),
+])
+def test_names_that_cannot_round_trip_are_refused(tmp_path, names, j, fault):
+    out = tmp_path / "n.csv"
+    with pytest.raises(DatasetError) as err:
+        write_dataset(named(names), out)
+    assert str(err.value) == f"feature name {j} {names[j]!r} {fault}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names", [("", ""), ("a b", "β"), ("a", "\ufeffb"),
+                                   ("x\x00y", "label"), ("-", "1e"), ("a\u200bb", "c")])
+def test_names_the_rule_lets_through_read_back_as_they_are(tmp_path, names):
+    out = tmp_path / "n.csv"
+    write_dataset(named(names), out)
+    assert load_dataset(out).feature_names == names
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(st.text(max_size=4), min_size=1, max_size=3).map(tuple))
+def test_a_name_is_refused_or_reads_back(tmp_path_factory, names):
+    out = tmp_path_factory.mktemp("names") / "n.csv"
+    try:
+        write_dataset(named(names), out)
+    except DatasetError:
+        assert not out.exists()
+        return
+    assert load_dataset(out).feature_names == names
+
+
 def test_whitespace_padded_tokens(tmp_path):
     path = make_csv(tmp_path, " 1.5 ,\t2.0 , 0\n  -3e1,4 ,1 \n")
     data = load_dataset(path, delimiter=",")
