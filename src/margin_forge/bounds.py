@@ -121,7 +121,7 @@ def gibbs_risk(matrix: PredictionMatrix, weights) -> float:
     w = simplex_weights(weights, matrix.n_learners)
     n = matrix.n_rows
     # a learner's entries sum to n - 2 * (its wrong votes): no per-cell mask
-    wrong = (n - matrix.entries.sum(axis=1, dtype=np.int32)) // 2
+    wrong = (n - matrix.learner_sums()) // 2
     return float(w @ (wrong / n))
 
 

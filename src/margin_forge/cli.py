@@ -103,13 +103,16 @@ def _cmd_data_split(args) -> int:
     base = Path(args.path if not args.path.startswith("synthetic:") else "synthetic.csv")
     train_path = args.out_train or str(base.with_suffix(f".train{base.suffix}"))
     test_path = args.out_test or str(base.with_suffix(f".test{base.suffix}"))
+    written = []
     for part, path in ((train, train_path), (test, test_path)):
         try:
             write_dataset(part, path)
-        except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc}")
-        except DatasetError as exc:
-            raise CliError(str(exc))
+        except (OSError, DatasetError) as exc:
+            for done in written:   # a split that fails leaves none of its files behind
+                Path(done).unlink(missing_ok=True)
+            raise CliError(str(exc) if isinstance(exc, DatasetError)
+                           else f"cannot write {path}: {exc}")
+        written.append(path)
     print(f"wrote {train_path} ({train.n_rows} rows)")
     print(f"wrote {test_path} ({test.n_rows} rows)")
     return 0

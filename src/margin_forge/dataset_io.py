@@ -56,6 +56,9 @@ class Dataset:
             raise DatasetError("labels must be -1 or +1")
         if self.feature_names is not None and len(self.feature_names) != x.shape[1]:
             raise DatasetError("feature_names length must match the column count")
+        for j, name in enumerate(self.feature_names or ()):
+            if not isinstance(name, str):
+                raise DatasetError(f"feature name {j} {name!r} is not a str")
         x = x.copy()
         y = y.copy()
         x.flags.writeable = False
@@ -317,13 +320,11 @@ def load_dataset(path, fmt: str = "delimited", *, label_column: int = -1,
     return Dataset(path.stem, features, labels, names)
 
 
-def _name_fault(j: int, name) -> str | None:
+def _name_fault(j: int, name: str) -> str | None:
     """Why load_dataset would not read feature name j back as it is: it
     would split or strip it, take it for a number (which makes the header a
     data row) or a byte order mark, or it is not UTF-8 text; None if it
     reads back."""
-    if not isinstance(name, str):
-        return "is not a str"
     if "," in name or "\t" in name:
         return "holds a delimiter"
     if any(c in _LINE_ENDS or c == "\r" for c in name):

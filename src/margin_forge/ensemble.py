@@ -72,22 +72,17 @@ class EnsembleModel:
 class PredictionMatrix:
     """A learner-major matrix of signed votes and the labels of its rows.
 
-    The entries are stored as a C-ordered, read-only int8 (T, n) array, one
-    byte a cell.  That loses nothing: every entry is -1 or +1.  Float input
-    is checked before it is narrowed, where int8 would truncate 0.5 or
-    1 + 1e-9; int8 input, which prediction_matrix and adaboost write, is
-    checked with its min, max and nonzero count, which make no per-cell
-    temporary.  Every reader that weights the votes or solves with them
-    computes in float64 (or, for an integer sum below 2**24 such as an
-    entry of the Gram matrix S S', in float32, where it is exact), so its
-    results are those of float64 entries, bit for bit.  The weighted
-    products w @ entries and sm2's Gram matrix cast one column tile at a
-    time (margins.column_tiles), so compute_margins and sm2 on its eigh
-    path hold the 1 byte a cell and a buffer of T * (2 * TILE - 1) cells
-    (4.1 MB of float64 at T = 500), not a whole cast.
-    Two readers still cast the whole matrix to float64: the margin LP of
-    the uws, ews and pws schemes (on whatever matrix it is given, a scoring
-    file's too under the reweight command) and sm2's SVD fallback.
+    This class is the one owner of the vote storage.  The entries are a
+    C-ordered, read-only int8 (T, n) array, one byte a cell, which loses
+    nothing: every entry is -1 or +1.  Float input is checked before it is
+    narrowed, where int8 would truncate 0.5 or 1 + 1e-9; int8 input, which
+    _signed_votes writes, is checked with its min, max and nonzero count,
+    which make no per-cell temporary.  The readers below give what float64
+    entries give, bit for bit: vote_counts and learner_sums are exact int32
+    sums, weighted_sum casts one float64 column tile at a time, and gram
+    sums exact float32 tile products in float64.  A tile buffer holds at
+    most T * (2 * _TILE - 1) cells (4.1 MB of float64 at T = 500), not a
+    whole cast.
     """
     entries: np.ndarray   # (T, n) of +-1: y_i h_t(x_i), +1 where learner t is right on row i
     labels: np.ndarray    # (n,) of +-1
@@ -134,6 +129,65 @@ class PredictionMatrix:
     def n_learners(self) -> int:
         return self.entries.shape[0]
 
+    def vote_counts(self) -> np.ndarray:
+        """Each row's vote total as exact int32 (int8 sums widen to int64, slower)."""
+        return self.entries.sum(axis=0, dtype=np.int32)
+
+    def learner_sums(self) -> np.ndarray:
+        """Each learner's vote total as exact int32."""
+        return self.entries.sum(axis=1, dtype=np.int32)
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """w @ entries.astype(float), cast one float64 column tile at a time.
+
+        At one BLAS thread it was the full cast's bit for bit on every shape
+        tried, with OpenBLAS 0.3.31 and its SkylakeX kernel (the only build
+        and CPU checked; tests/test_vote_storage.py pins the shapes).  A last
+        tile 1-3 columns wide, which _column_tiles rules out, differed.
+        """
+        out = np.empty(self.n_rows)
+        for a, b, tile in _column_tiles(self.entries, float):
+            np.matmul(w, tile, out=out[a:b])
+        return out
+
+    def gram(self) -> np.ndarray:
+        """The float64 Gram matrix entries @ entries.T, exact at any width.
+
+        A tile is narrower than 2 * _TILE <= 2**24 columns, so its float32
+        product is exact integers in any summation order, and so is their
+        float64 sum.
+        """
+        out = np.zeros((self.n_learners,) * 2)
+        for _, _, tile in _column_tiles(self.entries, np.float32):
+            out += tile @ tile.T
+        return out
+
+
+_TILE = 512   # columns per tile of _column_tiles
+
+
+def _column_tiles(entries: np.ndarray, dtype):
+    """Yield (a, b, tile): entries[:, a:b] cast to dtype, for column cuts
+    that cover the matrix.
+
+    Tiles start at multiples of _TILE and the remainder is folded into the
+    last one, so fewer than 2 * _TILE columns are one tile.  Each tile is cast
+    into one reused buffer, not a (T, n) copy, and is valid until the next.
+    """
+    T, n = entries.shape
+    cuts = [*range(0, max(n // _TILE, 1) * _TILE, _TILE), n]
+    buffer = np.empty(T * (cuts[-1] - cuts[-2]), dtype=dtype)
+    for a, b in zip(cuts, cuts[1:]):
+        tile = buffer[:T * (b - a)].reshape(T, b - a)
+        np.copyto(tile, entries[:, a:b])
+        yield a, b, tile
+
+
+def _signed_votes(tree: Tree, x: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the tree's signed votes y_i h(x_i) on the rows of x, the exact
+    +-1 product, into the int8 row out, and return it."""
+    return np.multiply(tree.predict(x), labels, out=out, casting="unsafe")
+
 
 def _check_two_classes(data: Dataset):
     counts = data.class_counts()
@@ -162,7 +216,7 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     for _ in range(T):
         tree = fit_tree(layout, weights=dist, params=params)
         # the signed vote y_i h_t(x_i): -1 marks a mistake, and it drives the update
-        row = np.multiply(tree.predict(layout.features), layout.labels).astype(np.int8)
+        row = _signed_votes(tree, layout.features, layout.labels, np.empty(n, dtype=np.int8))
         eps = float(dist[row < 0].sum())
         if eps >= 0.5:
             break_reason = f"round error {eps:.6f} is no better than chance"
@@ -224,13 +278,13 @@ def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
     every row of data.
 
     The features are put in Fortran order once, so every node test of
-    every tree reads a contiguous column, and each tree's signed votes,
-    the exact +-1 product, fill one contiguous int8 row of the matrix.
+    every tree reads a contiguous column, and each tree's signed votes
+    fill one contiguous int8 row of the matrix.
     """
     x = np.asfortranarray(data.features)
     entries = np.empty((model.n_learners, data.n_rows), dtype=np.int8)
     for t, tree in enumerate(model.trees):
-        np.multiply(tree.predict(x), data.labels, out=entries[t], casting="unsafe")
+        _signed_votes(tree, x, data.labels, entries[t])
     return PredictionMatrix(entries, data.labels)
 
 

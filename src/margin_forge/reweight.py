@@ -34,15 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleError, PredictionMatrix
-from .margins import MarginProfile, column_tiles, compute_margins, simplex_weights, vote_product
+from .margins import MarginProfile, compute_margins, simplex_weights
 from .simplex import FEAS_TOL, LpProblem, solve
 
 SCHEMES = ("uws", "ews", "pws", "sm1", "sm2")
 GAP_TOL = 1e-9       # relative duality gap allowed on a margin LP's answer
-# float32 holds every integer up to 2**24, so a sum of fewer +-1 products, and
-# every partial sum on the way, is exact in it: sm2's Gram matrix of int8 votes
-# is formed in float32 below this many columns, in float64 from it on
-F32_EXACT_TERMS = 2 ** 24
 # sm2 normalizes only a fit whose coefficient sum exceeds this share of their l1
 # norm, so the normalized weights' l1 norm stays below 1 / SM2_MIN_SUM_RATIO
 SM2_MIN_SUM_RATIO = 1e-3
@@ -201,43 +197,33 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors):
     return weights, profile
 
 
-def _min_norm_fit(design: np.ndarray, target: float) -> np.ndarray:
+def _min_norm_fit(matrix: PredictionMatrix, target: float) -> np.ndarray:
     """Minimum-norm least-squares coefficients of the constant `target` on
-    the rows of `design` (one ±1 row per learner), through the origin.
+    the learner rows of the matrix's signed votes S, through the origin.
 
-    Solved on the normal equations G coef = b, G = design @ design.T and
-    b = target * design.sum(axis=1), with G's symmetric eigendecomposition
-    (Golub & Van Loan, Matrix Computations, 5.3 and 5.5): coef is the sum of
-    v (v.b / lam) over the kept eigenpairs, which is the pseudo-inverse
-    solution.  G's entries are sums of ±1 products, exact in any summation
-    order.  The design is stored in int8 (see PredictionMatrix), so G is
-    summed one column tile at a time (margins.column_tiles), G += tile
-    tile', in float32 while there are fewer than F32_EXACT_TERMS columns,
-    where every partial sum is an exact integer and so equals the
-    whole-matrix product bit for bit, in float64 beyond, and then cast to
-    float64 for eigh; b and the SVD fallback are computed in float64.
-    Eigenvalues at or below lam_max * T * eps are the null space and
-    are dropped; the rest must lie above lam_max * sqrt(eps), where the
-    squared conditioning costs no more than half the digits.  An eigenvalue
-    between the two leaves no clear gap, so the fit falls back to an SVD of
-    the (n, T) design.  When every learner's votes sum to 0, the constant is
-    orthogonal to them all and the fit is exactly 0, which is returned as
-    such: the SVD would return its rounding, of any sum.
+    Solved on the normal equations G coef = b, G = S S' (matrix.gram(), exact)
+    and b = target * S 1 (matrix.learner_sums(), exact), with G's symmetric
+    eigendecomposition (Golub & Van Loan, Matrix Computations, 5.3 and 5.5):
+    coef is the sum of v (v.b / lam) over the kept eigenpairs, which is the
+    pseudo-inverse solution.  Eigenvalues at or below lam_max * T * eps are
+    the null space and are dropped; the rest must lie above
+    lam_max * sqrt(eps), where the squared conditioning costs no more than
+    half the digits.  An eigenvalue between the two leaves no clear gap, so
+    the fit falls back to an SVD of the (n, T) design S', cast to float64.
+    When every learner's votes sum to 0, the constant is orthogonal to them
+    all and the fit is exactly 0, which is returned as such: the SVD would
+    return its rounding, of any sum.
     """
-    votes = design.sum(axis=1, dtype=float)   # integer vote totals, exact
+    votes = matrix.learner_sums()
     if not votes.any():
-        return np.zeros(design.shape[0])
+        return np.zeros(matrix.n_learners)
     eps = np.finfo(float).eps
-    dtype = np.float32 if design.shape[1] < F32_EXACT_TERMS else np.float64
-    gram = np.zeros((design.shape[0],) * 2, dtype=dtype)
-    for _, _, tile in column_tiles(design, dtype):
-        gram += tile @ tile.T
-    lam, vecs = np.linalg.eigh(gram.astype(float))
+    lam, vecs = np.linalg.eigh(matrix.gram())
     top = lam[-1]
-    null = lam <= top * design.shape[0] * eps
+    null = lam <= top * matrix.n_learners * eps
     if np.any(~null & (lam <= top * math.sqrt(eps))):
-        coef, *_ = np.linalg.lstsq(design.astype(float).T, np.full(design.shape[1], target),
-                                   rcond=None)
+        coef, *_ = np.linalg.lstsq(matrix.entries.astype(float).T,
+                                   np.full(matrix.n_rows, target), rcond=None)
         return coef
     kept = vecs[:, ~null]
     return kept @ ((kept.T @ (target * votes)) / lam[~null])
@@ -260,15 +246,14 @@ def sm2_weights(matrix: PredictionMatrix, alpha) -> RewResult:
     """
     a = simplex_weights(alpha, matrix.n_learners)
     old = compute_margins(matrix, a)
-    signed = matrix.entries
-    coef = _min_norm_fit(signed, old.mean)
+    coef = _min_norm_fit(matrix, old.mean)
     total = coef.sum()
     if not abs(total) > SM2_MIN_SUM_RATIO * np.abs(coef).sum():
         raise EnsembleError(f"non-normalizable solution: coefficients sum to {total:.3g}, "
                             f"at most {SM2_MIN_SUM_RATIO:g} of their absolute sum")
     w = coef / total
     new = compute_margins(matrix, w)
-    sse = float(np.sum((vote_product(coef, signed) - old.mean) ** 2))
+    sse = float(np.sum((matrix.weighted_sum(coef) - old.mean) ** 2))
     return RewResult("sm2", True, w, old, new, sse)
 
 

@@ -99,6 +99,16 @@ def test_data_split_unwritable_output_is_a_configuration_error(tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {train}: ")
 
 
+def test_data_split_unwritable_test_path_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the train file is written first; a test path that cannot be opened removes it
+    monkeypatch.chdir(tmp_path)
+    assert main(["data", "split", "synthetic:two-gaussians:40:0.5:1",
+                 "--out-train", "t.csv", "--out-test", "nodir/x.csv"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write nodir/x.csv: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reweight_report(model_and_data, capsys):
     model_path, data_path, model = model_and_data
     rc = main(["reweight", "--model", model_path, "--data", data_path,

@@ -187,8 +187,14 @@ def named(names):
 ])
 def test_names_that_cannot_round_trip_are_refused(tmp_path, names, j, fault):
     out = tmp_path / "n.csv"
-    with pytest.raises(DatasetError) as err:
-        write_dataset(named(names), out)
+    if fault == "is not a str":
+        # refused when the set is built, so no writer ever sees it
+        with pytest.raises(DatasetError) as err:
+            named(names)
+    else:
+        data = named(names)
+        with pytest.raises(DatasetError) as err:
+            write_dataset(data, out)
     assert str(err.value) == f"feature name {j} {names[j]!r} {fault}"
     assert not out.exists()
 

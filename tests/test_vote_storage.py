@@ -1,17 +1,18 @@
 """Signed votes stored in int8: what the storage costs and what it must not change.
 
-PredictionMatrix keeps its +-1 entries in int8, one byte a cell, and every
-reader computes in float64, or in float32 where its sums are exact integers.
-So each reader's result on a stored matrix must equal, bit for bit, its
-result on the same entries held in float64 (`float64_twin`).  Float input
-is checked before it is narrowed, since int8 would truncate 0.5 or 1.5 to a
-vote; int8 input is checked by its range and its nonzero count.
+PredictionMatrix is the one owner of the int8 vote format: its readers
+(vote_counts, learner_sums, weighted_sum, gram) are the only code that
+knows it.  Each reader's result on a stored matrix must equal, bit for
+bit, its result on the same entries held in float64 (`float64_twin`).
+Float input is checked before it is narrowed, since int8 would truncate
+0.5 or 1.5 to a vote; int8 input is checked by its range and its nonzero
+count.
 
-The weighted products are cast to float64 one column tile at a time, and
-sm2's Gram matrix is summed from float32 tiles (`margins.column_tiles`).
-They must equal the full cast and the whole-matrix float32 Gram bit for
-bit: a child interpreter pins that at one BLAS thread, the way the
-benchmark runs, on shapes that straddle the tile edges.
+weighted_sum casts one float64 column tile at a time and gram adds exact
+float32 tile products in float64.  They must equal the full float64 cast's
+products bit for bit: a child interpreter pins that at one BLAS thread, the
+way the benchmark runs, on shapes that straddle the tile edges, and gram
+must stay exact past float32's 2**24 integer range.
 """
 import os
 import subprocess
@@ -185,26 +186,17 @@ def test_margin_lp_schemes_match_float64_storage(text, forest, boosted, monkeypa
         assert not all(feasible)
 
 
-def test_gram_leaves_float32_at_its_exactness_bound(monkeypatch):
-    # float32 sums +-1 products exactly only below F32_EXACT_TERMS columns.
-    # Entries of 1 + 2**-12 square to 1 + 2**-11 + 2**-24, which float32
-    # rounds, so here the float32 and float64 Gram matrices differ and show
-    # which one was formed; 2**24 columns are never allocated
-    design = np.full((2, 3), 1 + 2.0 ** -12, dtype=np.float32)
-    design[1, 0] = -1.0
-    wide = design.astype(float)
-    narrow_gram = (design @ design.T).astype(float)
-    wide_gram = wide @ wide.T
-    assert not np.array_equal(narrow_gram, wide_gram)
-    real = np.linalg.eigh
-    seen = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda gram: seen.append(gram) or real(gram))
-    reweight._min_norm_fit(design, 0.5)
-    monkeypatch.setattr(reweight, "F32_EXACT_TERMS", design.shape[1])
-    reweight._min_norm_fit(design, 0.5)
-    assert [g.dtype for g in seen] == [np.float64, np.float64]
-    assert np.array_equal(seen[0], narrow_gram)
-    assert np.array_equal(seen[1], wide_gram)
+def test_gram_is_exact_past_float32s_integer_range():
+    # one learner of 2**24 + 1 votes: float32 accumulation would round the
+    # total to 2**24.  Built around __post_init__, as float64_twin is, so no
+    # 134 MB label vector is made; gram reads no labels
+    n = 2 ** 24 + 1
+    assert np.float32(2 ** 24) + np.float32(1) == 2 ** 24
+    wide = object.__new__(PredictionMatrix)
+    object.__setattr__(wide, "entries", np.ones((1, n), dtype=np.int8))
+    object.__setattr__(wide, "labels", None)
+    gram = wide.gram()
+    assert gram.dtype == np.float64 and gram.tolist() == [[n]]
 
 
 def test_prediction_matrix_allocates_one_byte_per_cell():
@@ -228,13 +220,9 @@ def test_prediction_matrix_allocates_one_byte_per_cell():
 TILED_PRODUCTS = """
 import numpy as np
 
-from margin_forge.ensemble import PredictionMatrix
-from margin_forge.margins import TILE, compute_margins
+from margin_forge.ensemble import _TILE as TILE, PredictionMatrix
+from margin_forge.margins import compute_margins
 from margin_forge.reweight import _min_norm_fit, sm2_weights
-
-grams = []
-eigh = np.linalg.eigh
-np.linalg.eigh = lambda gram: grams.append(gram) or eigh(gram)
 
 # a last tile 1-3 columns wide is where unfolded tiles were seen to differ
 tails = [k * TILE + r for k in (2, 3) for r in (0, 1, 2, 3, 4, 1568)]
@@ -250,11 +238,9 @@ for T, n in shapes:
     full = matrix.entries.astype(float)
     want = alpha @ full
     assert compute_margins(matrix, alpha).margins.tobytes() == want.tobytes(), (T, n)
+    assert matrix.gram().tobytes() == (full @ full.T).tobytes(), (T, n)
     mean = float(want.mean())
-    grams.clear()
-    coef = _min_norm_fit(matrix.entries, mean)
-    narrow = matrix.entries.astype(np.float32)
-    assert grams[0].tobytes() == (narrow @ narrow.T).astype(float).tobytes(), (T, n)
+    coef = _min_norm_fit(matrix, mean)
     sse = float(np.sum((coef @ full - mean) ** 2))
     assert sm2_weights(matrix, alpha).objective.hex() == sse.hex(), (T, n)
 print("ok", len(shapes))
@@ -284,7 +270,7 @@ def scoring_sized():
 def test_weighted_readers_peak_below_an_eighth_of_one_float64_cast(reader, scoring_sized):
     # a full float64 cast of the entries would be 80 MB by itself, and a
     # float32 one for sm2's Gram matrix 40 MB; one tile buffer is at most
-    # 500 x (2 * TILE - 1) float64 cells, 4.1 MB
+    # 500 x (2 * _TILE - 1) float64 cells, 4.1 MB
     matrix, alpha = scoring_sized
     tracemalloc.start()
     try:
