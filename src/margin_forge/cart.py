@@ -28,10 +28,12 @@ OS and the next search faults in again.
 Prediction is one forward pass over the node arrays.  A parent comes
 before its children, so the root starts with every row and each internal
 node hands its children boolean masks of the rows that reach them; the
-masks of the +1 leaves are ORed together and turned into +-1 once.  Every
+masks of the +1 leaves are ORed together into one boolean vote, which
+predict turns into +-1 and the prediction matrix packs into bits.  Every
 node test compares a whole column, leaves - 1 contiguous compares per
-tree when the rows are in Fortran order, which suits the small trees
-fitted here better than gathering each node's row subset.
+tree on a Dataset's features, which are held in Fortran order; this
+suits the small trees fitted here better than gathering each node's row
+subset.
 """
 from __future__ import annotations
 
@@ -94,7 +96,7 @@ class TreeLayout:
     """
 
     def __init__(self, features, labels):
-        x = np.ascontiguousarray(features, dtype=float)
+        x = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=float)
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
             raise ValueError("features must be (n, p) with matching labels")
@@ -294,10 +296,16 @@ class Tree:
     def predict(self, features) -> np.ndarray:
         """The +-1 vote on each row of the (n, n_features) matrix.
 
+        A row equal to the threshold goes left, and NaN goes right.
+        """
+        return _SIGN.take(self._plus(features).view(np.uint8))
+
+    def _plus(self, features) -> np.ndarray:
+        """A new boolean mask of the rows of features that the tree votes +1.
+
         reach[i] masks the rows that reach node i; it is set by node i's
         parent, which comes first.  Each internal node tests its whole
-        column, so no row subset is gathered.  A row equal to the
-        threshold goes left, and NaN goes right.
+        column, so no row subset is gathered.
         """
         x = np.asarray(features, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.n_features:
@@ -316,7 +324,7 @@ class Tree:
             go_left &= rows
             reach[left[node]] = go_left
             reach[right[node]] = rows ^ go_left
-        return _SIGN.take(plus.view(np.uint8))
+        return plus
 
     def to_dict(self) -> dict:
         return {"n_features": self.n_features,

@@ -36,7 +36,11 @@ _LINE_ENDS = frozenset("\n\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix plus {-1,+1} labels."""
+    """Immutable feature matrix plus {-1,+1} labels.
+
+    The features are held column-major (Fortran order), a read-only copy of
+    what was given: a tree's node test reads one contiguous column.
+    """
 
     name: str
     features: np.ndarray
@@ -59,7 +63,7 @@ class Dataset:
         for j, name in enumerate(self.feature_names or ()):
             if not isinstance(name, str):
                 raise DatasetError(f"feature name {j} {name!r} is not a str")
-        x = x.copy()
+        x = np.array(x, order="F")
         y = y.copy()
         x.flags.writeable = False
         y.flags.writeable = False

@@ -68,77 +68,103 @@ class EnsembleModel:
         return len(self.trees)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PredictionMatrix:
     """A learner-major matrix of signed votes and the labels of its rows.
 
-    This class is the one owner of the vote storage.  The entries are a
-    C-ordered, read-only int8 (T, n) array, one byte a cell, which loses
-    nothing: every entry is -1 or +1.  Float input is checked before it is
-    narrowed, where int8 would truncate 0.5 or 1 + 1e-9; int8 input, which
-    _signed_votes writes, is checked with its min, max and nonzero count,
-    which make no per-cell temporary.  The readers below give what float64
-    entries give, bit for bit: vote_counts and learner_sums are exact int32
-    sums, weighted_sum casts one float64 column tile at a time, and gram
-    sums exact float32 tile products in float64.  A tile buffer holds at
-    most T * (2 * _TILE - 1) cells (4.1 MB of float64 at T = 500), not a
-    whole cast.
-    """
-    entries: np.ndarray   # (T, n) of +-1: y_i h_t(x_i), +1 where learner t is right on row i
-    labels: np.ndarray    # (n,) of +-1
+    This class is the one owner of the vote storage.  A signed vote
+    y_i h_t(x_i) is -1 or +1, so each takes one bit: bits is a C-ordered,
+    read-only uint8 (T, ceil(n / 8)) array, np.packbits of entries > 0
+    along each learner's row, where a set bit means learner t is right on
+    row i.  The pad bits past column n of each row are zero and no reader
+    looks at them.  Float input is checked before it is narrowed, where a
+    cast would turn 0.5 or 1 + 1e-9 into a vote; int8 input is checked with
+    its min, max and nonzero count, which make no per-cell temporary.
 
-    def __post_init__(self):
-        h = np.asarray(self.entries)
-        y = np.array(self.labels, dtype=float)
-        if h.ndim != 2 or h.shape[0] < 1 or y.shape != (h.shape[1],):
-            raise ValueError("entries must be (T, n), T >= 1, with one label per row")
+    The readers give what float64 entries give, bit for bit.  Each unpacks
+    one column tile of int8 votes at a time (see _column_tiles): vote_counts
+    and learner_sums are exact int32 sums, weighted_sum casts one float64
+    tile at a time and gram sums exact float32 tile products in float64.
+    A tile buffer holds at most T * (2 * _TILE - 1) cells (4.1 MB of
+    float64 at T = 500), not a whole cast.  dense() and entries unpack the
+    whole matrix, for the solvers that take it whole and for callers
+    outside the package's scoring path.
+    """
+    bits: np.ndarray      # (T, ceil(n / 8)) uint8: bit i of row t is set where learner t is right on row i
+    labels: np.ndarray    # (n,) of +-1
+    n_rows: int
+
+    def __init__(self, entries, labels):
+        """Pack entries, a (T, n) array of signed votes +-1, T >= 1 and n >= 1,
+        with one label +-1 per column."""
+        h = np.asarray(entries)
+        y = np.array(labels, dtype=float)
+        if h.ndim != 2 or min(h.shape) < 1 or y.shape != (h.shape[1],):
+            raise ValueError("entries must be (T, n), T >= 1 and n >= 1, with one label per row")
         if h.dtype == np.int8:
             # min, max and the nonzero count scan without a per-cell temporary
-            votes = h.size == 0 or (h.min() >= -1 and h.max() <= 1
-                                    and np.count_nonzero(h) == h.size)
+            votes = h.min() >= -1 and h.max() <= 1 and np.count_nonzero(h) == h.size
         else:
             # checked before narrowing, where 0.5 or 1 + 1e-9 would truncate
             votes = np.all(np.isin(h, (-1.0, 1.0)))
         if not votes or not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("entries and labels must be -1 or +1")
-        # C order fixes the summation order of w @ entries; C int8 input is kept
-        h = np.asarray(h, dtype=np.int8, order="C")
-        h.flags.writeable = False
         y.flags.writeable = False
-        object.__setattr__(self, "entries", h)
-        object.__setattr__(self, "labels", y)
+        self._set(np.packbits(h > 0, axis=1), y, h.shape[1])
+
+    def _set(self, bits: np.ndarray, labels: np.ndarray, n_rows: int):
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "n_rows", n_rows)
+
+    @classmethod
+    def _of_bits(cls, bits: np.ndarray, labels: np.ndarray, n_rows: int) -> "PredictionMatrix":
+        """Wrap C-ordered bits that _pack_votes wrote or that a checked matrix
+        holds, and read-only float labels: nothing is scanned again."""
+        matrix = object.__new__(cls)
+        matrix._set(bits, labels, n_rows)
+        return matrix
 
     def leading(self, count: int) -> "PredictionMatrix":
-        """The matrix of the first count learners, a view of these rows.
-
-        The rows were checked when this matrix was built, so they are not
-        scanned again.
-        """
+        """The matrix of the first count learners, a view of these rows' bits."""
         if not 1 <= count <= self.n_learners:
             raise ValueError(f"count must lie in [1, {self.n_learners}]")
-        view = object.__new__(PredictionMatrix)
-        object.__setattr__(view, "entries", self.entries[:count])
-        object.__setattr__(view, "labels", self.labels)
-        return view
-
-    @property
-    def n_rows(self) -> int:
-        return self.entries.shape[1]
+        return PredictionMatrix._of_bits(self.bits[:count], self.labels, self.n_rows)
 
     @property
     def n_learners(self) -> int:
-        return self.entries.shape[0]
+        return self.bits.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The (T, n) signed votes as a read-only int8 array, unpacked on each
+        access; the package's readers do not use it."""
+        votes = _unpack_votes(self.bits, self.n_rows)
+        votes.flags.writeable = False
+        return votes
+
+    def dense(self) -> np.ndarray:
+        """The (T, n) signed votes as one float64 array, for the solvers that
+        take the whole design."""
+        return _unpack_votes(self.bits, self.n_rows).astype(float)
 
     def vote_counts(self) -> np.ndarray:
         """Each row's vote total as exact int32 (int8 sums widen to int64, slower)."""
-        return self.entries.sum(axis=0, dtype=np.int32)
+        out = np.empty(self.n_rows, dtype=np.int32)
+        for a, b, votes in _column_tiles(self.bits, self.n_rows):
+            votes.sum(axis=0, dtype=np.int32, out=out[a:b])
+        return out
 
     def learner_sums(self) -> np.ndarray:
         """Each learner's vote total as exact int32."""
-        return self.entries.sum(axis=1, dtype=np.int32)
+        out = np.zeros(self.n_learners, dtype=np.int32)
+        for _, _, votes in _column_tiles(self.bits, self.n_rows):
+            out += votes.sum(axis=1, dtype=np.int32)
+        return out
 
     def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """w @ entries.astype(float), cast one float64 column tile at a time.
+        """w @ entries.astype(float), one float64 column tile of votes at a time.
 
         At one BLAS thread it was the full cast's bit for bit on every shape
         tried, with OpenBLAS 0.3.31 and its SkylakeX kernel (the only build
@@ -146,7 +172,7 @@ class PredictionMatrix:
         tile 1-3 columns wide, which _column_tiles rules out, differed.
         """
         out = np.empty(self.n_rows)
-        for a, b, tile in _column_tiles(self.entries, float):
+        for a, b, tile in _column_tiles(self.bits, self.n_rows, float):
             np.matmul(w, tile, out=out[a:b])
         return out
 
@@ -158,35 +184,54 @@ class PredictionMatrix:
         float64 sum.
         """
         out = np.zeros((self.n_learners,) * 2)
-        for _, _, tile in _column_tiles(self.entries, np.float32):
+        for _, _, tile in _column_tiles(self.bits, self.n_rows, np.float32):
             out += tile @ tile.T
         return out
 
 
-_TILE = 512   # columns per tile of _column_tiles
+_TILE = 512   # columns per tile of _column_tiles, a multiple of 8
 
 
-def _column_tiles(entries: np.ndarray, dtype):
-    """Yield (a, b, tile): entries[:, a:b] cast to dtype, for column cuts
-    that cover the matrix.
+def _unpack_votes(bits: np.ndarray, n: int) -> np.ndarray:
+    """The +-1 votes of the first n columns packed in bits, as a new int8 array."""
+    votes = np.unpackbits(bits, axis=1, count=n)
+    votes += votes
+    votes -= 1   # 0 wraps to 255, which is -1 as int8
+    return votes.view(np.int8)
 
-    Tiles start at multiples of _TILE and the remainder is folded into the
-    last one, so fewer than 2 * _TILE columns are one tile.  Each tile is cast
-    into one reused buffer, not a (T, n) copy, and is valid until the next.
+
+def _column_tiles(bits: np.ndarray, n: int, dtype=None):
+    """Yield (a, b, tile) for column cuts a:b that cover the n columns packed
+    in bits: the tile is those columns' votes, unpacked to int8 when dtype is
+    None and else cast to dtype.
+
+    Tiles start at multiples of _TILE, so each starts on a byte of bits,
+    and the remainder is folded into the last one, so fewer than 2 * _TILE
+    columns are one tile.  np.unpackbits stops at column b, so no pad bit
+    is read.  A cast tile is written into one reused buffer, not a (T, n)
+    copy, and is valid until the next.
     """
-    T, n = entries.shape
+    T = bits.shape[0]
     cuts = [*range(0, max(n // _TILE, 1) * _TILE, _TILE), n]
-    buffer = np.empty(T * (cuts[-1] - cuts[-2]), dtype=dtype)
+    buffer = None if dtype is None else np.empty(T * (cuts[-1] - cuts[-2]), dtype=dtype)
     for a, b in zip(cuts, cuts[1:]):
+        votes = _unpack_votes(bits[:, a // 8:(b + 7) // 8], b - a)
+        if buffer is None:
+            yield a, b, votes
+            continue
         tile = buffer[:T * (b - a)].reshape(T, b - a)
-        np.copyto(tile, entries[:, a:b])
+        np.copyto(tile, votes)
         yield a, b, tile
 
 
-def _signed_votes(tree: Tree, x: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the tree's signed votes y_i h(x_i) on the rows of x, the exact
-    +-1 product, into the int8 row out, and return it."""
-    return np.multiply(tree.predict(x), labels, out=out, casting="unsafe")
+def _pack_votes(tree: Tree, x: np.ndarray, positive: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the tree's signed votes on the rows of x into the packed row out,
+    a bit set where the tree votes the row's label (positive is labels > 0),
+    and return that boolean mask of the rows it gets right."""
+    right = tree._plus(x)
+    np.equal(right, positive, out=right)
+    out[:] = np.packbits(right)
+    return right
 
 
 def _check_two_classes(data: Dataset):
@@ -208,6 +253,7 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     params = params or TreeParams()
     layout = TreeLayout(train.features, train.labels)
     n = train.n_rows
+    positive = layout.labels > 0
     dist = np.full(n, 1.0 / n)
     rows: list[np.ndarray] = []
     trees: list[Tree] = []
@@ -215,9 +261,10 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
     break_reason = None
     for _ in range(T):
         tree = fit_tree(layout, weights=dist, params=params)
-        # the signed vote y_i h_t(x_i): -1 marks a mistake, and it drives the update
-        row = _signed_votes(tree, layout.features, layout.labels, np.empty(n, dtype=np.int8))
-        eps = float(dist[row < 0].sum())
+        # where the signed vote y_i h_t(x_i) is +1; a mistake drives the update
+        row = np.empty((n + 7) // 8, dtype=np.uint8)
+        right = _pack_votes(tree, layout.features, positive, row)
+        eps = float(dist[~right].sum())
         if eps >= 0.5:
             break_reason = f"round error {eps:.6f} is no better than chance"
             break
@@ -228,14 +275,14 @@ def adaboost(train: Dataset, T: int, params: TreeParams | None = None) -> Ensemb
         if eps == 0.0:
             break_reason = "a round fit its training distribution perfectly"
             break
-        # D * exp(-alpha y h), formed in float64 from the int8 row
-        dist = dist * np.exp(np.multiply(row, -alpha, dtype=float))
+        # D * exp(-alpha y h), with -alpha y h exactly -alpha or +alpha
+        dist = dist * np.exp(np.where(right, -alpha, alpha))
         dist /= dist.sum()
     if not trees:
         raise EnsembleError(f"no usable learners: {break_reason}")
     return EnsembleModel("adaboost", tuple(trees), np.array(alphas), params,
                          break_reason=break_reason,
-                         train_matrix=PredictionMatrix(np.stack(rows), train.labels))
+                         train_matrix=PredictionMatrix._of_bits(np.stack(rows), train.labels, n))
 
 
 def random_forest(train: Dataset, T: int, m_try: int | None = None,
@@ -277,15 +324,16 @@ def prediction_matrix(model: EnsembleModel, data: Dataset) -> PredictionMatrix:
     """The (T, n) matrix of every learner's signed vote y_i h_t(x_i) on
     every row of data.
 
-    The features are put in Fortran order once, so every node test of
-    every tree reads a contiguous column, and each tree's signed votes
-    fill one contiguous int8 row of the matrix.
+    A Dataset holds its features in Fortran order, so every node test of
+    every tree reads a contiguous column, and each tree's signed votes are
+    packed into one row of the matrix's bits; no (T, n) array of votes is
+    made.
     """
-    x = np.asfortranarray(data.features)
-    entries = np.empty((model.n_learners, data.n_rows), dtype=np.int8)
+    positive = data.labels > 0
+    bits = np.empty((model.n_learners, (data.n_rows + 7) // 8), dtype=np.uint8)
     for t, tree in enumerate(model.trees):
-        _signed_votes(tree, x, data.labels, entries[t])
-    return PredictionMatrix(entries, data.labels)
+        _pack_votes(tree, data.features, positive, bits[t])
+    return PredictionMatrix._of_bits(bits, data.labels, data.n_rows)
 
 
 def save_model(model: EnsembleModel, path) -> None:

@@ -159,7 +159,7 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors):
     no weights reach the floors.
 
     The LP, max c.w s.t. S'w >= floors, 1.w = 1, w >= 0 with S the (T, n)
-    signed votes (the stored entries, cast to float64) and c = S @ emphasis,
+    signed votes (matrix.dense(), in float64) and c = S @ emphasis,
     is solved through its dual: max floors.u - v s.t. -S u + v 1 >= c,
     u >= 0, v free.  The dual has one row per learner and is always
     feasible; the weights are its row prices.  It is stated with v = top + v+ - v-,
@@ -170,7 +170,7 @@ def _margin_lp(matrix: PredictionMatrix, emphasis, floors):
     margins returned meet every floor (the ge rows), both within FEAS_TOL,
     and the prices must close the duality gap.
     """
-    signed = matrix.entries.astype(float)
+    signed = matrix.dense()
     c = signed @ emphasis
     top = c.max()
     ones = np.ones((matrix.n_learners, 1))
@@ -209,7 +209,8 @@ def _min_norm_fit(matrix: PredictionMatrix, target: float) -> np.ndarray:
     the null space and are dropped; the rest must lie above
     lam_max * sqrt(eps), where the squared conditioning costs no more than
     half the digits.  An eigenvalue between the two leaves no clear gap, so
-    the fit falls back to an SVD of the (n, T) design S', cast to float64.
+    the fit falls back to an SVD of the (n, T) design S', matrix.dense()'s
+    transpose.
     When every learner's votes sum to 0, the constant is orthogonal to them
     all and the fit is exactly 0, which is returned as such: the SVD would
     return its rounding, of any sum.
@@ -222,7 +223,7 @@ def _min_norm_fit(matrix: PredictionMatrix, target: float) -> np.ndarray:
     top = lam[-1]
     null = lam <= top * matrix.n_learners * eps
     if np.any(~null & (lam <= top * math.sqrt(eps))):
-        coef, *_ = np.linalg.lstsq(matrix.entries.astype(float).T,
+        coef, *_ = np.linalg.lstsq(matrix.dense().T,
                                    np.full(matrix.n_rows, target), rcond=None)
         return coef
     kept = vecs[:, ~null]

@@ -496,13 +496,14 @@ def test_prediction_matrix_matches_reference_columns(fit):
     want = np.stack([predict_oracle.predict(tree, data.features) for tree in model.trees])
     assert np.array_equal(entries, want * data.labels)
     assert entries.flags.c_contiguous and not entries.flags.writeable
-    # a prefix ensemble's matrix is a view of the leading rows, not a copy
+    assert full.bits.flags.c_contiguous and not full.bits.flags.writeable
+    # a prefix ensemble's matrix is a view of the leading rows' bits, not a copy
     prefix = PredictionMatrix(full.entries[:5], data.labels)
-    assert np.shares_memory(prefix.entries, full.entries)
     leading = full.leading(5)
-    assert np.shares_memory(leading.entries, full.entries)
+    assert np.shares_memory(leading.bits, full.bits)
+    assert np.array_equal(leading.bits, prefix.bits)
     assert np.array_equal(leading.entries, prefix.entries)
-    assert leading.labels is full.labels and not leading.entries.flags.writeable
+    assert leading.labels is full.labels and not leading.bits.flags.writeable
     for bad in (0, model.n_learners + 1):
         with pytest.raises(ValueError, match="count"):
             full.leading(bad)

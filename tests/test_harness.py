@@ -425,13 +425,14 @@ def test_export_cmd_series_checks_the_full_matrix_once(monkeypatch):
             return real(*args, **kwargs)
         return scan
 
-    # int8 entries are checked by their nonzero count, the labels by isin
-    for name in ("isin", "count_nonzero"):
+    # a PredictionMatrix built from votes scans them by isin or count_nonzero
+    # and packs them whole; the series packs each tree's row as it is written
+    for name in ("isin", "count_nonzero", "packbits"):
         monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
     assert export_cmd_series(model, data, (1, 3, 5)) == want
-    # the full matrix's entries and labels; the prefixes are views of rows already checked
-    assert scans == [("count_nonzero", (model.n_learners, data.n_rows)),
-                     ("isin", (data.n_rows,))]
+    # one packed row per learner of the full matrix; the written bits and the
+    # Dataset's labels are not scanned, and the prefixes are views of its rows
+    assert scans == [("packbits", (data.n_rows,))] * model.n_learners
 
 
 # ------------------------------------------------------------------ rendering
